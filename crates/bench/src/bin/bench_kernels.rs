@@ -17,7 +17,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use cbrain::functional::unrolled_forward;
+use cbrain::functional::{improved_inter_forward, unrolled_forward};
 use cbrain_compiler::{compile_conv, Scheme};
 use cbrain_model::rng::XorShift64;
 use cbrain_model::{reference, simd, zoo, ConvParams, ConvWeights, FcParams, Tensor3, TensorShape};
@@ -100,10 +100,27 @@ fn rows(samples: usize) -> Vec<Row> {
         digest_f32(o.as_slice())
     }));
 
-    // im2col consumer: the unrolled (Intra) executor's dot over each
-    // contiguous kernel run.
+    // im2col consumer: the unrolled (Intra) executor's window-parallel
+    // dot over each input map's transposed window runs.
     out.push(run_pair("im2col_unrolled_3x3", samples, &|| {
         let o = unrolled_forward(&in3, &w3, Some(&b3), &p3).unwrap();
+        digest_f32(o.as_slice())
+    }));
+
+    // The unit-stride tap pass (improved inter; the stride-1 kernel
+    // partition makes the same calls).
+    out.push(run_pair("improved_inter_3x3_s1", samples, &|| {
+        let o = improved_inter_forward(&in3, &w3, Some(&b3), &p3).unwrap();
+        digest_f32(o.as_slice())
+    }));
+
+    // The k == s intra shape: four taps per window, so each window's dot
+    // is a single zero-padded tail block.
+    let p2 = ConvParams::new(16, 32, 2, 2, 0);
+    let in2 = random_tensor(TensorShape::new(16, 64, 64), 7);
+    let w2 = ConvWeights::random(&p2, 8);
+    out.push(run_pair("unrolled_2x2_s2", samples, &|| {
+        let o = unrolled_forward(&in2, &w2, None, &p2).unwrap();
         digest_f32(o.as_slice())
     }));
 

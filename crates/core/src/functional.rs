@@ -6,9 +6,16 @@
 //! compute exactly the same convolution as the reference sliding window.
 //! The PE-level variant additionally pushes values through the segmented
 //! adder-tree datapath the cycle model assumes.
+//!
+//! At unit stride, kernel partitioning degenerates to one pass per kernel
+//! tap, the same add-and-store order improved inter uses, so both run
+//! one shared tap pass ([`simd::tap_pass`]); the unrolled executor runs
+//! its dots eight windows per register ([`simd::dot_windows`]). Both
+//! vectorize across independent outputs, so every output keeps the exact
+//! sequence of adds the per-pixel loops below spell out.
 
 use crate::partition_math::partition;
-use cbrain_model::{reference, simd, ConvParams, ConvWeights, ModelError, Tensor3};
+use cbrain_model::{reference, simd, ConvParams, ConvWeights, ModelError, Tensor3, TensorShape};
 use cbrain_sim::pe::PeArray;
 use cbrain_sim::PeConfig;
 
@@ -26,6 +33,87 @@ fn row_span(kx: usize, pad: isize, in_w: usize, out_w: usize) -> (usize, usize, 
         0
     };
     (lo, hi, x0)
+}
+
+/// The output buffer of partial sums, seeded with the bias.
+fn bias_seeded(out_shape: TensorShape, bias: Option<&[f32]>) -> Tensor3 {
+    let mut out = Tensor3::zeros(out_shape);
+    if let Some(b) = bias {
+        let plane = out_shape.height * out_shape.width;
+        for (map, &bv) in out.as_mut_slice().chunks_exact_mut(plane).zip(b) {
+            map.fill(bv);
+        }
+    }
+    out
+}
+
+/// Adds a zero partial: not a no-op, since `-0.0 + 0.0` is `+0.0`.
+fn add_zero(row: &mut [f32]) {
+    for v in row {
+        *v += 0.0;
+    }
+}
+
+/// The unit-stride executor that [`partition_forward`] (whose `ks == 1`
+/// sub-kernels are single taps) and [`improved_inter_forward`] share:
+/// one pass per kernel tap `(ky, kx)` in row-major order, in which every
+/// output pixel takes one add-and-store of its partial, summed from zero
+/// over the group's input maps in order (a zero partial where the tap
+/// falls in the padding). [`simd::tap_pass`] holds a block of output maps
+/// x pixels of partials in registers across the whole input-map loop.
+fn tap_passes(input: &Tensor3, weights: &ConvWeights, params: &ConvParams, out: &mut Tensor3) {
+    let (in_shape, out_shape) = (input.shape(), out.shape());
+    let (in_per_group, out_per_group) = (params.in_maps_per_group(), params.out_maps_per_group());
+    let (in_plane, out_w) = (in_shape.height * in_shape.width, out_shape.width);
+    let pad = params.pad as isize;
+    let mut tap_weights = vec![0.0f32; params.out_maps * in_per_group];
+    for ky in 0..params.kernel {
+        // The output rows whose input row `oy - pad + ky` is in the map.
+        let rows_lo = (pad - ky as isize).clamp(0, out_shape.height as isize) as usize;
+        let rows_hi = (in_shape.height as isize + pad - ky as isize)
+            .clamp(rows_lo as isize, out_shape.height as isize) as usize;
+        for kx in 0..params.kernel {
+            let (lo, hi, x0) = row_span(kx, pad, in_shape.width, out_w);
+            let reached = lo < hi && rows_lo < rows_hi;
+            let out_data = out.as_mut_slice();
+            for (r, row) in out_data.chunks_exact_mut(out_w).enumerate() {
+                if reached && (rows_lo..rows_hi).contains(&(r % out_shape.height)) {
+                    add_zero(&mut row[..lo]);
+                    add_zero(&mut row[hi..]);
+                } else {
+                    add_zero(row);
+                }
+            }
+            if !reached {
+                continue;
+            }
+            for (o, w) in tap_weights.chunks_exact_mut(in_per_group).enumerate() {
+                for (i, w) in w.iter_mut().enumerate() {
+                    *w = weights.at(o, i, ky, kx);
+                }
+            }
+            let geometry = simd::TapGeometry {
+                maps: out_per_group,
+                din: in_per_group,
+                rows: rows_hi - rows_lo,
+                len: hi - lo,
+                dst_map: out_shape.height * out_w,
+                dst_row: out_w,
+                xs_map: in_plane,
+                xs_row: in_shape.width,
+            };
+            let y0 = (rows_lo as isize - pad + ky as isize) as usize;
+            for group in 0..params.groups {
+                let o = group * out_per_group;
+                simd::tap_pass(
+                    &mut out_data[(o * out_shape.height + rows_lo) * out_w + lo..],
+                    &tap_weights[o * in_per_group..][..out_per_group * in_per_group],
+                    &input.as_slice()[group * in_per_group * in_plane + y0 * in_shape.width + x0..],
+                    &geometry,
+                );
+            }
+        }
+    }
 }
 
 /// Kernel-partitioned convolution (Algorithm 1): the `k x k` kernel is
@@ -60,59 +148,19 @@ pub fn partition_forward(
     params.validate("<partition>")?;
     let out_shape = params.output_shape(input.shape())?;
     let (g, ks) = partition(params.kernel, params.stride);
-    let mut out = Tensor3::zeros(out_shape);
+    // Seed with the bias, then add the g*g partial maps.
+    let mut out = bias_seeded(out_shape, bias);
+    if params.stride == 1 {
+        // Unit stride means ks == 1: every pass slides a single weight,
+        // so the passes are exactly the kernel taps (Algorithm 1 line 8
+        // is each pass's one add-and-store per pixel).
+        tap_passes(input, weights, params, &mut out);
+        return Ok(out);
+    }
 
     let in_per_group = params.in_maps_per_group();
     let out_per_group = params.out_maps_per_group();
     let pad = params.pad as isize;
-
-    // Seed with the bias, then add the g*g partial maps.
-    if let Some(b) = bias {
-        for (o, &bv) in b.iter().enumerate().take(out_shape.maps) {
-            for oy in 0..out_shape.height {
-                out.row_mut(o, oy).fill(bv);
-            }
-        }
-    }
-
-    if params.stride == 1 {
-        // Unit stride means ks == 1: every pass slides a single weight.
-        // Accumulate each output row's pass partial with row-wise axpy,
-        // then add-and-store it — the same per-pixel term order and the
-        // same one-add-per-pass structure as the loop below (Algorithm 1
-        // line 8), vectorized across independent output pixels.
-        let in_shape = input.shape();
-        let mut acc_row = vec![0.0f32; out_shape.width];
-        for gy in 0..g {
-            for gx in 0..g {
-                if gy >= params.kernel || gx >= params.kernel {
-                    continue;
-                }
-                let (lo, hi, x0) = row_span(gx, pad, in_shape.width, out_shape.width);
-                for o in 0..params.out_maps {
-                    let group = o / out_per_group;
-                    let in_base = group * in_per_group;
-                    for oy in 0..out_shape.height {
-                        let y = oy as isize - pad + gy as isize;
-                        acc_row.fill(0.0);
-                        if y >= 0 && (y as usize) < in_shape.height && lo < hi {
-                            for i in 0..in_per_group {
-                                let in_row = input.row(in_base + i, y as usize);
-                                simd::axpy(
-                                    &mut acc_row[lo..hi],
-                                    weights.at(o, i, gy, gx),
-                                    &in_row[x0..x0 + (hi - lo)],
-                                );
-                            }
-                        }
-                        simd::add_assign(out.row_mut(o, oy), &acc_row);
-                    }
-                }
-            }
-        }
-        return Ok(out);
-    }
-
     for gy in 0..g {
         for gx in 0..g {
             // One pass: slide the (gy, gx) sub-kernel at stride s. Its
@@ -152,7 +200,13 @@ pub fn partition_forward(
 
 /// Unrolled (im2col) convolution: the intra-kernel scheme's data layout.
 /// Windows are duplicated into contiguous runs (Eq. 1's footprint cost),
-/// then each output pixel is one dot product.
+/// then each output pixel is one dot product per input map, added to
+/// the bias in input-map order.
+///
+/// One input map at a time, its window runs are transposed into a
+/// reused tap-major scratch, and every output map of its group takes
+/// one [`simd::dot_windows`] over it: the vector lanes run across
+/// windows, each window's dot keeping [`simd::dot`]'s graph.
 ///
 /// # Errors
 ///
@@ -171,21 +225,23 @@ pub fn unrolled_forward(
     let k2 = params.kernel * params.kernel;
     let in_per_group = params.in_maps_per_group();
     let out_per_group = params.out_maps_per_group();
-    let windows_per_map = wy * wx;
+    let windows = wy * wx;
 
-    let mut out = Tensor3::zeros(out_shape);
-    for o in 0..params.out_maps {
-        let group = o / out_per_group;
-        let in_base = group * in_per_group;
-        for w in 0..windows_per_map {
-            let mut acc = bias.map_or(0.0, |b| b[o]);
-            for i in 0..in_per_group {
-                // The unrolled window run and the kernel run share the
-                // same (ky, kx) row-major layout: one dot product each.
-                let run = &buf[((in_base + i) * windows_per_map + w) * k2..][..k2];
-                acc += simd::dot(run, weights.kernel_run(o, i));
+    let mut out = bias_seeded(out_shape, bias);
+    let mut taps = vec![0.0f32; k2 * windows];
+    for (m, runs) in buf.chunks_exact(windows * k2).enumerate() {
+        // The unrolled window run and the kernel run share the same
+        // (ky, kx) row-major layout; tap t of window w goes to
+        // taps[t * windows + w].
+        for (w, run) in runs.chunks_exact(k2).enumerate() {
+            for (t, &v) in run.iter().enumerate() {
+                taps[t * windows + w] = v;
             }
-            *out.at_mut(o, w / wx, w % wx) = acc;
+        }
+        let (group, i) = (m / in_per_group, m % in_per_group);
+        for o in group * out_per_group..(group + 1) * out_per_group {
+            let map = &mut out.as_mut_slice()[o * windows..][..windows];
+            simd::dot_windows(map, &taps, weights.kernel_run(o, i));
         }
     }
     Ok(out)
@@ -222,15 +278,7 @@ pub fn inter_forward(
     let out_per_group = params.out_maps_per_group();
     let pad = params.pad as isize;
 
-    let mut out = Tensor3::zeros(out_shape);
-    if let Some(b) = bias {
-        for (o, &bv) in b.iter().enumerate().take(out_shape.maps) {
-            for oy in 0..out_shape.height {
-                out.row_mut(o, oy).fill(bv);
-            }
-        }
-    }
-
+    let mut out = bias_seeded(out_shape, bias);
     if params.stride == 1 {
         // Row-wise variant: each Din block's partial accumulates in a row
         // of "PE registers" via axpy over shifted input rows (term order
@@ -301,7 +349,8 @@ pub fn inter_forward(
 /// Improved inter-kernel convolution (Sec. 4.2.2): the kernel-position loop
 /// is outermost, so each output element is built from `k*k` partial sums
 /// accumulated in the output buffer ("add-and-store") instead of in the PE
-/// register.
+/// register. At unit stride that is the tap pass [`partition_forward`]
+/// shares.
 ///
 /// # Errors
 ///
@@ -319,47 +368,9 @@ pub fn improved_inter_forward(
     let pad = params.pad as isize;
 
     // The "output buffer" of partial sums.
-    let mut out = Tensor3::zeros(out_shape);
-    if let Some(b) = bias {
-        for (o, &bv) in b.iter().enumerate().take(out_shape.maps) {
-            for oy in 0..out_shape.height {
-                out.row_mut(o, oy).fill(bv);
-            }
-        }
-    }
-
+    let mut out = bias_seeded(out_shape, bias);
     if params.stride == 1 {
-        // Row-wise variant: the (ky, kx) pass's sum-over-Din partial for a
-        // whole output row accumulates via axpy (per-pixel term order
-        // unchanged), then one add-and-store into the output buffer —
-        // performed even for fully padded rows, like the loop below.
-        let in_shape = input.shape();
-        let mut partial_row = vec![0.0f32; out_shape.width];
-        for ky in 0..params.kernel {
-            for kx in 0..params.kernel {
-                let (lo, hi, x0) = row_span(kx, pad, in_shape.width, out_shape.width);
-                for o in 0..params.out_maps {
-                    let group = o / out_per_group;
-                    let in_base = group * in_per_group;
-                    for oy in 0..out_shape.height {
-                        let y = oy as isize - pad + ky as isize;
-                        partial_row.fill(0.0);
-                        if y >= 0 && (y as usize) < in_shape.height && lo < hi {
-                            for i in 0..in_per_group {
-                                let in_row = input.row(in_base + i, y as usize);
-                                simd::axpy(
-                                    &mut partial_row[lo..hi],
-                                    weights.at(o, i, ky, kx),
-                                    &in_row[x0..x0 + (hi - lo)],
-                                );
-                            }
-                        }
-                        // add-and-store
-                        simd::add_assign(out.row_mut(o, oy), &partial_row);
-                    }
-                }
-            }
-        }
+        tap_passes(input, weights, params, &mut out);
         return Ok(out);
     }
 

@@ -156,6 +156,11 @@ impl Tensor3 {
         &self.data
     }
 
+    /// Mutable flat view of the underlying storage.
+    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+
     /// Consumes the tensor, returning the underlying buffer.
     pub fn into_vec(self) -> Vec<f32> {
         self.data

@@ -69,12 +69,22 @@ impl Waker {
 
     /// Consumes buffered wakeup bytes and re-arms the coalescing flag.
     ///
-    /// The flag clears *before* the read so a wake racing with the
-    /// drain either lands its byte here (harmless: the next drain finds
-    /// the pipe empty) or writes a fresh byte that keeps the reactor
-    /// awake — a wakeup can be duplicated but never lost.
+    /// The pipe empties *before* the flag clears. A wake racing with
+    /// the drain either finds the flag still set and writes nothing,
+    /// which loses nothing because the reactor reads its mailbox after
+    /// every drain, or lands after the flag clears and writes a fresh
+    /// byte. The other order loses wakeups: a wake landing between
+    /// clearing the flag and reading the pipe has its byte swallowed by
+    /// the read and leaves the flag set over an empty pipe, so every
+    /// later wake writes nothing and the reactor sleeps with replies
+    /// waiting.
     pub fn drain(&self) {
-        self.inner.pending.store(false, Ordering::SeqCst);
+        self.drain_with(|| {});
+    }
+
+    /// [`Waker::drain`], running `between` after the pipe is emptied and
+    /// before the flag re-arms: the window a racing wake can land in.
+    fn drain_with(&self, between: impl FnOnce()) {
         let mut buf = [0u8; 64];
         loop {
             match (&self.rx).read(&mut buf) {
@@ -84,6 +94,8 @@ impl Waker {
                 Err(_) => break,
             }
         }
+        between();
+        self.inner.pending.store(false, Ordering::SeqCst);
     }
 }
 
@@ -133,6 +145,19 @@ mod tests {
         let mut buf = [0u8; 64];
         let n = (&waker.rx).read(&mut buf).expect("read");
         assert_eq!(n, 1, "coalesced wakes must write exactly one byte");
+    }
+
+    #[test]
+    fn wake_landing_mid_drain_is_not_lost() {
+        let waker = Waker::new().expect("waker");
+        let handle = waker.handle();
+        handle.wake();
+        waker.drain_with(|| handle.wake());
+        // The mid-drain wake's message is read with the mailbox after
+        // this drain; what must hold is that the next wake still gets
+        // through instead of finding the flag set over an empty pipe.
+        handle.wake();
+        assert!(readable(waker.fd(), 0), "a wake after the race was lost");
     }
 
     #[test]

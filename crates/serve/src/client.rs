@@ -153,9 +153,11 @@ impl Client {
     ) -> Result<Event, ClientError> {
         self.next_id += 1;
         let id = self.next_id;
-        self.writer
-            .write_all(request.encode_framed(Some(id)).as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // One write per request: with the line and its `\n` in two
+        // segments, Nagle holds the second until the first is acked.
+        let mut frame = request.encode_framed(Some(id));
+        frame.push('\n');
+        self.writer.write_all(frame.as_bytes())?;
         self.writer.flush()?;
         let mut line = String::new();
         loop {
@@ -429,6 +431,9 @@ impl ClientBuilder {
             stream.set_read_timeout(Some(timeout))?;
             stream.set_write_timeout(Some(timeout))?;
         }
+        // Requests are small request/response exchanges: sending each
+        // at once beats waiting on the peer's delayed ACK.
+        stream.set_nodelay(true)?;
         let mut client = Client::from_stream(stream)?;
         if self.handshake {
             let caps = client.hello()?;

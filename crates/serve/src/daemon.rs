@@ -1398,6 +1398,10 @@ impl Reactor<'_> {
                         self.shed_stream(stream);
                         continue;
                     }
+                    // Replies are streamed in small lines; without this
+                    // each waits on the client's delayed ACK. A socket
+                    // that refuses it is served anyway, only slower.
+                    let _ = stream.set_nodelay(true);
                     if let Ok(io) = Connection::new(stream, MAX_REQUEST_LINE) {
                         self.state.admission.accepted.inc();
                         let token = self.next_token;

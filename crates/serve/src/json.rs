@@ -362,16 +362,21 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so the
-                    // bytes are valid UTF-8).
+                    // One run of plain bytes up to the next quote,
+                    // backslash or control byte. Those are ASCII, so the
+                    // run ends on a char boundary of the (UTF-8) input.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("bad utf-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    if (c as u32) < 0x20 {
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("bad utf-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
+                    if self.peek().is_some_and(|b| b < 0x20) {
                         return Err(self.err("raw control character in string"));
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -485,6 +490,26 @@ mod tests {
             parse(r#""\u00fc\ud83d\ude00""#).unwrap(),
             Value::Str("ü😀".into())
         );
+    }
+
+    #[test]
+    fn multibyte_text_right_next_to_escapes() {
+        let text = r#""ü\n😀\"é\\\u00e9ß\t""#;
+        assert_eq!(parse(text).unwrap(), Value::Str("ü\n😀\"é\\éß\t".into()));
+        let v = Value::Str("\"ü\"😀\\\u{1}é".into());
+        assert_eq!(parse(&v.encode()).unwrap(), v);
+        let err = parse("\"é😀\u{1f}\"").unwrap_err();
+        assert_eq!(err.offset, 7, "{err:?}");
+        assert!(err.message.contains("raw control"), "{err:?}");
+    }
+
+    #[test]
+    fn megabyte_string_round_trips() {
+        let chunk = "plain ascii, é, 😀, \"quoted\" \\ and a\nnewline; ";
+        let big = chunk.repeat((1 << 20) / chunk.len() + 1);
+        assert!(big.len() >= 1 << 20);
+        let v = Value::Str(big);
+        assert_eq!(parse(&v.encode()).unwrap(), v);
     }
 
     #[test]

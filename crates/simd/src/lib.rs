@@ -29,7 +29,11 @@
 //!   tail block, and fold the partials in one fixed tree order. The scalar
 //!   fallback maintains the same lane array and folds it in the same
 //!   order, and narrower vector units (SSE2/NEON) run two registers side
-//!   by side to preserve the 8-wide (f32) / 4-wide (f64) lane layout.
+//!   by side to preserve the 8-wide (f32) / 4-wide (f64) lane layout;
+//! * output-parallel kernels ([`dot_windows`], [`tap_pass`]) evaluate each
+//!   output's own graph ([`dot`]'s lanes per window; one in-order sum per
+//!   pixel) with the vector lanes across independent outputs, so lane
+//!   width cannot reorder anything either.
 //!
 //! IEEE-754 multiplies and adds are exact per lane (no FMA contraction is
 //! used anywhere), so every backend returns bit-identical results on
@@ -274,11 +278,134 @@ pub fn mac_dot(bursts: &[u64], factors: &[u32]) -> u64 {
     }
 }
 
+/// Window-parallel [`dot`]: `dst[w] += dot(run_w, weights)` for every
+/// window `w`, where window `w`'s run is stored tap-major, `run_w[t] =
+/// taps[t * dst.len() + w]`. Each window's dot is the canonical 8-lane
+/// graph [`dot`] evaluates, and the result is added to `dst[w]` once, so
+/// the outcome is bit-identical to calling [`dot`] window by window; the
+/// vector lanes run across windows instead of along one short run.
+///
+/// # Panics
+///
+/// Panics if `taps.len() != weights.len() * dst.len()`.
+pub fn dot_windows(dst: &mut [f32], taps: &[f32], weights: &[f32]) {
+    assert_eq!(
+        Some(taps.len()),
+        weights.len().checked_mul(dst.len()),
+        "dot_windows length mismatch"
+    );
+    // SAFETY: the length check above bounds every index the kernels
+    // touch, and each backend arm runs only where `Backend::active`
+    // found its instruction set.
+    match Backend::active() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => unsafe { x86::dot_windows_avx2(dst, taps, weights) },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Sse2 => unsafe {
+            across::dot_windows::<std::arch::x86_64::__m128>(dst, taps, weights)
+        },
+        #[cfg(target_arch = "aarch64")]
+        Backend::Neon => unsafe {
+            across::dot_windows::<std::arch::aarch64::float32x4_t>(dst, taps, weights)
+        },
+        _ => scalar::dot_windows(dst, taps, weights),
+    }
+}
+
+/// Shape and element strides of one [`tap_pass`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TapGeometry {
+    /// Output maps in the pass; the weights hold `maps * din` values,
+    /// map-major.
+    pub maps: usize,
+    /// Input maps each partial sums over (at least one).
+    pub din: usize,
+    /// Output rows in the pass.
+    pub rows: usize,
+    /// Pixels per row.
+    pub len: usize,
+    /// Stride of `dst` between output maps.
+    pub dst_map: usize,
+    /// Stride of `dst` between rows.
+    pub dst_row: usize,
+    /// Stride of `xs` between input maps.
+    pub xs_map: usize,
+    /// Stride of `xs` between rows.
+    pub xs_row: usize,
+}
+
+impl TapGeometry {
+    /// One past the last element a pass touches in an array with these
+    /// strides (`count` maps), or `None` on overflow.
+    fn extent(&self, count: usize, map_stride: usize, row_stride: usize) -> Option<usize> {
+        (count - 1)
+            .checked_mul(map_stride)?
+            .checked_add((self.rows - 1).checked_mul(row_stride)?)?
+            .checked_add(self.len)
+    }
+}
+
+/// One kernel tap of a unit-stride convolution over a block of output
+/// maps, rows and pixels: for every map `m`, row `r` and pixel `x`
+///
+/// ```text
+/// p = +0.0
+/// for i in 0..din { p += w[m*din + i] * xs[i*xs_map + r*xs_row + x] }
+/// dst[m*dst_map + r*dst_row + x] += p
+/// ```
+///
+/// The partial `p` stays in a register across the whole `din` loop and
+/// is added into `dst` once. Lanes are independent output pixels, so
+/// every backend is bit-identical to the scalar loop. Outputs are
+/// expected not to overlap.
+///
+/// # Panics
+///
+/// Panics if `din` is zero, `w.len() != maps * din`, or a stride reaches
+/// past the end of `dst` or `xs`.
+pub fn tap_pass(dst: &mut [f32], w: &[f32], xs: &[f32], g: &TapGeometry) {
+    assert!(g.din > 0, "tap_pass needs at least one input map");
+    assert_eq!(
+        Some(w.len()),
+        g.maps.checked_mul(g.din),
+        "tap_pass weight count mismatch"
+    );
+    if g.maps == 0 || g.rows == 0 || g.len == 0 {
+        return;
+    }
+    let fits = |len: usize, count, map_stride, row_stride| {
+        g.extent(count, map_stride, row_stride)
+            .is_some_and(|end| end <= len)
+    };
+    assert!(
+        fits(dst.len(), g.maps, g.dst_map, g.dst_row),
+        "tap_pass dst too short"
+    );
+    assert!(
+        fits(xs.len(), g.din, g.xs_map, g.xs_row),
+        "tap_pass xs too short"
+    );
+    // SAFETY: the extents checked above bound every index the kernels
+    // touch, and each backend arm runs only where `Backend::active` found
+    // its instruction set.
+    match Backend::active() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => unsafe { x86::tap_pass_avx2(dst, w, xs, g) },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Sse2 => unsafe { across::tap_pass::<std::arch::x86_64::__m128>(dst, w, xs, g) },
+        #[cfg(target_arch = "aarch64")]
+        Backend::Neon => unsafe {
+            across::tap_pass::<std::arch::aarch64::float32x4_t>(dst, w, xs, g)
+        },
+        _ => scalar::tap_pass(dst, w, xs, g),
+    }
+}
+
 /// The canonical scalar implementations every SIMD backend must match
 /// bit-for-bit. Public (under this module) so benches and tests can time
 /// and compare the fallback explicitly without toggling global state.
 pub mod scalar {
-    use super::{F32_LANES, F64_LANES};
+    use super::{TapGeometry, F32_LANES, F64_LANES};
 
     /// Scalar [`crate::axpy`].
     pub fn axpy(dst: &mut [f32], a: f32, xs: &[f32]) {
@@ -330,6 +457,34 @@ pub mod scalar {
         t[0] + t[1]
     }
 
+    /// Scalar [`crate::dot_windows`]: one [`dot`] per window over its
+    /// gathered run.
+    pub fn dot_windows(dst: &mut [f32], taps: &[f32], weights: &[f32]) {
+        let n = dst.len();
+        let mut run = vec![0.0f32; weights.len()];
+        for (w, d) in dst.iter_mut().enumerate() {
+            for (t, r) in run.iter_mut().enumerate() {
+                *r = taps[t * n + w];
+            }
+            *d += dot(&run, weights);
+        }
+    }
+
+    /// Scalar [`crate::tap_pass`].
+    pub fn tap_pass(dst: &mut [f32], w: &[f32], xs: &[f32], g: &TapGeometry) {
+        for r in 0..g.rows {
+            for (m, wm) in w.chunks_exact(g.din).enumerate() {
+                for x in 0..g.len {
+                    let mut p = 0.0f32;
+                    for (i, wi) in wm.iter().enumerate() {
+                        p += wi * xs[i * g.xs_map + r * g.xs_row + x];
+                    }
+                    dst[m * g.dst_map + r * g.dst_row + x] += p;
+                }
+            }
+        }
+    }
+
     /// Scalar [`crate::dot_f64`]: the canonical 4-lane vertical graph.
     pub fn dot_f64(a: &[f64], b: &[f64]) -> f64 {
         let mut acc = [0.0f64; F64_LANES];
@@ -362,14 +517,320 @@ pub mod scalar {
     }
 }
 
+/// The kernels that run their vector lanes across independent outputs
+/// (windows, pixels), written once over a backend register type. Each
+/// [`across::Lanes`] method is one lane-wise IEEE operation (no FMA),
+/// so every register width evaluates the same per-output graph.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+mod across {
+    use super::{TapGeometry, F32_LANES};
+
+    /// One backend register of `N` f32 lanes.
+    ///
+    /// # Safety
+    ///
+    /// Every method needs a CPU with the register's instruction set.
+    /// `load` and `store` need `N` valid f32 at `p`; the `_part` pair
+    /// needs `n` of them.
+    pub trait Lanes: Copy {
+        const N: usize;
+        unsafe fn zero() -> Self;
+        unsafe fn splat(v: f32) -> Self;
+        unsafe fn load(p: *const f32) -> Self;
+        unsafe fn store(self, p: *mut f32);
+        unsafe fn add(self, o: Self) -> Self;
+        unsafe fn mul(self, o: Self) -> Self;
+
+        /// The first `n < N` lanes from `p`, zeros above.
+        #[inline(always)]
+        unsafe fn load_part(p: *const f32, n: usize) -> Self {
+            let mut buf = [0.0f32; 8];
+            std::ptr::copy_nonoverlapping(p, buf.as_mut_ptr(), n);
+            Self::load(buf.as_ptr())
+        }
+
+        /// Stores the first `n < N` lanes to `p`.
+        #[inline(always)]
+        unsafe fn store_part(self, p: *mut f32, n: usize) {
+            let mut buf = [0.0f32; 8];
+            self.store(buf.as_mut_ptr());
+            std::ptr::copy_nonoverlapping(buf.as_ptr(), p, n);
+        }
+    }
+
+    /// `V::load`, or `V::load_part` of `n` lanes in a partial block.
+    ///
+    /// # Safety
+    /// As for [`Lanes`].
+    #[inline(always)]
+    unsafe fn load<V: Lanes, const PART: bool>(p: *const f32, n: usize) -> V {
+        if PART {
+            V::load_part(p, n)
+        } else {
+            V::load(p)
+        }
+    }
+
+    /// `*p += v` over a full or partial register.
+    ///
+    /// # Safety
+    /// As for [`Lanes`].
+    #[inline(always)]
+    unsafe fn add_store<V: Lanes, const PART: bool>(p: *mut f32, v: V, n: usize) {
+        let sum = load::<V, PART>(p, n).add(v);
+        if PART {
+            sum.store_part(p, n)
+        } else {
+            sum.store(p)
+        }
+    }
+
+    /// # Safety
+    /// `taps.len() == weights.len() * dst.len()`, and `V` must be
+    /// supported by the running CPU.
+    #[inline(always)]
+    pub unsafe fn dot_windows<V: Lanes>(dst: &mut [f32], taps: &[f32], weights: &[f32]) {
+        let n = dst.len();
+        let mut w = 0;
+        while w + V::N <= n {
+            window_block::<V, false>(dst.as_mut_ptr().add(w), taps.as_ptr().add(w), n, weights, 0);
+            w += V::N;
+        }
+        if w < n {
+            window_block::<V, true>(
+                dst.as_mut_ptr().add(w),
+                taps.as_ptr().add(w),
+                n,
+                weights,
+                n - w,
+            );
+        }
+    }
+
+    /// [`crate::dot`]'s graph for one register of windows: accumulator
+    /// `acc[j]` holds canonical lane `j` of every window in the block.
+    ///
+    /// # Safety
+    /// `taps + t * stride` must hold a register (or `part` lanes) for
+    /// every tap `t`, and `dst` one.
+    #[inline(always)]
+    unsafe fn window_block<V: Lanes, const PART: bool>(
+        dst: *mut f32,
+        taps: *const f32,
+        stride: usize,
+        weights: &[f32],
+        part: usize,
+    ) {
+        let k = weights.len();
+        let full = k - k % F32_LANES;
+        let tap = |t: usize| load::<V, PART>(taps.add(t * stride), part).mul(V::splat(weights[t]));
+        let mut acc = [V::zero(); F32_LANES];
+        for t in (0..full).step_by(F32_LANES) {
+            for (j, a) in acc.iter_mut().enumerate() {
+                *a = a.add(tap(t + j));
+            }
+        }
+        if full < k {
+            // The zero-padded tail block. A padded lane adds +0·+0; on a
+            // lane no earlier block touched that leaves +0.0 as it was.
+            for (j, a) in acc.iter_mut().enumerate() {
+                if full + j < k {
+                    *a = a.add(tap(full + j));
+                } else if full > 0 {
+                    *a = a.add(V::zero());
+                }
+            }
+        }
+        let s = [
+            acc[0].add(acc[4]),
+            acc[1].add(acc[5]),
+            acc[2].add(acc[6]),
+            acc[3].add(acc[7]),
+        ];
+        add_store::<V, PART>(dst, s[0].add(s[2]).add(s[1].add(s[3])), part);
+    }
+
+    /// Output maps per register block of [`tap_pass`].
+    const MAP_BLOCK: usize = 4;
+
+    /// # Safety
+    /// The geometry must fit `dst` and `xs` and `w.len() == maps * din`
+    /// (checked by [`crate::tap_pass`]), and `V` must be supported by the
+    /// running CPU.
+    #[inline(always)]
+    pub unsafe fn tap_pass<V: Lanes>(dst: &mut [f32], w: &[f32], xs: &[f32], g: &TapGeometry) {
+        for r in 0..g.rows {
+            let d = dst.as_mut_ptr().add(r * g.dst_row);
+            let x = xs.as_ptr().add(r * g.xs_row);
+            let mut m = 0;
+            while m + MAP_BLOCK <= g.maps {
+                map_row::<V, MAP_BLOCK>(d.add(m * g.dst_map), w.as_ptr().add(m * g.din), x, g);
+                m += MAP_BLOCK;
+            }
+            for m in m..g.maps {
+                map_row::<V, 1>(d.add(m * g.dst_map), w.as_ptr().add(m * g.din), x, g);
+            }
+        }
+    }
+
+    /// One row of `MB` output maps, in pixel blocks of two registers,
+    /// then one, then a partial one.
+    ///
+    /// # Safety
+    /// As for [`tap_pass`], for maps `m..m + MB` of row `r`.
+    #[inline(always)]
+    unsafe fn map_row<V: Lanes, const MB: usize>(
+        d: *mut f32,
+        w: *const f32,
+        x: *const f32,
+        g: &TapGeometry,
+    ) {
+        let mut p = 0;
+        while p + 2 * V::N <= g.len {
+            pixel_block::<V, MB, 2, false>(d.add(p), w, x.add(p), g, 0);
+            p += 2 * V::N;
+        }
+        if p + V::N <= g.len {
+            pixel_block::<V, MB, 1, false>(d.add(p), w, x.add(p), g, 0);
+            p += V::N;
+        }
+        if p < g.len {
+            pixel_block::<V, MB, 1, true>(d.add(p), w, x.add(p), g, g.len - p);
+        }
+    }
+
+    /// `MB` maps × `PV` registers of pixels, their partials held in
+    /// registers across the whole `din` loop.
+    ///
+    /// # Safety
+    /// As for [`map_row`], for the block's pixels.
+    #[inline(always)]
+    unsafe fn pixel_block<V: Lanes, const MB: usize, const PV: usize, const PART: bool>(
+        d: *mut f32,
+        w: *const f32,
+        x: *const f32,
+        g: &TapGeometry,
+        part: usize,
+    ) {
+        let mut acc = [[V::zero(); PV]; MB];
+        for i in 0..g.din {
+            let xi = x.add(i * g.xs_map);
+            let xv: [V; PV] = std::array::from_fn(|v| load::<V, PART>(xi.add(v * V::N), part));
+            for (m, row) in acc.iter_mut().enumerate() {
+                let wv = V::splat(*w.add(m * g.din + i));
+                for (a, xv) in row.iter_mut().zip(&xv) {
+                    *a = a.add(wv.mul(*xv));
+                }
+            }
+        }
+        for (m, row) in acc.iter().enumerate() {
+            for (v, a) in row.iter().enumerate() {
+                add_store::<V, PART>(d.add(m * g.dst_map + v * V::N), *a, part);
+            }
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! x86_64 backends. SSE2 is baseline for the architecture, so its
     //! functions need no runtime gate; the AVX2 ones are only reached
     //! after `is_x86_feature_detected!("avx2")` succeeded.
 
-    use super::scalar;
+    use super::across::{self, Lanes};
+    use super::{scalar, TapGeometry};
     use std::arch::x86_64::*;
+
+    impl Lanes for __m128 {
+        const N: usize = 4;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            _mm_set1_ps(v)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm_storeu_ps(p, self)
+        }
+        #[inline(always)]
+        unsafe fn add(self, o: Self) -> Self {
+            _mm_add_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, o: Self) -> Self {
+            _mm_mul_ps(self, o)
+        }
+    }
+
+    /// Only used inside `#[target_feature(enable = "avx2")]` functions,
+    /// where these always-inlined bodies compile to single AVX ops.
+    impl Lanes for __m256 {
+        const N: usize = 8;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm256_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            _mm256_set1_ps(v)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm256_storeu_ps(p, self)
+        }
+        #[inline(always)]
+        unsafe fn add(self, o: Self) -> Self {
+            _mm256_add_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, o: Self) -> Self {
+            _mm256_mul_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn load_part(p: *const f32, n: usize) -> Self {
+            _mm256_maskload_ps(p, part_mask(n))
+        }
+        #[inline(always)]
+        unsafe fn store_part(self, p: *mut f32, n: usize) {
+            _mm256_maskstore_ps(p, part_mask(n), self)
+        }
+    }
+
+    /// All-ones in the first `n` 32-bit lanes.
+    #[inline(always)]
+    unsafe fn part_mask(n: usize) -> __m256i {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(n as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    }
+
+    /// # Safety
+    /// Caller must have verified AVX2 support and the
+    /// [`crate::dot_windows`] length contract.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dot_windows_avx2(dst: &mut [f32], taps: &[f32], weights: &[f32]) {
+        across::dot_windows::<__m256>(dst, taps, weights)
+    }
+
+    /// # Safety
+    /// Caller must have verified AVX2 support and the geometry bounds
+    /// [`crate::tap_pass`] checks.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn tap_pass_avx2(dst: &mut [f32], w: &[f32], xs: &[f32], g: &TapGeometry) {
+        across::tap_pass::<__m256>(dst, w, xs, g)
+    }
 
     /// # Safety
     /// Caller must run on x86_64 (SSE2 is baseline there).
@@ -633,8 +1094,37 @@ mod x86 {
 mod neon {
     //! aarch64 NEON backends (NEON is baseline on aarch64).
 
+    use super::across::Lanes;
     use super::scalar;
     use std::arch::aarch64::*;
+
+    impl Lanes for float32x4_t {
+        const N: usize = 4;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            vdupq_n_f32(0.0)
+        }
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            vdupq_n_f32(v)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            vld1q_f32(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            vst1q_f32(p, self)
+        }
+        #[inline(always)]
+        unsafe fn add(self, o: Self) -> Self {
+            vaddq_f32(self, o)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, o: Self) -> Self {
+            vmulq_f32(self, o)
+        }
+    }
 
     /// # Safety
     /// Caller must run on aarch64.

@@ -114,14 +114,21 @@ if [[ $quick -eq 0 ]]; then
 
     # Flood: six concurrent vgg16 clients on six distinct PE shapes
     # (none the default 16x16, so the in-flight verification client
-    # below shares no layer key with them). The client's default busy
+    # below shares no layer key with them). The daemon is paused while
+    # they dial, so all six wait in its listen backlog and arrive as one
+    # accept burst: one client's whole exchange takes ~2 ms, less than
+    # starting the next client process, so unpaused they would arrive
+    # one at a time and never overload it. The client's default busy
     # budget rides out every shed answer, so all six must converge.
+    kill -STOP "$ovl_pid"
     flood_pids=()
     for pe in 32x32 16x32 32x16 8x8 24x24 8x16; do
         ./target/release/cbrain cbrand-client --connect "$addr" \
             --spec specs/vgg16.spec --pe "$pe" >"$ovl_dir/flood_$pe.txt" 2>/dev/null &
         flood_pids+=($!)
     done
+    sleep 0.5
+    kill -CONT "$ovl_pid"
 
     # Byte-identity must survive the overload: a report fetched while
     # the daemon is shedding still matches `cbrain run` exactly.

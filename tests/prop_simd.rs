@@ -148,6 +148,268 @@ fn mac_dot_equal_across_widths_and_wrapping() {
 }
 
 // ---------------------------------------------------------------------
+// Output-parallel kernels: the window-lane dot and the tap pass.
+// ---------------------------------------------------------------------
+
+/// `k * k` for `k` in 1, 2, 3, 11: one partial block, a full block plus
+/// a tail, and fifteen full blocks plus a one-tap tail.
+const TAP_COUNTS: [usize; 4] = [1, 4, 9, 121];
+
+#[test]
+fn dot_windows_bitwise_and_equal_to_one_dot_per_window() {
+    for k2 in TAP_COUNTS {
+        for n in (0..=2 * simd::F32_LANES + 1).chain([37]) {
+            let seed = (k2 * 1000 + n) as u64;
+            let taps = random_f32(k2 * n, 0x1D07 ^ seed);
+            let weights = random_f32(k2, 0x2D07 ^ seed);
+            let base = random_f32(n, 0x3D07 ^ seed);
+            let (s, v) = with_both_backends(|| {
+                let mut dst = base.clone();
+                simd::dot_windows(&mut dst, &taps, &weights);
+                dst
+            });
+            assert_bits_eq(&s, &v, &format!("dot_windows k2={k2} n={n}"));
+            let per_window: Vec<f32> = (0..n)
+                .map(|w| {
+                    let run: Vec<f32> = (0..k2).map(|t| taps[t * n + w]).collect();
+                    base[w] + simd::dot(&run, &weights)
+                })
+                .collect();
+            assert_bits_eq(
+                &s,
+                &per_window,
+                &format!("dot_windows vs dot k2={k2} n={n}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn tap_pass_bitwise_across_map_and_pixel_remainders() {
+    // Maps around the 4-map block, pixels around the 8- and 16-lane
+    // blocks, rows and maps at padded strides.
+    for maps in 1..=9 {
+        for len in [1, 3, 7, 8, 9, 15, 16, 17, 31, 33] {
+            for din in [1, 3] {
+                let g = simd::TapGeometry {
+                    maps,
+                    din,
+                    rows: 2,
+                    len,
+                    dst_map: 2 * (len + 3),
+                    dst_row: len + 3,
+                    xs_map: 2 * (len + 5) + 1,
+                    xs_row: len + 5,
+                };
+                let seed = (maps * 10_000 + len * 10 + din) as u64;
+                let dst0 = random_f32(maps * g.dst_map, 0x7A9 ^ seed);
+                let xs = random_f32(din * g.xs_map, 0x8A9 ^ seed);
+                let w = random_f32(maps * din, 0x9A9 ^ seed);
+                let (s, v) = with_both_backends(|| {
+                    let mut dst = dst0.clone();
+                    simd::tap_pass(&mut dst, &w, &xs, &g);
+                    (dst, oracle::tap_pass(&dst0, &w, &xs, &g))
+                });
+                let what = format!("tap_pass maps={maps} len={len} din={din}");
+                assert_bits_eq(&s.0, &v.0, &what);
+                assert_bits_eq(&s.0, &s.1, &format!("{what} vs axpy oracle"));
+                assert_bits_eq(&v.0, &v.1, &format!("{what} vs axpy oracle (simd)"));
+            }
+        }
+    }
+}
+
+/// Per-call oracles: the straightforward compositions of `simd::axpy`,
+/// `simd::add_assign` and `simd::dot` that spell out each
+/// output-parallel executor's order of operations, one call per output
+/// row or window, so each executor is held to that order bit for bit.
+mod oracle {
+    use cbrain_model::simd;
+    use cbrain_model::{reference, ConvParams, ConvWeights, Tensor3};
+
+    /// One tap pass as a zero partial row, one `axpy` per input map and
+    /// one `add_assign` per output row.
+    pub fn tap_pass(dst: &[f32], w: &[f32], xs: &[f32], g: &simd::TapGeometry) -> Vec<f32> {
+        let mut dst = dst.to_vec();
+        for r in 0..g.rows {
+            for m in 0..g.maps {
+                let mut partial = vec![0.0f32; g.len];
+                for i in 0..g.din {
+                    let row = &xs[i * g.xs_map + r * g.xs_row..][..g.len];
+                    simd::axpy(&mut partial, w[m * g.din + i], row);
+                }
+                simd::add_assign(&mut dst[m * g.dst_map + r * g.dst_row..][..g.len], &partial);
+            }
+        }
+        dst
+    }
+
+    fn seeded(shape: cbrain_model::TensorShape, bias: &[f32]) -> Tensor3 {
+        let mut out = Tensor3::zeros(shape);
+        for (o, &bv) in bias.iter().enumerate() {
+            for oy in 0..shape.height {
+                out.row_mut(o, oy).fill(bv);
+            }
+        }
+        out
+    }
+
+    /// The unit-stride loop nest `partition_forward` and
+    /// `improved_inter_forward` each carried: per tap, output map and
+    /// output row, a zero partial row, one `axpy` per input map over the
+    /// in-bounds span, then one `add_assign` of the whole row.
+    pub fn stride1(
+        input: &Tensor3,
+        weights: &ConvWeights,
+        bias: &[f32],
+        p: &ConvParams,
+    ) -> Tensor3 {
+        assert_eq!(p.stride, 1);
+        let in_shape = input.shape();
+        let out_shape = p.output_shape(in_shape).expect("valid case");
+        let mut out = seeded(out_shape, bias);
+        let (in_per_group, out_per_group) = (p.in_maps_per_group(), p.out_maps_per_group());
+        let pad = p.pad as isize;
+        let mut partial_row = vec![0.0f32; out_shape.width];
+        for ky in 0..p.kernel {
+            for kx in 0..p.kernel {
+                let lo = (pad - kx as isize).max(0) as usize;
+                let hi = (in_shape.width as isize + pad - kx as isize)
+                    .clamp(0, out_shape.width as isize) as usize;
+                for o in 0..p.out_maps {
+                    let in_base = o / out_per_group * in_per_group;
+                    for oy in 0..out_shape.height {
+                        let y = oy as isize - pad + ky as isize;
+                        partial_row.fill(0.0);
+                        if y >= 0 && (y as usize) < in_shape.height && lo < hi {
+                            let x0 = (lo as isize + kx as isize - pad) as usize;
+                            for i in 0..in_per_group {
+                                let in_row = input.row(in_base + i, y as usize);
+                                simd::axpy(
+                                    &mut partial_row[lo..hi],
+                                    weights.at(o, i, ky, kx),
+                                    &in_row[x0..x0 + (hi - lo)],
+                                );
+                            }
+                        }
+                        simd::add_assign(out.row_mut(o, oy), &partial_row);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The unrolled executor's one `dot` per (output map, window, input
+    /// map), added to the bias in input-map order.
+    pub fn unrolled(
+        input: &Tensor3,
+        weights: &ConvWeights,
+        bias: &[f32],
+        p: &ConvParams,
+    ) -> Tensor3 {
+        let out_shape = p.output_shape(input.shape()).expect("valid case");
+        let (buf, wy, wx) =
+            reference::unroll_windows(input, p.kernel, p.stride, p.pad).expect("valid case");
+        let k2 = p.kernel * p.kernel;
+        let (in_per_group, out_per_group) = (p.in_maps_per_group(), p.out_maps_per_group());
+        let windows = wy * wx;
+        let mut out = Tensor3::zeros(out_shape);
+        for (o, &b) in bias.iter().enumerate().take(p.out_maps) {
+            let in_base = o / out_per_group * in_per_group;
+            for w in 0..windows {
+                let mut acc = b;
+                for i in 0..in_per_group {
+                    let run = &buf[((in_base + i) * windows + w) * k2..][..k2];
+                    acc += simd::dot(run, weights.kernel_run(o, i));
+                }
+                *out.at_mut(o, w / wx, w % wx) = acc;
+            }
+        }
+        out
+    }
+}
+
+/// Geometries for the output-parallel executors: widths off the pixel
+/// blocks, `Dout` off the map block, grouped and depthwise layers,
+/// `k * k` in 1, 4, 9 and 121, window counts off the 8-window register,
+/// and padding that leaves whole rows, or a whole row span, in the
+/// border.
+fn output_parallel_cases() -> Vec<(ConvParams, TensorShape)> {
+    let mut cases = Vec::new();
+    for (out_maps, width) in [(1, 7), (5, 15), (6, 16), (7, 17), (9, 31), (3, 33)] {
+        cases.push((
+            ConvParams::new(3, out_maps, 3, 1, 1),
+            TensorShape::new(3, 5, width),
+        ));
+    }
+    cases.extend([
+        (ConvParams::new(5, 6, 1, 1, 0), TensorShape::new(5, 3, 19)),
+        (ConvParams::new(4, 5, 2, 1, 0), TensorShape::new(4, 6, 13)),
+        (ConvParams::new(3, 6, 2, 2, 0), TensorShape::new(3, 10, 14)),
+        (ConvParams::new(3, 5, 11, 1, 5), TensorShape::new(3, 12, 13)),
+        (ConvParams::new(3, 4, 11, 4, 0), TensorShape::new(3, 23, 27)),
+        (
+            ConvParams::grouped(6, 9, 3, 1, 1, 3),
+            TensorShape::new(6, 5, 11),
+        ),
+        (
+            ConvParams::depthwise(7, 3, 1, 1),
+            TensorShape::new(7, 6, 10),
+        ),
+        (ConvParams::depthwise(4, 2, 2, 0), TensorShape::new(4, 8, 9)),
+        (ConvParams::new(3, 5, 3, 1, 2), TensorShape::new(3, 4, 9)),
+        (ConvParams::new(2, 5, 7, 1, 3), TensorShape::new(2, 1, 1)),
+        // pad > k: the corner outputs see no input at all.
+        (ConvParams::new(2, 5, 2, 1, 3), TensorShape::new(2, 3, 4)),
+    ]);
+    cases
+}
+
+#[test]
+fn output_parallel_executors_equal_their_per_call_oracles() {
+    use cbrain::functional::{improved_inter_forward, partition_forward, unrolled_forward};
+    for (ci, (p, shape)) in output_parallel_cases().into_iter().enumerate() {
+        let seed = 0x0A1 + ci as u64 * 7_919;
+        let input = Tensor3::random(shape, seed);
+        let weights = ConvWeights::random(&p, seed ^ 0x5A);
+        let mut bias = random_f32(p.out_maps, seed ^ 0xB1);
+        // A -0.0 bias only survives if every zero partial is still added.
+        bias[0] = -0.0;
+        let what = |name: &str| format!("{name} case {ci} {p:?} {shape}");
+        let (s, v) = with_both_backends(|| {
+            let unrolled = unrolled_forward(&input, &weights, Some(&bias), &p).expect("valid");
+            let oracle = oracle::unrolled(&input, &weights, &bias, &p);
+            let stride1 = (p.stride == 1).then(|| {
+                (
+                    partition_forward(&input, &weights, Some(&bias), &p).expect("valid"),
+                    improved_inter_forward(&input, &weights, Some(&bias), &p).expect("valid"),
+                    oracle::stride1(&input, &weights, &bias, &p),
+                )
+            });
+            (unrolled, oracle, stride1)
+        });
+        for (leg, (unrolled, oracle, stride1)) in [("scalar", &s), ("simd", &v)] {
+            let leg = |name| what(&format!("{name} [{leg}]"));
+            assert_bits_eq(unrolled.as_slice(), oracle.as_slice(), &leg("unrolled"));
+            if let Some((partition, improved, oracle)) = stride1 {
+                assert_bits_eq(partition.as_slice(), oracle.as_slice(), &leg("partition"));
+                assert_bits_eq(
+                    improved.as_slice(),
+                    oracle.as_slice(),
+                    &leg("improved-inter"),
+                );
+            }
+        }
+        assert_bits_eq(
+            s.0.as_slice(),
+            v.0.as_slice(),
+            &what("unrolled scalar vs simd"),
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
 // Hot-loop differentials: conv reference, im2col, fc, eltwise, relu.
 // ---------------------------------------------------------------------
 

@@ -10,6 +10,7 @@ use cbrain_serve::wire::{Event, NetworkSource, Request, RunRequest};
 use cbrain_serve::{Client, ClientError};
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Barrier, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread;
 use std::time::Duration;
 
@@ -34,6 +35,7 @@ fn direct_report(run: &RunRequest, breakdown: bool) -> String {
 
 #[test]
 fn two_concurrent_clients_render_byte_identical_reports() {
+    let _threads = shared_thread_counts();
     let daemon = Daemon::bind(
         "127.0.0.1:0",
         DaemonOptions {
@@ -93,8 +95,26 @@ fn os_thread_count() -> Option<usize> {
     Some(std::fs::read_dir("/proc/self/task").ok()?.count())
 }
 
+/// Thread counts are process-wide, and the tests of this binary run on
+/// parallel threads, each starting a daemon and clients of its own. A
+/// test that counts threads holds this lock exclusively, every other
+/// test holds it shared, so no sibling starts or stops threads inside
+/// a count's window.
+static THREAD_COUNTS: RwLock<()> = RwLock::new(());
+
+fn shared_thread_counts() -> RwLockReadGuard<'static, ()> {
+    THREAD_COUNTS.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn exclusive_thread_counts() -> RwLockWriteGuard<'static, ()> {
+    THREAD_COUNTS
+        .write()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn overloaded_daemon_sheds_with_busy_yet_every_client_converges() {
+    let _threads = exclusive_thread_counts();
     // A deliberately tiny daemon: 2 connection workers and a queue of
     // one, so 8 concurrent clients are guaranteed to overflow admission.
     let daemon = Daemon::bind(
@@ -139,6 +159,10 @@ fn overloaded_daemon_sheds_with_busy_yet_every_client_converges() {
         .collect();
 
     let busy_seen = AtomicU64::new(0);
+    // All eight dial at once: one exchange takes about a millisecond,
+    // so clients dialing as their threads happen to start could each
+    // finish before the next arrives and never overload the daemon.
+    let start = Barrier::new(runs.len());
     let mut peak_threads = os_thread_count();
     thread::scope(|scope| {
         let handles: Vec<_> = runs
@@ -146,7 +170,9 @@ fn overloaded_daemon_sheds_with_busy_yet_every_client_converges() {
             .map(|run| {
                 let addr = addr.clone();
                 let busy_seen = &busy_seen;
+                let start = &start;
                 scope.spawn(move || {
+                    start.wait();
                     // A zero busy budget surfaces every shed answer so
                     // the test can count them; the manual retry loop
                     // then honours the daemon's hint by hand.
@@ -209,6 +235,7 @@ fn overloaded_daemon_sheds_with_busy_yet_every_client_converges() {
 
 #[test]
 fn progress_counters_track_runs_and_settle_idle() {
+    let _threads = shared_thread_counts();
     let daemon = Daemon::bind(
         "127.0.0.1:0",
         DaemonOptions {
@@ -298,6 +325,7 @@ fn counter(metrics: &Value, name: &str) -> u64 {
 
 #[test]
 fn metrics_request_is_sorted_and_agrees_with_stats() {
+    let _threads = shared_thread_counts();
     let daemon = Daemon::bind(
         "127.0.0.1:0",
         DaemonOptions {
@@ -377,6 +405,7 @@ fn http_get(addr: &str, path: &str) -> (String, String) {
 
 #[test]
 fn prometheus_scrape_is_byte_stable_and_sorted() {
+    let _threads = shared_thread_counts();
     let daemon = Daemon::bind(
         "127.0.0.1:0",
         DaemonOptions {
@@ -437,6 +466,7 @@ fn prometheus_scrape_is_byte_stable_and_sorted() {
 
 #[test]
 fn shed_flood_counts_exactly_in_metrics() {
+    let _threads = shared_thread_counts();
     // Same overload shape as the shedding test above, but the assertion
     // under test is the *metrics* contract: every `busy` line a client
     // observed is one shed connection, so `admission_shed_total` must
@@ -501,6 +531,7 @@ fn shed_flood_counts_exactly_in_metrics() {
 
 #[test]
 fn slow_loris_writers_and_stalled_readers_do_not_delay_other_clients() {
+    let _threads = shared_thread_counts();
     let daemon = Daemon::bind(
         "127.0.0.1:0",
         DaemonOptions {
@@ -586,6 +617,7 @@ fn slow_loris_writers_and_stalled_readers_do_not_delay_other_clients() {
 
 #[test]
 fn idle_soak_keepalive_connections_stay_cheap_under_flood() {
+    let _threads = exclusive_thread_counts();
     // The C10K shape: hundreds of proven keep-alive connections parked
     // on the daemon while a compute flood hits the same tiny pool. Idle
     // peers must cost a descriptor (never a thread), shed accounting
@@ -710,6 +742,7 @@ fn idle_soak_keepalive_connections_stay_cheap_under_flood() {
 
 #[test]
 fn daemon_restart_serves_from_persisted_cache() {
+    let _threads = shared_thread_counts();
     let dir = std::env::temp_dir().join(format!("cbrand_e2e_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let cache_file = dir.join("compiled-layers.bin");
