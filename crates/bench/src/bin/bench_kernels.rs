@@ -144,7 +144,7 @@ fn rows(samples: usize) -> Vec<Row> {
     }));
 
     // Multiply-burst accounting: the untraced cycle simulator charging a
-    // whole compiled layer through the bulk `mac_dot` scratch path.
+    // whole compiled layer, each run of identical tiles once.
     let cfg = AcceleratorConfig::paper_16_16();
     let machine = Machine::new(cfg);
     let net = zoo::vgg16();

@@ -5,15 +5,16 @@ use crate::error::CompileError;
 use crate::geometry::ConvGeometry;
 use crate::layout::DataLayout;
 use crate::scheme::Scheme;
-use crate::tiling::TilePlan;
+use crate::tiling::{scale_op, TilePlan};
 use cbrain_model::{Layer, LayerKind, TensorShape, ELEM_BYTES};
-use cbrain_sim::{AcceleratorConfig, MacroOp, Program, Tile};
+use cbrain_sim::{AcceleratorConfig, MacroOp, Program, RunProgram, Tile, TileRun};
 
 /// A compiled layer: the executable program plus the layout contract.
 #[derive(Debug, Clone)]
 pub struct CompiledLayer {
-    /// The macro-op program (tiled, DMA-annotated).
-    pub program: Program,
+    /// The macro-op program (tiled, DMA-annotated), stored as runs of
+    /// identical tiles.
+    pub program: RunProgram,
     /// Scheme used (None for pooling, which has no scheme choice; FC
     /// layers always run inter-kernel).
     pub scheme: Option<Scheme>,
@@ -59,8 +60,7 @@ pub fn compile_conv(
 /// Compiles one convolution layer for a batch of `batch` images.
 ///
 /// Activations and compute repeat per image; on-chip-resident weights are
-/// fetched once for the whole batch (see
-/// [`TilePlan::build_tiles_batched`]).
+/// fetched once for the whole batch (see [`TilePlan::build_program`]).
 ///
 /// # Errors
 ///
@@ -103,29 +103,26 @@ pub fn compile_conv_batched(
         other => other,
     })?;
 
-    let mut tiles = plan.build_tiles_batched(&template, batch);
-    if needs_unroll {
-        // Host-side reshape pre-pass (Sec. 4.1.2's data unrolling): the raw
-        // input streams out of memory and the duplicated layout streams
-        // back in before the layer can start. No PE work hides it. One
-        // pre-pass per image, inserted ahead of that image's tiles.
+    // Host-side reshape pre-pass (Sec. 4.1.2's data unrolling): the raw
+    // input streams out of memory and the duplicated layout streams back
+    // in before the layer can start. No PE work hides it. One pre-pass
+    // per image, ahead of that image's tiles.
+    let prepass = needs_unroll.then(|| {
         let raw = geom.input_bytes();
-        let unrolled = (raw as f64 * inflation).ceil() as u64;
-        let per_image = plan.tile_count();
-        for image in (0..batch).rev() {
-            tiles.insert(
-                image * per_image,
-                Tile {
-                    dram_read_bytes: raw,
-                    dram_write_bytes: unrolled,
-                    ops: Vec::new(),
-                },
-            );
+        Tile {
+            dram_read_bytes: raw,
+            dram_write_bytes: (raw as f64 * inflation).ceil() as u64,
+            ops: Vec::new(),
         }
-    }
+    });
 
     Ok(CompiledLayer {
-        program: Program::new(format!("{} [{scheme}]", layer.name), tiles),
+        program: plan.build_program(
+            format!("{} [{scheme}]", layer.name),
+            &template,
+            batch,
+            prepass.as_ref(),
+        ),
         scheme: Some(scheme),
         wants_input_layout: DataLayout::preferred_by(scheme),
         output_layout: DataLayout::preferred_by(scheme),
@@ -177,40 +174,17 @@ pub fn compile_pool_batched(
     // stride >= 1 pools as overlap is tiny).
     let in_bytes = layer.input.bytes() as u64;
     let out_bytes = out.bytes() as u64;
-    let cap = cfg.inout_buf_bytes as u64;
-    let bands = ((in_bytes + out_bytes).div_ceil(cap)).max(1);
-    let mut tiles = Vec::with_capacity(bands as usize);
-    for i in 0..bands {
-        let share = |total: u64| (total * (i + 1)) / bands - (total * i) / bands;
-        let ops: Vec<MacroOp> = template
-            .iter()
-            .map(|op| match *op {
-                MacroOp::PoolBurst {
-                    bursts,
-                    input_reads,
-                    output_writes,
-                } => MacroOp::PoolBurst {
-                    bursts: share(bursts),
-                    input_reads,
-                    output_writes,
-                },
-                other => other,
-            })
-            .collect();
-        tiles.push(Tile {
-            dram_read_bytes: share(in_bytes),
-            dram_write_bytes: share(out_bytes),
-            ops,
-        });
-    }
-
-    let per_image = tiles.clone();
-    for _ in 1..batch {
-        tiles.extend(per_image.iter().cloned());
-    }
+    let program = banded_program(
+        format!("{} [pool]", layer.name),
+        &template,
+        in_bytes,
+        out_bytes,
+        cfg,
+        batch,
+    );
 
     Ok(CompiledLayer {
-        program: Program::new(format!("{} [pool]", layer.name), tiles),
+        program,
         scheme: None,
         wants_input_layout: DataLayout::IntraOrder,
         output_layout: DataLayout::IntraOrder,
@@ -268,46 +242,52 @@ pub fn compile_eltwise_batched(
     // when the combined working set exceeds the data buffer.
     let in_bytes = 2 * layer.input.bytes() as u64;
     let out_bytes = layer.input.bytes() as u64;
-    let cap = cfg.inout_buf_bytes as u64;
-    let bands = ((in_bytes + out_bytes).div_ceil(cap)).max(1);
-    let mut tiles = Vec::with_capacity(bands as usize);
-    for i in 0..bands {
-        let share = |total: u64| (total * (i + 1)) / bands - (total * i) / bands;
-        let ops: Vec<MacroOp> = template
-            .iter()
-            .map(|op| match *op {
-                MacroOp::EltwiseBurst {
-                    bursts,
-                    input_reads,
-                    output_writes,
-                } => MacroOp::EltwiseBurst {
-                    bursts: share(bursts),
-                    input_reads,
-                    output_writes,
-                },
-                other => other,
-            })
-            .collect();
-        tiles.push(Tile {
-            dram_read_bytes: share(in_bytes),
-            dram_write_bytes: share(out_bytes),
-            ops,
-        });
-    }
-
-    let per_image = tiles.clone();
-    for _ in 1..batch {
-        tiles.extend(per_image.iter().cloned());
-    }
+    let program = banded_program(
+        format!("{} [eltwise]", layer.name),
+        &template,
+        in_bytes,
+        out_bytes,
+        cfg,
+        batch,
+    );
 
     Ok(CompiledLayer {
-        program: Program::new(format!("{} [eltwise]", layer.name), tiles),
+        program,
         scheme: None,
         wants_input_layout: DataLayout::IntraOrder,
         output_layout: DataLayout::IntraOrder,
         tiles: TilePlan::flat(in_bytes, out_bytes, 0, cfg)
             .unwrap_or_else(|_| TilePlan::flat(0, 0, 0, cfg).expect("empty plan fits")),
     })
+}
+
+/// A weight-free layer's program: `in_bytes` in and `out_bytes` out per
+/// image, split into as many equal spatial bands as the data buffer
+/// needs, each with its share of the template.
+fn banded_program(
+    label: String,
+    template: &[MacroOp],
+    in_bytes: u64,
+    out_bytes: u64,
+    cfg: &AcceleratorConfig,
+    batch: usize,
+) -> RunProgram {
+    let bands = (in_bytes + out_bytes)
+        .div_ceil(cfg.inout_buf_bytes as u64)
+        .max(1);
+    let mut per_image = Vec::new();
+    for i in 0..bands {
+        let share = |total: u64| (total * (i + 1)) / bands - (total * i) / bands;
+        let tile = Tile {
+            dram_read_bytes: share(in_bytes),
+            dram_write_bytes: share(out_bytes),
+            ops: template.iter().map(|op| scale_op(op, share)).collect(),
+        };
+        TileRun::push(&mut per_image, tile, 1);
+    }
+    let mut program = RunProgram::new(label);
+    program.push_runs(&per_image, batch as u64);
+    program
 }
 
 /// Compiles a fully-connected layer. FC layers have no sliding window, so
@@ -385,10 +365,8 @@ pub fn compile_fc_batched(
         },
         other => other,
     })?;
-    let tiles = plan.build_tiles_batched(&template, batch);
-
     Ok(CompiledLayer {
-        program: Program::new(format!("{} [fc]", layer.name), tiles),
+        program: plan.build_program(format!("{} [fc]", layer.name), &template, batch, None),
         scheme: Some(Scheme::Inter),
         wants_input_layout: DataLayout::InterOrder,
         output_layout: DataLayout::InterOrder,

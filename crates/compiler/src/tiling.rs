@@ -9,7 +9,7 @@
 use crate::error::CompileError;
 use crate::geometry::ConvGeometry;
 use cbrain_model::ELEM_BYTES;
-use cbrain_sim::{AcceleratorConfig, MacroOp, Tile};
+use cbrain_sim::{AcceleratorConfig, MacroOp, RunProgram, Tile, TileRun};
 
 /// A tiling decision for one layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -194,7 +194,8 @@ impl TilePlan {
         self.build_tiles_batched(template, 1)
     }
 
-    /// Like [`TilePlan::build_tiles`] but for a batch of `batch` images.
+    /// Like [`TilePlan::build_tiles`] but for a batch of `batch` images:
+    /// the expansion of [`TilePlan::build_program`].
     ///
     /// Activations (input fetches, output drains) and compute repeat per
     /// image; **resident weights are fetched once for the whole batch** —
@@ -207,7 +208,36 @@ impl TilePlan {
     ///
     /// Panics if `batch` is zero.
     pub fn build_tiles_batched(&self, template: &[MacroOp], batch: usize) -> Vec<Tile> {
+        self.build_program("", template, batch, None)
+            .to_program()
+            .tiles
+    }
+
+    /// Builds the program of a batch of `batch` images as runs of
+    /// identical tiles, without materializing the repeats.
+    ///
+    /// Two repetitions of the tile order are exact. Every image after the
+    /// first repeats the first image's tiles, less the once-per-batch
+    /// resident-weight fetch. And when `groups` divides every template
+    /// count, every group repeats the first group's tiles: a tile's share
+    /// `floor(G*X*(i+1)/(G*M)) - floor(G*X*i/(G*M))` of a count `G*X`
+    /// over `G*M` tiles depends only on `i mod M`. Otherwise every tile of
+    /// an image is emitted, and equal neighbours still merge. `prepass`,
+    /// when given, runs ahead of each image's tiles (the intra unroll
+    /// pre-pass).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is zero.
+    pub fn build_program(
+        &self,
+        label: impl Into<String>,
+        template: &[MacroOp],
+        batch: usize,
+        prepass: Option<&Tile>,
+    ) -> RunProgram {
         assert!(batch > 0, "batch must be non-zero");
+        let mut program = RunProgram::new(label);
         // Streaming-weight flat layers (FC) batch best with the weight
         // chunks in the *outer* loop: every chunk is fetched once and
         // applied to all resident images, dividing the dominant weight
@@ -218,17 +248,16 @@ impl TilePlan {
             && self.groups == 1
             && batch <= self.max_weight_outer_batch
         {
+            // Every image's pre-pass runs before the chunks stream.
+            if let Some(p) = prepass {
+                program.push(p.clone(), batch as u64);
+            }
             let n = self.weight_chunks as u64;
             let total_scale = batch as u64;
-            let mut tiles = Vec::with_capacity(self.weight_chunks);
             for i in 0..n {
                 let share = |total: u64| {
                     (total * total_scale * (i + 1)) / n - (total * total_scale * i) / n
                 };
-                let ops: Vec<MacroOp> = template
-                    .iter()
-                    .filter_map(|op| scale_op(op, &share))
-                    .collect();
                 let mut read = self.weight_chunk_bytes;
                 if i == 0 {
                     read += self.input_tile_bytes * batch as u64;
@@ -238,121 +267,119 @@ impl TilePlan {
                 } else {
                     0
                 };
-                tiles.push(Tile {
-                    dram_read_bytes: read,
-                    dram_write_bytes: write,
-                    ops,
-                });
+                program.push(
+                    Tile {
+                        dram_read_bytes: read,
+                        dram_write_bytes: write,
+                        ops: scale_ops(template, &share),
+                    },
+                    1,
+                );
             }
-            return tiles;
+            return program;
         }
-        let n = self.tile_count() as u64;
-        let mut tiles = Vec::with_capacity(n as usize * batch);
-        for image in 0..batch as u64 {
-            for i in 0..n {
-                let share = |total: u64| (total * (i + 1)) / n - (total * i) / n;
-                let ops: Vec<MacroOp> = template
-                    .iter()
-                    .filter_map(|op| scale_op(op, &share))
-                    .collect();
 
-                // Tile order within an image: group-major, then spatial
-                // band, then weight chunk.
-                let chunk = (i % self.weight_chunks as u64) as usize;
-                let spatial =
-                    ((i / self.weight_chunks as u64) % self.spatial_tiles as u64) as usize;
-                let mut read = 0;
-                if chunk == 0 {
-                    read += self.input_tile_bytes;
-                }
-                if self.weights_resident {
-                    // Once per batch, on the very first tile.
-                    if image == 0 && i == 0 {
-                        read += self.weight_chunk_bytes * (self.weight_chunks * self.groups) as u64;
-                    }
-                } else {
-                    read += self.weight_chunk_bytes;
-                }
-                let write = if chunk == self.weight_chunks - 1 {
-                    // Fair share of the group's exact output across its
-                    // spatial bands (the last band may be narrower).
-                    let nb = self.spatial_tiles as u64;
-                    let sp = spatial as u64;
-                    (self.output_group_bytes * (sp + 1)) / nb - (self.output_group_bytes * sp) / nb
-                } else {
-                    0
-                };
-                tiles.push(Tile {
-                    dram_read_bytes: read,
-                    dram_write_bytes: write,
-                    ops,
-                });
+        let n = self.tile_count() as u64;
+        let per_group = (self.spatial_tiles * self.weight_chunks) as u64;
+        let periodic = self.groups > 1
+            && template
+                .iter()
+                .all(|op| volume(op).is_multiple_of(self.groups as u64));
+        let (emitted, copies) = if periodic {
+            (per_group, self.groups as u64)
+        } else {
+            (n, 1)
+        };
+        // The tiles of one image are `block` repeated `copies` times.
+        let mut block = Vec::new();
+        for i in 0..emitted {
+            TileRun::push(&mut block, self.image_tile(template, i, n), 1);
+        }
+        for image in 0..batch {
+            if let Some(p) = prepass {
+                program.push(p.clone(), 1);
+            }
+            if image == 0 && self.weights_resident && !block.is_empty() {
+                // Once per batch, on the very first tile.
+                let mut first = block[0].tile.clone();
+                first.dram_read_bytes +=
+                    self.weight_chunk_bytes * (self.weight_chunks * self.groups) as u64;
+                program.push(first, 1);
+                program.push(block[0].tile.clone(), block[0].repeat - 1);
+                program.push_runs(&block[1..], 1);
+                program.push_runs(&block, copies - 1);
+            } else {
+                program.push_runs(&block, copies);
             }
         }
-        tiles
+        program
+    }
+
+    /// Tile `i` of the `n` tiles of one image in the image-outer order,
+    /// without the once-per-batch resident-weight fetch.
+    fn image_tile(&self, template: &[MacroOp], i: u64, n: u64) -> Tile {
+        let share = |total: u64| (total * (i + 1)) / n - (total * i) / n;
+        // Tile order within an image: group-major, then spatial band,
+        // then weight chunk.
+        let chunk = (i % self.weight_chunks as u64) as usize;
+        let spatial = ((i / self.weight_chunks as u64) % self.spatial_tiles as u64) as usize;
+        let mut read = 0;
+        if chunk == 0 {
+            read += self.input_tile_bytes;
+        }
+        if !self.weights_resident {
+            read += self.weight_chunk_bytes;
+        }
+        let write = if chunk == self.weight_chunks - 1 {
+            // Fair share of the group's exact output across its
+            // spatial bands (the last band may be narrower).
+            let nb = self.spatial_tiles as u64;
+            let sp = spatial as u64;
+            (self.output_group_bytes * (sp + 1)) / nb - (self.output_group_bytes * sp) / nb
+        } else {
+            0
+        };
+        Tile {
+            dram_read_bytes: read,
+            dram_write_bytes: write,
+            ops: scale_ops(template, &share),
+        }
     }
 }
 
-/// Scales one template op down to a tile's share; drops empty ops.
-fn scale_op(op: &MacroOp, share: &dyn Fn(u64) -> u64) -> Option<MacroOp> {
+/// The count of an op that tiles share out: its bursts, accumulations or
+/// elements.
+fn volume(op: &MacroOp) -> u64 {
     match *op {
-        MacroOp::MacBurst {
-            bursts,
-            active_lanes,
-            input_reads,
-            input_requests,
-            weight_reads,
-            psum_reads,
-            output_writes,
-        } => {
-            let b = share(bursts);
-            (b > 0).then_some(MacroOp::MacBurst {
-                bursts: b,
-                active_lanes,
-                input_reads,
-                input_requests,
-                weight_reads,
-                psum_reads,
-                output_writes,
-            })
-        }
-        MacroOp::AddStore { count } => {
-            let c = share(count);
-            (c > 0).then_some(MacroOp::AddStore { count: c })
-        }
-        MacroOp::OutputWrite { elems } => {
-            let e = share(elems);
-            (e > 0).then_some(MacroOp::OutputWrite { elems: e })
-        }
-        MacroOp::PoolBurst {
-            bursts,
-            input_reads,
-            output_writes,
-        } => {
-            let b = share(bursts);
-            (b > 0).then_some(MacroOp::PoolBurst {
-                bursts: b,
-                input_reads,
-                output_writes,
-            })
-        }
-        MacroOp::EltwiseBurst {
-            bursts,
-            input_reads,
-            output_writes,
-        } => {
-            let b = share(bursts);
-            (b > 0).then_some(MacroOp::EltwiseBurst {
-                bursts: b,
-                input_reads,
-                output_writes,
-            })
-        }
-        MacroOp::BiasLoad { elems } => {
-            let e = share(elems);
-            (e > 0).then_some(MacroOp::BiasLoad { elems: e })
-        }
+        MacroOp::MacBurst { bursts, .. }
+        | MacroOp::PoolBurst { bursts, .. }
+        | MacroOp::EltwiseBurst { bursts, .. } => bursts,
+        MacroOp::AddStore { count } => count,
+        MacroOp::OutputWrite { elems } | MacroOp::BiasLoad { elems } => elems,
     }
+}
+
+/// `op` with its [`volume`] scaled to `share(volume)`.
+pub(crate) fn scale_op(op: &MacroOp, share: impl Fn(u64) -> u64) -> MacroOp {
+    let mut op = *op;
+    let v = share(volume(&op));
+    match &mut op {
+        MacroOp::MacBurst { bursts, .. }
+        | MacroOp::PoolBurst { bursts, .. }
+        | MacroOp::EltwiseBurst { bursts, .. } => *bursts = v,
+        MacroOp::AddStore { count } => *count = v,
+        MacroOp::OutputWrite { elems } | MacroOp::BiasLoad { elems } => *elems = v,
+    }
+    op
+}
+
+/// Scales each template op down to a tile's share; drops empty ops.
+fn scale_ops(template: &[MacroOp], share: &dyn Fn(u64) -> u64) -> Vec<MacroOp> {
+    template
+        .iter()
+        .map(|op| scale_op(op, share))
+        .filter(|op| volume(op) > 0)
+        .collect()
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@ use cbrain_model::{
     ConvParams, EltwiseOp, EltwiseParams, FcParams, LayerKind, PoolKind, PoolParams, TensorShape,
 };
 use cbrain_sim::{
-    AcceleratorConfig, BufferTraffic, MachineOptions, MacroOp, PeConfig, Program, Stats, Tile,
+    AcceleratorConfig, BufferTraffic, MachineOptions, MacroOp, PeConfig, RunProgram, Stats, Tile,
 };
 use std::fmt;
 use std::io;
@@ -457,40 +457,48 @@ fn get_op(c: &mut Cursor) -> Decoded<MacroOp> {
     }
 }
 
-fn put_program(out: &mut Vec<u8>, p: &Program) {
+/// Writes the expanded tile list: each run's tile `repeat` times, so the
+/// bytes do not depend on how the program is stored in memory.
+fn put_program(out: &mut Vec<u8>, p: &RunProgram) {
     put_str(out, &p.label);
-    put_usize(out, p.tiles.len());
-    for tile in &p.tiles {
-        put_u64(out, tile.dram_read_bytes);
-        put_u64(out, tile.dram_write_bytes);
-        put_usize(out, tile.ops.len());
-        for op in &tile.ops {
+    put_u64(out, p.tile_count());
+    for run in p.runs() {
+        let start = out.len();
+        put_u64(out, run.tile.dram_read_bytes);
+        put_u64(out, run.tile.dram_write_bytes);
+        put_usize(out, run.tile.ops.len());
+        for op in &run.tile.ops {
             put_op(out, op);
+        }
+        let end = out.len();
+        for _ in 1..run.repeat {
+            out.extend_from_within(start..end);
         }
     }
 }
 
-fn get_program(c: &mut Cursor) -> Decoded<Program> {
-    let label = c.str()?;
+/// Reads a tile list back into canonical runs.
+fn get_program(c: &mut Cursor) -> Decoded<RunProgram> {
+    let mut program = RunProgram::new(c.str()?);
     let n_tiles = c.usize()?;
-    // Cap pre-allocation by what the remaining payload could possibly
-    // hold, so a corrupt length cannot trigger a huge allocation.
-    let mut tiles = Vec::with_capacity(n_tiles.min(c.buf.len() - c.pos));
     for _ in 0..n_tiles {
         let dram_read_bytes = c.u64()?;
         let dram_write_bytes = c.u64()?;
         let n_ops = c.usize()?;
+        // Cap pre-allocation by what the remaining payload could possibly
+        // hold, so a corrupt length cannot trigger a huge allocation.
         let mut ops = Vec::with_capacity(n_ops.min(c.buf.len() - c.pos));
         for _ in 0..n_ops {
             ops.push(get_op(c)?);
         }
-        tiles.push(Tile {
+        let tile = Tile {
             dram_read_bytes,
             dram_write_bytes,
             ops,
-        });
+        };
+        program.push(tile, 1);
     }
-    Ok(Program { label, tiles })
+    Ok(program)
 }
 
 fn put_tile_plan(out: &mut Vec<u8>, t: &TilePlan) {

@@ -259,6 +259,14 @@ pub trait CompileBackend: Send + Sync + fmt::Debug {
     ) -> Result<(), RunError>;
 }
 
+/// What a run's plan-and-compile phase hands its merge pass.
+struct Planned {
+    hits: u64,
+    misses: u64,
+    /// The entry each selected layer executes, in layer order.
+    entries: Vec<Arc<CachedLayer>>,
+}
+
 /// The network runner: compiles each selected layer under the policy and
 /// executes it on the simulated machine.
 ///
@@ -336,7 +344,7 @@ impl Runner {
                     .map(|s| LayerKey::new(layer, s, &self.cfg, &self.opts))
                     .collect(),
                 Policy::OraclePruned => {
-                    unreachable!("the pruned oracle has its own plan/resolve path")
+                    unreachable!("the pruned oracle has its own plan path")
                 }
                 _ => vec![LayerKey::new(
                     layer,
@@ -411,9 +419,10 @@ impl Runner {
     /// fixed prefix of the deterministic bound order, so the visit set —
     /// and with it the hit/miss counters — is identical at every
     /// [`RunOptions::jobs`] value and under any backend.
-    fn plan_and_compile_pruned(&self, layers: &[&Layer]) -> Result<(u64, u64), RunError> {
+    fn plan_and_compile_pruned(&self, layers: &[&Layer]) -> Result<Planned, RunError> {
         let mut hits = 0u64;
         let mut misses = 0u64;
+        let mut visited = Vec::with_capacity(layers.len());
         for &layer in layers {
             if layer.as_conv().is_none() {
                 let key = LayerKey::new(layer, Scheme::Inter, &self.cfg, &self.opts);
@@ -423,12 +432,14 @@ impl Runner {
                     misses += 1;
                     self.compile_worklist(vec![(key, layer)])?;
                 }
+                visited.push(vec![key]);
                 continue;
             }
             let order = self.pruned_scheme_order(layer)?;
             let spec_n = order.len().min(Self::PRUNED_SPECULATION);
 
             // Speculative prefix: account, then compile as one batch.
+            let mut keys = Vec::with_capacity(order.len());
             let mut pair: Vec<(LayerKey, &Layer)> = Vec::new();
             for &(_, scheme) in &order[..spec_n] {
                 let key = LayerKey::new(layer, scheme, &self.cfg, &self.opts);
@@ -438,14 +449,14 @@ impl Runner {
                     misses += 1;
                     pair.push((key, layer));
                 }
+                keys.push(key);
             }
             self.compile_worklist(pair)?;
             let mut best: Option<u64> = None;
-            for &(_, scheme) in &order[..spec_n] {
-                let key = LayerKey::new(layer, scheme, &self.cfg, &self.opts);
+            for key in &keys {
                 let entry = self
                     .cache
-                    .peek(&key)
+                    .peek(key)
                     .expect("the speculative pair was just compiled");
                 best = Some(best.map_or(entry.stats.cycles, |b| b.min(entry.stats.cycles)));
             }
@@ -470,25 +481,31 @@ impl Runner {
                     }
                 };
                 best = Some(best.map_or(entry.stats.cycles, |b| b.min(entry.stats.cycles)));
+                keys.push(key);
             }
             // Winner re-fetch, mirroring the exhaustive Oracle's
             // accounting convention.
             hits += 1;
+            visited.push(keys);
         }
         self.cache.record(hits, misses);
-        Ok((hits, misses))
+        Ok(Planned {
+            hits,
+            misses,
+            entries: self.choose(&visited),
+        })
     }
 
     /// Phase 1+2 of a run: serial hit/miss accounting over every probe
     /// key in layer order, then a (possibly parallel) compile of the
-    /// unique misses. Returns `(hits, misses)` for the report; on return
-    /// every probe key is present in the cache.
+    /// unique misses. Returns the counts for the report and the entry
+    /// each layer executes.
     ///
     /// The accounting happens *before* any compile, against the cache
     /// state at entry plus a local seen-set — so the counts depend only
     /// on the layer sequence and prior cache contents, never on how the
     /// compile work-list is scheduled across threads.
-    fn plan_and_compile(&self, layers: &[&Layer], policy: Policy) -> Result<(u64, u64), RunError> {
+    fn plan_and_compile(&self, layers: &[&Layer], policy: Policy) -> Result<Planned, RunError> {
         if policy == Policy::OraclePruned {
             return self.plan_and_compile_pruned(layers);
         }
@@ -496,8 +513,10 @@ impl Runner {
         let mut hits = 0u64;
         let mut misses = 0u64;
         let mut worklist: Vec<(LayerKey, &Layer)> = Vec::new();
+        let mut probes = Vec::with_capacity(layers.len());
         for layer in layers {
-            for key in self.probe_keys(layer, policy) {
+            let keys = self.probe_keys(layer, policy);
+            for &key in &keys {
                 if self.cache.contains(&key) || seen.contains(&key) {
                     hits += 1;
                 } else {
@@ -511,82 +530,43 @@ impl Runner {
                 // of the cache: a guaranteed hit on every Oracle layer.
                 hits += 1;
             }
+            probes.push(keys);
         }
         self.compile_worklist(worklist)?;
         self.cache.record(hits, misses);
-        Ok((hits, misses))
+        Ok(Planned {
+            hits,
+            misses,
+            entries: self.choose(&probes),
+        })
     }
 
-    /// Fetches the cached entry a layer executes under `policy`; for the
-    /// Oracle that is the cheapest scheme (ties broken in `Scheme::ALL`
-    /// order). Every key must already be cached (see `plan_and_compile`).
-    fn resolve(&self, layer: &Layer, policy: Policy) -> Arc<CachedLayer> {
-        if policy == Policy::OraclePruned {
-            return self.resolve_pruned(layer);
-        }
-        let mut best: Option<Arc<CachedLayer>> = None;
-        for key in self.probe_keys(layer, policy) {
-            let entry = self
-                .cache
-                .peek(&key)
-                .expect("plan_and_compile cached every probe key");
-            if best
-                .as_ref()
-                .is_none_or(|b| entry.stats.cycles < b.stats.cycles)
-            {
-                best = Some(entry);
-            }
-        }
-        best.expect("probe_keys is non-empty")
-    }
-
-    /// The pruned oracle's resolve: replay the bound-ordered visit with
-    /// the same speculative prefix and skip rule (everything visited is
-    /// cached by `plan_and_compile_pruned`), then pick the winner among
-    /// the simulated candidates in `Scheme::ALL` order with a strict `<`
-    /// — exactly the exhaustive Oracle's selection. A pruned scheme's
-    /// true cycle count strictly exceeds the final minimum, so every
-    /// minimum (and every `Scheme::ALL`-order tie for it) was simulated.
-    fn resolve_pruned(&self, layer: &Layer) -> Arc<CachedLayer> {
-        if layer.as_conv().is_none() {
-            let key = LayerKey::new(layer, Scheme::Inter, &self.cfg, &self.opts);
-            return self
-                .cache
-                .peek(&key)
-                .expect("plan_and_compile_pruned cached every non-conv key");
-        }
-        let order = self
-            .pruned_scheme_order(layer)
-            .expect("plan_and_compile_pruned already computed this order");
-        let spec_n = order.len().min(Self::PRUNED_SPECULATION);
-        let mut best_cycles: Option<u64> = None;
-        let mut simulated: Vec<(Scheme, Arc<CachedLayer>)> = Vec::new();
-        for (i, (bound, scheme)) in order.into_iter().enumerate() {
-            if i >= spec_n && best_cycles.is_some_and(|b| bound > b) {
-                continue;
-            }
-            let key = LayerKey::new(layer, scheme, &self.cfg, &self.opts);
-            let entry = self
-                .cache
-                .peek(&key)
-                .expect("plan_and_compile_pruned cached every visited key");
-            best_cycles =
-                Some(best_cycles.map_or(entry.stats.cycles, |b| b.min(entry.stats.cycles)));
-            simulated.push((scheme, entry));
-        }
-        let mut best: Option<Arc<CachedLayer>> = None;
-        for scheme in Scheme::ALL {
-            let Some((_, entry)) = simulated.iter().find(|(s, _)| *s == scheme) else {
-                continue;
-            };
-            if best
-                .as_ref()
-                .is_none_or(|b| entry.stats.cycles < b.stats.cycles)
-            {
-                best = Some(Arc::clone(entry));
-            }
-        }
-        best.expect("at least one scheme is always simulated")
+    /// Fetches, layer by layer, every key a layer's plan visited and picks
+    /// the entry it executes: the fewest cycles, ties broken in
+    /// `Scheme::ALL` order — the Oracle's selection, and for a single key
+    /// just that key. A scheme the pruned oracle skipped has a lower bound
+    /// above the final minimum, so every minimum (and every
+    /// `Scheme::ALL`-order tie for it) was visited. Every key must already
+    /// be cached; the lookups run after every compile and in layer order,
+    /// so LRU recency follows the run's layer order.
+    fn choose(&self, visited: &[Vec<LayerKey>]) -> Vec<Arc<CachedLayer>> {
+        visited
+            .iter()
+            .map(|keys| {
+                keys.iter()
+                    .map(|key| {
+                        let entry = self
+                            .cache
+                            .peek(key)
+                            .expect("plan_and_compile cached every visited key");
+                        let rank = Scheme::ALL.iter().position(|&s| s == key.scheme);
+                        (entry.stats.cycles, rank, entry)
+                    })
+                    .min_by_key(|&(cycles, rank, _)| (cycles, rank))
+                    .expect("every layer visits at least one key")
+                    .2
+            })
+            .collect()
     }
 
     /// Runs one layer in isolation (no layout-transform accounting).
@@ -595,8 +575,7 @@ impl Runner {
     ///
     /// Returns a [`RunError`] if the layer fails to compile.
     pub fn run_layer(&self, layer: &Layer, policy: Policy) -> Result<LayerReport, RunError> {
-        self.plan_and_compile(&[layer], policy)?;
-        let entry = self.resolve(layer, policy);
+        let entry = self.plan_and_compile(&[layer], policy)?.entries.remove(0);
         Ok(LayerReport {
             name: layer.name.clone(),
             scheme: entry.compiled.scheme,
@@ -658,7 +637,7 @@ impl Runner {
 
         // Phase 1+2: deterministic accounting, then compile the unique
         // misses (in parallel when opts.jobs > 1).
-        let (cache_hits, cache_misses) = self.plan_and_compile(&selected, policy)?;
+        let planned = self.plan_and_compile(&selected, policy)?;
 
         // Phase 3: serial merge in layer order. Every compile is a cache
         // fetch now, so this pass is cheap and its output — including the
@@ -670,8 +649,7 @@ impl Runner {
         // whatever order the first layer wants (free choice at load time).
         let mut current_layout: Option<DataLayout> = None;
 
-        for layer in selected {
-            let entry = self.resolve(layer, policy);
+        for (layer, entry) in selected.into_iter().zip(planned.entries) {
             let mut transform_cycles = 0;
             if let Some(prev) = current_layout {
                 let needs_transform = !self.opts.layout_planning
@@ -711,8 +689,8 @@ impl Runner {
             layers,
             totals,
             energy,
-            cache_hits,
-            cache_misses,
+            cache_hits: planned.hits,
+            cache_misses: planned.misses,
         })
     }
 

@@ -7,8 +7,19 @@
 //! forward pass compiles to a few thousand ops instead of billions of
 //! per-cycle events, while still exposing every quantity the cycle model
 //! needs (lane occupancy, per-burst buffer requests, partial-sum traffic).
+//!
+//! The same idea applies one level up. A tiled layer repeats one tile
+//! many times: every group of a depthwise layer, and every image of a
+//! batch after the first, gets a copy of its neighbour. A [`RunProgram`]
+//! stores the layer as ordered [`TileRun`]s, one tile plus a repeat
+//! count, so the compiler emits, the machine executes and the cache keeps
+//! each run once. Its expansion into one [`Tile`] per copy, the plain
+//! [`Program`], is built only when a caller reads the tiles.
 
 use crate::config::AcceleratorConfig;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::OnceLock;
 
 /// One macro operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,6 +193,159 @@ impl Program {
     /// Total macro-op count across tiles.
     pub fn op_count(&self) -> usize {
         self.tiles.iter().map(|t| t.ops.len()).sum()
+    }
+}
+
+/// `repeat` identical consecutive tiles.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TileRun {
+    /// The repeated tile.
+    pub tile: Tile,
+    /// How many copies run back to back (at least one).
+    pub repeat: u64,
+}
+
+impl TileRun {
+    /// Appends `repeat` copies of `tile` to `runs`, extending the last run
+    /// when it holds an equal tile. Zero copies append nothing.
+    pub fn push(runs: &mut Vec<TileRun>, tile: Tile, repeat: u64) {
+        if repeat == 0 {
+            return;
+        }
+        match runs.last_mut() {
+            Some(last) if last.tile == tile => last.repeat += repeat,
+            _ => runs.push(TileRun { tile, repeat }),
+        }
+    }
+}
+
+/// A compiled program for one layer, stored as runs of identical tiles.
+///
+/// Runs are canonical: no run is empty and no two neighbours hold equal
+/// tiles, so two programs with the same expansion print alike. The
+/// expansion is built on first dereference and kept; `label`,
+/// [`RunProgram::op_count`] and [`RunProgram::dram_bytes`] are answered
+/// from the runs.
+///
+/// # Examples
+///
+/// ```
+/// use cbrain_sim::{RunProgram, Tile};
+///
+/// let tile = Tile { dram_read_bytes: 64, ..Tile::new() };
+/// let mut program = RunProgram::new("dw");
+/// program.push(tile.clone(), 3);
+/// program.push(tile, 2);
+/// assert_eq!(program.runs().len(), 1);
+/// assert_eq!(program.tile_count(), 5);
+/// assert_eq!(program.tiles.len(), 5); // expanded on demand
+/// ```
+#[derive(Clone)]
+pub struct RunProgram {
+    /// Human-readable label (usually the layer name plus the scheme).
+    pub label: String,
+    runs: Vec<TileRun>,
+    expanded: OnceLock<Program>,
+}
+
+impl RunProgram {
+    /// An empty program.
+    pub fn new(label: impl Into<String>) -> Self {
+        Self {
+            label: label.into(),
+            runs: Vec::new(),
+            expanded: OnceLock::new(),
+        }
+    }
+
+    /// Appends `repeat` copies of `tile`, merging with the last run.
+    pub fn push(&mut self, tile: Tile, repeat: u64) {
+        self.expanded.take();
+        TileRun::push(&mut self.runs, tile, repeat);
+    }
+
+    /// Appends `times` copies of the run sequence `runs`.
+    pub fn push_runs(&mut self, runs: &[TileRun], times: u64) {
+        if let [run] = runs {
+            self.push(run.tile.clone(), run.repeat * times);
+            return;
+        }
+        for _ in 0..times {
+            for run in runs {
+                self.push(run.tile.clone(), run.repeat);
+            }
+        }
+    }
+
+    /// The canonical runs, in execution order.
+    pub fn runs(&self) -> &[TileRun] {
+        &self.runs
+    }
+
+    /// Number of tiles the runs expand to.
+    pub fn tile_count(&self) -> u64 {
+        self.runs.iter().map(|r| r.repeat).sum()
+    }
+
+    /// Total DRAM traffic in bytes.
+    pub fn dram_bytes(&self) -> u64 {
+        self.runs
+            .iter()
+            .map(|r| r.repeat * (r.tile.dram_read_bytes + r.tile.dram_write_bytes))
+            .sum()
+    }
+
+    /// Total macro-op count across the expanded tiles.
+    pub fn op_count(&self) -> usize {
+        self.runs
+            .iter()
+            .map(|r| r.repeat as usize * r.tile.ops.len())
+            .sum()
+    }
+
+    /// The expanded program: one tile per copy.
+    pub fn to_program(&self) -> Program {
+        let mut tiles = Vec::with_capacity(self.tile_count() as usize);
+        for run in &self.runs {
+            tiles.extend((0..run.repeat).map(|_| run.tile.clone()));
+        }
+        Program::new(self.label.clone(), tiles)
+    }
+}
+
+impl Deref for RunProgram {
+    type Target = Program;
+
+    fn deref(&self) -> &Program {
+        self.expanded.get_or_init(|| self.to_program())
+    }
+}
+
+impl fmt::Debug for RunProgram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RunProgram")
+            .field("label", &self.label)
+            .field("runs", &self.runs)
+            .finish()
+    }
+}
+
+/// An ordered tile sequence the [`Machine`](crate::Machine) executes:
+/// a [`Program`] is runs of one, a [`RunProgram`] its stored runs.
+pub trait TileRuns {
+    /// `(tile, repeat)` pairs in execution order.
+    fn tile_runs(&self) -> impl Iterator<Item = (&Tile, u64)>;
+}
+
+impl TileRuns for Program {
+    fn tile_runs(&self) -> impl Iterator<Item = (&Tile, u64)> {
+        self.tiles.iter().map(|t| (t, 1))
+    }
+}
+
+impl TileRuns for RunProgram {
+    fn tile_runs(&self) -> impl Iterator<Item = (&Tile, u64)> {
+        self.runs.iter().map(|r| (&r.tile, r.repeat))
     }
 }
 

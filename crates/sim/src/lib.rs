@@ -48,6 +48,6 @@ pub mod trace;
 
 pub use config::{AcceleratorConfig, PeConfig};
 pub use energy::{EnergyBreakdown, EnergyModel};
-pub use isa::{MacroOp, Program, Tile};
+pub use isa::{MacroOp, Program, RunProgram, Tile, TileRun, TileRuns};
 pub use machine::{Machine, MachineOptions};
 pub use stats::{BufferTraffic, Stats};

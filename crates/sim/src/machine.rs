@@ -1,5 +1,6 @@
-//! The accelerator machine: executes compiled [`Program`]s and produces
-//! [`Stats`].
+//! The accelerator machine: executes compiled programs (a
+//! [`RunProgram`](crate::RunProgram) or a plain
+//! [`Program`](crate::Program)) and produces [`Stats`].
 //!
 //! The control unit "reads instructions one by one, loads data and weights
 //! to on-chip buffer, and computing" (paper Sec. 3). We model the DMA
@@ -7,63 +8,16 @@
 //! tile the compute is charged per macro-op; across tiles the next tile's
 //! input DMA is prefetched under the current tile's compute (double
 //! buffering), so a tile costs `max(compute, dma)` once the pipeline is
-//! primed.
+//! primed. A run of identical tiles is charged once, scaled by its repeat
+//! count.
 
 use crate::config::AcceleratorConfig;
-use crate::isa::{MacroOp, Program, Tile};
+use crate::isa::{MacroOp, Program, TileRuns};
 use crate::stats::Stats;
 use crate::trace::{Trace, TraceEvent};
 
-/// Reused per-tile scratch that gathers `MacBurst` operands column-wise so
-/// the multiply-burst accounting can run through [`cbrain_simd::mac_dot`]
-/// in bulk instead of six scalar multiplies per op. Wrapping integer sums
-/// are order-independent, so the totals are identical to the per-op path
-/// (which the traced run still takes).
-#[derive(Debug, Default)]
-struct MacScratch {
-    bursts: Vec<u64>,
-    active_lanes: Vec<u32>,
-    input_reads: Vec<u32>,
-    weight_reads: Vec<u32>,
-    psum_reads: Vec<u32>,
-    output_writes: Vec<u32>,
-}
-
-impl MacScratch {
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        &mut self,
-        bursts: u64,
-        active_lanes: u32,
-        input_reads: u32,
-        weight_reads: u32,
-        psum_reads: u32,
-        output_writes: u32,
-    ) {
-        self.bursts.push(bursts);
-        self.active_lanes.push(active_lanes);
-        self.input_reads.push(input_reads);
-        self.weight_reads.push(weight_reads);
-        self.psum_reads.push(psum_reads);
-        self.output_writes.push(output_writes);
-    }
-
-    /// Charges the gathered bursts into `stats` and empties the scratch
-    /// (capacity is retained for the next tile).
-    fn flush(&mut self, stats: &mut Stats) {
-        stats.mac_ops += cbrain_simd::mac_dot(&self.bursts, &self.active_lanes);
-        stats.input_buf.loads += cbrain_simd::mac_dot(&self.bursts, &self.input_reads);
-        stats.weight_buf.loads += cbrain_simd::mac_dot(&self.bursts, &self.weight_reads);
-        stats.output_buf.loads += cbrain_simd::mac_dot(&self.bursts, &self.psum_reads);
-        stats.output_buf.stores += cbrain_simd::mac_dot(&self.bursts, &self.output_writes);
-        self.bursts.clear();
-        self.active_lanes.clear();
-        self.input_reads.clear();
-        self.weight_reads.clear();
-        self.psum_reads.clear();
-        self.output_writes.clear();
-    }
-}
+#[cfg(test)]
+use crate::isa::Tile;
 
 /// Execution policy knobs, exposed for the ablation benches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,8 +94,20 @@ impl Machine {
         bytes.div_ceil(self.cfg.dram_bytes_per_cycle as u64)
     }
 
-    fn charge_op(&self, op: &MacroOp, stats: &mut Stats) -> u64 {
-        let mut cycles = op.issue_cycles(&self.cfg);
+    /// Critical-path cycles of one execution of `op`.
+    fn op_cycles(&self, op: &MacroOp) -> u64 {
+        match *op {
+            MacroOp::AddStore { count } if self.opts.add_store_on_critical_path => {
+                count.div_ceil(self.cfg.out_port_elems() as u64)
+            }
+            _ => op.issue_cycles(&self.cfg),
+        }
+    }
+
+    /// Charges `repeat` executions of `op` into `stats` and returns the
+    /// cycles of one.
+    fn charge_op(&self, op: &MacroOp, repeat: u64, stats: &mut Stats) -> u64 {
+        let cycles = self.op_cycles(op);
         match *op {
             MacroOp::MacBurst {
                 bursts,
@@ -152,168 +118,121 @@ impl Machine {
                 output_writes,
                 ..
             } => {
+                let bursts = repeat * bursts;
                 stats.mac_ops += bursts * active_lanes as u64;
-                stats.lane_slots += cycles * self.cfg.pe.multipliers() as u64;
+                stats.lane_slots += repeat * cycles * self.cfg.pe.multipliers() as u64;
                 stats.input_buf.loads += bursts * input_reads as u64;
                 stats.weight_buf.loads += bursts * weight_reads as u64;
                 stats.output_buf.loads += bursts * psum_reads as u64;
                 stats.output_buf.stores += bursts * output_writes as u64;
             }
             MacroOp::AddStore { count } => {
-                stats.add_store_ops += count;
-                stats.output_buf.loads += count;
-                stats.output_buf.stores += count;
-                if self.opts.add_store_on_critical_path {
-                    cycles = count.div_ceil(self.cfg.out_port_elems() as u64);
-                }
+                stats.add_store_ops += repeat * count;
+                stats.output_buf.loads += repeat * count;
+                stats.output_buf.stores += repeat * count;
             }
             MacroOp::OutputWrite { elems } => {
-                stats.output_buf.stores += elems;
+                stats.output_buf.stores += repeat * elems;
             }
             MacroOp::PoolBurst {
                 bursts,
                 input_reads,
                 output_writes,
             } => {
-                stats.input_buf.loads += bursts * input_reads as u64;
-                stats.output_buf.stores += bursts * output_writes as u64;
+                stats.input_buf.loads += repeat * bursts * input_reads as u64;
+                stats.output_buf.stores += repeat * bursts * output_writes as u64;
             }
             MacroOp::BiasLoad { elems } => {
-                stats.bias_buf.loads += elems;
+                stats.bias_buf.loads += repeat * elems;
             }
             MacroOp::EltwiseBurst {
                 bursts,
                 input_reads,
                 output_writes,
             } => {
-                stats.eltwise_ops += bursts * output_writes as u64;
-                stats.input_buf.loads += bursts * input_reads as u64;
-                stats.output_buf.stores += bursts * output_writes as u64;
+                stats.eltwise_ops += repeat * bursts * output_writes as u64;
+                stats.input_buf.loads += repeat * bursts * input_reads as u64;
+                stats.output_buf.stores += repeat * bursts * output_writes as u64;
             }
         }
         cycles
-    }
-
-    fn tile_compute(
-        &self,
-        tile_index: usize,
-        tile: &Tile,
-        stats: &mut Stats,
-        start_cycle: u64,
-        mut trace: Option<&mut Trace>,
-        scratch: &mut MacScratch,
-    ) -> u64 {
-        let mut offset = 0;
-        if trace.is_none() {
-            // Untraced fast path: batch the tile's MacBursts and charge
-            // their accounting as bulk SoA dot products at tile end.
-            for op in &tile.ops {
-                let cycles = if let MacroOp::MacBurst {
-                    bursts,
-                    active_lanes,
-                    input_reads,
-                    weight_reads,
-                    psum_reads,
-                    output_writes,
-                    ..
-                } = *op
-                {
-                    let cycles = op.issue_cycles(&self.cfg);
-                    stats.lane_slots += cycles * self.cfg.pe.multipliers() as u64;
-                    scratch.push(
-                        bursts,
-                        active_lanes,
-                        input_reads,
-                        weight_reads,
-                        psum_reads,
-                        output_writes,
-                    );
-                    cycles
-                } else {
-                    self.charge_op(op, stats)
-                };
-                offset += cycles;
-            }
-            scratch.flush(stats);
-            return offset;
-        }
-        for (op_index, op) in tile.ops.iter().enumerate() {
-            let cycles = self.charge_op(op, stats);
-            if let Some(t) = trace.as_deref_mut() {
-                let (kind, detail) = describe_op(op);
-                t.record(TraceEvent {
-                    tile: tile_index,
-                    op_index,
-                    start_cycle: start_cycle + offset,
-                    cycles,
-                    kind,
-                    detail,
-                });
-            }
-            offset += cycles;
-        }
-        offset
     }
 
     /// Executes a compiled program, returning its statistics.
     ///
     /// With double buffering enabled, tile `i`'s compute overlaps tile
     /// `i+1`'s input DMA and tile `i`'s output DMA; the first tile's input
-    /// DMA is exposed.
-    pub fn run(&self, program: &Program) -> Stats {
+    /// DMA is exposed. A run of `r` identical tiles costs what its `r`
+    /// expanded tiles would: every copy but the last is followed by the
+    /// same tile, so the run adds `(r-1) * max(c, f + d) + max(c, f' + d)`
+    /// cycles, where `c` is one copy's compute, `f` and `d` its fill and
+    /// drain DMA, and `f'` the next run's fill.
+    pub fn run(&self, program: &impl TileRuns) -> Stats {
         self.run_inner(program, None)
     }
 
     /// Executes a program while recording up to `capacity` per-op trace
-    /// events (later events are counted but dropped). The statistics are
-    /// identical to [`Machine::run`].
-    pub fn run_traced(&self, program: &Program, capacity: usize) -> (Stats, Trace) {
+    /// events, one per op of every expanded tile (later events are counted
+    /// but dropped). The statistics are identical to [`Machine::run`].
+    pub fn run_traced(&self, program: &impl TileRuns, capacity: usize) -> (Stats, Trace) {
         let mut trace = Trace::with_capacity(capacity);
         let stats = self.run_inner(program, Some(&mut trace));
         (stats, trace)
     }
 
-    fn run_inner(&self, program: &Program, mut trace: Option<&mut Trace>) -> Stats {
+    fn run_inner(&self, program: &impl TileRuns, mut trace: Option<&mut Trace>) -> Stats {
         let mut stats = Stats::new();
-        let n = program.tiles.len();
         let mut total = 0u64;
-        let mut compute_clock = 0u64;
-        let mut scratch = MacScratch::default();
-        for (i, tile) in program.tiles.iter().enumerate() {
-            let compute = self.tile_compute(
-                i,
-                tile,
-                &mut stats,
-                compute_clock,
-                trace.as_deref_mut(),
-                &mut scratch,
-            );
-            compute_clock += compute;
-            stats.compute_cycles += compute;
-            stats.dram_read_bytes += tile.dram_read_bytes;
-            stats.dram_write_bytes += tile.dram_write_bytes;
+        let mut tile_index = 0;
+        let mut runs = program.tile_runs().peekable();
+        while let Some((tile, repeat)) = runs.next() {
+            let compute: u64 = tile
+                .ops
+                .iter()
+                .map(|op| self.charge_op(op, repeat, &mut stats))
+                .sum();
+            if let Some(t) = trace.as_deref_mut() {
+                for copy in 0..repeat {
+                    let mut start = stats.compute_cycles + copy * compute;
+                    for (op_index, op) in tile.ops.iter().enumerate() {
+                        let cycles = self.op_cycles(op);
+                        let (kind, detail) = describe_op(op);
+                        t.record(TraceEvent {
+                            tile: tile_index + copy as usize,
+                            op_index,
+                            start_cycle: start,
+                            cycles,
+                            kind,
+                            detail,
+                        });
+                        start += cycles;
+                    }
+                }
+            }
+            stats.compute_cycles += repeat * compute;
+            stats.dram_read_bytes += repeat * tile.dram_read_bytes;
+            stats.dram_write_bytes += repeat * tile.dram_write_bytes;
 
+            let fill = self.dma_cycles(tile.dram_read_bytes);
+            let drain = self.dma_cycles(tile.dram_write_bytes);
             if self.opts.overlap_dma {
                 // Expose the first tile's fill; afterwards each step hides
                 // the *next* fill and the *current* drain under compute.
-                if i == 0 {
-                    total += self.dma_cycles(tile.dram_read_bytes);
+                if tile_index == 0 {
+                    total += fill;
                 }
-                let next_fill = program
-                    .tiles
-                    .get(i + 1)
-                    .map_or(0, |t| self.dma_cycles(t.dram_read_bytes));
-                let drain = self.dma_cycles(tile.dram_write_bytes);
-                let step = compute.max(next_fill + drain);
-                stats.dram_stall_cycles += step - compute;
-                total += step;
+                let next_fill = runs
+                    .peek()
+                    .map_or(0, |(next, _)| self.dma_cycles(next.dram_read_bytes));
+                let inner = compute.max(fill + drain);
+                let last = compute.max(next_fill + drain);
+                stats.dram_stall_cycles += (repeat - 1) * (inner - compute) + (last - compute);
+                total += (repeat - 1) * inner + last;
             } else {
-                let dma =
-                    self.dma_cycles(tile.dram_read_bytes) + self.dma_cycles(tile.dram_write_bytes);
-                stats.dram_stall_cycles += dma;
-                total += compute + dma;
+                stats.dram_stall_cycles += repeat * (fill + drain);
+                total += repeat * (compute + fill + drain);
             }
-            let _ = n;
+            tile_index += repeat as usize;
         }
         stats.cycles = total;
         stats

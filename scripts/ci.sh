@@ -60,6 +60,13 @@ else
 fi
 
 if [[ $quick -eq 0 ]]; then
+    echo "==> perfbench contract tests (every sweep/serve op checked against perfbench/digests.txt)"
+    # The benchmark's digests pin the simulated numbers of every design
+    # point, so this gates every compiler or simulator change.
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+fi
+
+if [[ $quick -eq 0 ]]; then
     echo "==> SIMD kernel microbench (byte-identity gate; timings informational on 1-CPU hosts)"
     # The binary exits non-zero if any kernel's simd and scalar legs
     # produce different bytes. The before/after delta against the
