@@ -18,6 +18,18 @@
 //! scheduling); the cache's own global counters aggregate every lookup
 //! for whole-process summaries.
 //!
+//! A key is hashed once per visit. [`LayerKey`]'s `Hash` writes one
+//! fixed 144-byte packed encoding in a single `write`. The map is keyed
+//! by the key paired with its SipHash under one `RandomState` drawn per
+//! process, and its hasher passes that stored value through, so the
+//! probe, the runner's per-run de-dup map, the insert, every growth
+//! rehash and the post-compile lookup all reuse one hash. The hash stays
+//! keyed because keys arrive in wire requests. The runner keeps the slot
+//! handle each probe or insert returns and stamps LRU recency on it
+//! without another lookup, so a concurrent
+//! [`CompiledLayerCache::evict_lru`] cannot pull an entry out from under
+//! a run.
+//!
 //! # Examples
 //!
 //! ```
@@ -40,18 +52,24 @@
 
 use crate::runner::RunOptions;
 use cbrain_compiler::{CompiledLayer, Scheme};
-use cbrain_model::{Layer, LayerKind, TensorShape};
-use cbrain_sim::{AcceleratorConfig, MachineOptions, Stats};
+use cbrain_model::{
+    ConvParams, EltwiseParams, FcParams, Layer, LayerKind, PoolParams, TensorShape,
+};
+use cbrain_sim::{AcceleratorConfig, MachineOptions, PeConfig, Stats};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// Everything a compiled-and-simulated layer depends on.
 ///
 /// Deliberately excludes the layer *name*: two layers with the same
 /// geometry compile to the same program and simulate to the same stats,
 /// so VGG's repeated blocks share entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// `Hash` feeds the hasher one fixed-size packed encoding in a single
+/// `write`, rather than the derive's one write per field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerKey {
     /// Layer operation and parameters.
     pub kind: LayerKind,
@@ -67,6 +85,10 @@ pub struct LayerKey {
     /// Batch size (it changes the emitted program).
     pub batch: usize,
 }
+
+/// Words in [`LayerKey`]'s packed encoding: a head word, six layer
+/// parameters, three shape dimensions, seven config fields and the batch.
+const PACKED_WORDS: usize = 18;
 
 impl LayerKey {
     /// Key for compiling `layer` under `scheme` with the given hardware
@@ -88,7 +110,144 @@ impl LayerKey {
             batch: opts.batch,
         }
     }
+
+    /// The key as 144 bytes (18 little-endian words), a one-to-one image
+    /// of every field; fieldless enums pack as their discriminants. The
+    /// destructures are exhaustive, so a field added to the key or to one
+    /// of its parts fails to build until it is packed here.
+    fn packed(&self) -> [u8; PACKED_WORDS * 8] {
+        let LayerKey {
+            kind,
+            input:
+                TensorShape {
+                    maps,
+                    height,
+                    width,
+                },
+            scheme,
+            cfg:
+                AcceleratorConfig {
+                    pe: PeConfig { tin, tout },
+                    inout_buf_bytes,
+                    weight_buf_bytes,
+                    bias_buf_bytes,
+                    dram_bytes_per_cycle,
+                    freq_mhz,
+                },
+            machine:
+                MachineOptions {
+                    overlap_dma,
+                    add_store_on_critical_path,
+                },
+            batch,
+        } = *self;
+        // The kind's tag, then its parameters, zero-padded to six.
+        let (tag, params): (u64, [usize; 6]) = match kind {
+            LayerKind::Conv(ConvParams {
+                in_maps,
+                out_maps,
+                kernel,
+                stride,
+                pad,
+                groups,
+            }) => (0, [in_maps, out_maps, kernel, stride, pad, groups]),
+            LayerKind::Pool(PoolParams {
+                kernel,
+                stride,
+                kind,
+                ceil_mode,
+            }) => (1, [kernel, stride, kind as usize, ceil_mode.into(), 0, 0]),
+            LayerKind::FullyConnected(FcParams {
+                in_features,
+                out_features,
+            }) => (2, [in_features, out_features, 0, 0, 0, 0]),
+            LayerKind::Eltwise(EltwiseParams { op }) => (3, [op as usize, 0, 0, 0, 0, 0]),
+        };
+        let head = tag
+            | (scheme as u64) << 8
+            | u64::from(overlap_dma) << 16
+            | u64::from(add_store_on_critical_path) << 24;
+        let words: [u64; PACKED_WORDS] = [
+            head,
+            params[0] as u64,
+            params[1] as u64,
+            params[2] as u64,
+            params[3] as u64,
+            params[4] as u64,
+            params[5] as u64,
+            maps as u64,
+            height as u64,
+            width as u64,
+            tin as u64,
+            tout as u64,
+            inout_buf_bytes as u64,
+            weight_buf_bytes as u64,
+            bias_buf_bytes as u64,
+            dram_bytes_per_cycle as u64,
+            freq_mhz,
+            batch as u64,
+        ];
+        let mut out = [0u8; PACKED_WORDS * 8];
+        for (bytes, word) in out.chunks_exact_mut(8).zip(words) {
+            bytes.copy_from_slice(&word.to_le_bytes());
+        }
+        out
+    }
 }
+
+impl Hash for LayerKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(&self.packed());
+    }
+}
+
+/// A [`LayerKey`] and its keyed hash, computed once. The cache map and
+/// the runner's per-run de-dup map are keyed by it, so every probe,
+/// insert and growth rehash of one visit reuses the one hash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct HashedKey {
+    hash: u64,
+    pub(crate) key: LayerKey,
+}
+
+impl HashedKey {
+    /// Hashes `key` with SipHash under one [`RandomState`] drawn per
+    /// process. The hash stays keyed because keys arrive in wire
+    /// requests: a fixed hash would let a client pick colliding keys.
+    pub(crate) fn new(key: LayerKey) -> Self {
+        static STATE: OnceLock<RandomState> = OnceLock::new();
+        let hash = STATE.get_or_init(RandomState::new).hash_one(key);
+        Self { hash, key }
+    }
+}
+
+impl Hash for HashedKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The hasher of maps keyed by [`HashedKey`]: it hands back the stored
+/// hash unchanged.
+#[derive(Default)]
+pub(crate) struct PassThroughHasher(u64);
+
+impl Hasher for PassThroughHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only a HashedKey, which writes one u64, is hashed here");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by [`HashedKey`] that never hashes a key again.
+pub(crate) type HashedMap<V> = HashMap<HashedKey, V, BuildHasherDefault<PassThroughHasher>>;
 
 /// A compiled layer together with its simulated statistics.
 #[derive(Debug, Clone)]
@@ -99,11 +258,13 @@ pub struct CachedLayer {
     pub stats: Stats,
 }
 
-/// A cache entry plus the logical clock of its last lookup, so
+/// A cache entry plus the logical clock of its last use, so
 /// [`CompiledLayerCache::evict_lru`] can drop the coldest entries first.
+/// The map holds each slot behind an [`Arc`], so a handle stays valid
+/// after the entry is evicted and stamping it needs no lookup.
 #[derive(Debug)]
-struct Slot {
-    value: Arc<CachedLayer>,
+pub(crate) struct Slot {
+    pub(crate) value: Arc<CachedLayer>,
     last_used: AtomicU64,
 }
 
@@ -128,7 +289,7 @@ struct Slot {
 /// ```
 #[derive(Debug, Default)]
 pub struct CompiledLayerCache {
-    entries: RwLock<HashMap<LayerKey, Slot>>,
+    entries: RwLock<HashedMap<Arc<Slot>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -150,26 +311,34 @@ impl CompiledLayerCache {
     /// Whether the key is already cached (does not touch the counters
     /// or the entry's recency).
     pub fn contains(&self, key: &LayerKey) -> bool {
-        self.entries.read().expect("cache lock").contains_key(key)
+        self.entries
+            .read()
+            .expect("cache lock")
+            .contains_key(&HashedKey::new(*key))
     }
 
-    /// Stamps a slot with the next logical-clock tick. Recency updates
-    /// happen under the read lock: `last_used` is atomic, so concurrent
-    /// readers race only over which recent tick wins — either keeps the
-    /// entry hot.
-    fn touch(&self, slot: &Slot) -> Arc<CachedLayer> {
+    /// The slot holding `key`, without touching the counters or the
+    /// entry's recency.
+    pub(crate) fn lookup(&self, key: &HashedKey) -> Option<Arc<Slot>> {
+        self.entries.read().expect("cache lock").get(key).cloned()
+    }
+
+    /// Stamps a slot with the next logical-clock tick and returns its
+    /// entry. `last_used` is atomic, so this needs no write lock:
+    /// concurrent stampers race only over which recent tick wins, and
+    /// either keeps the entry hot. Stamping the handle of an entry
+    /// evicted meanwhile changes nothing the cache holds.
+    pub(crate) fn touch(&self, slot: &Slot) -> Arc<CachedLayer> {
         let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         slot.last_used.store(now, Ordering::Relaxed);
         Arc::clone(&slot.value)
     }
 
     /// Looks up a key without touching the counters (the entry's LRU
-    /// recency is still refreshed). The runner uses this for its merge
-    /// pass, whose hits were already accounted by the serial pre-pass
-    /// (see [`crate::Runner::run_network`]).
+    /// recency is still refreshed).
     pub fn peek(&self, key: &LayerKey) -> Option<Arc<CachedLayer>> {
         let map = self.entries.read().expect("cache lock");
-        map.get(key).map(|slot| self.touch(slot))
+        map.get(&HashedKey::new(*key)).map(|slot| self.touch(slot))
     }
 
     /// Adds externally-accounted lookups to the global counters (the
@@ -182,34 +351,43 @@ impl CompiledLayerCache {
 
     /// Looks up a key, counting a global hit or miss.
     pub fn get(&self, key: &LayerKey) -> Option<Arc<CachedLayer>> {
+        self.get_hashed(&HashedKey::new(*key))
+    }
+
+    fn get_hashed(&self, key: &HashedKey) -> Option<Arc<CachedLayer>> {
         let found = {
             let map = self.entries.read().expect("cache lock");
             map.get(key).map(|slot| self.touch(slot))
         };
-        match found {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Inserts an entry computed elsewhere. Returns the entry that ends up
     /// in the cache (the existing one if another thread got there first,
     /// so concurrent same-key compiles converge on one allocation).
     pub fn insert(&self, key: LayerKey, value: CachedLayer) -> Arc<CachedLayer> {
+        Arc::clone(&self.insert_hashed(HashedKey::new(key), value).value)
+    }
+
+    /// [`CompiledLayerCache::insert`] for a hashed key, returning the slot
+    /// that ends up in the cache.
+    pub(crate) fn insert_hashed(&self, key: HashedKey, value: CachedLayer) -> Arc<Slot> {
         let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let mut map = self.entries.write().expect("cache lock");
-        let slot = map.entry(key).or_insert_with(|| Slot {
-            value: Arc::new(value),
-            last_used: AtomicU64::new(now),
+        let slot = map.entry(key).or_insert_with(|| {
+            Arc::new(Slot {
+                value: Arc::new(value),
+                last_used: AtomicU64::new(now),
+            })
         });
         slot.last_used.store(now, Ordering::Relaxed);
-        Arc::clone(&slot.value)
+        Arc::clone(slot)
     }
 
     /// Evicts least-recently-used entries until at most `max` remain,
@@ -222,12 +400,12 @@ impl CompiledLayerCache {
         if map.len() <= max {
             return 0;
         }
-        let mut order: Vec<(u64, Vec<u8>, LayerKey)> = map
+        let mut order: Vec<(u64, Vec<u8>, HashedKey)> = map
             .iter()
             .map(|(key, slot)| {
                 (
                     slot.last_used.load(Ordering::Relaxed),
-                    crate::persist::key_bytes(key),
+                    crate::persist::key_bytes(&key.key),
                     *key,
                 )
             })
@@ -252,11 +430,12 @@ impl CompiledLayerCache {
         key: LayerKey,
         compute: impl FnOnce() -> Result<CachedLayer, E>,
     ) -> Result<(Arc<CachedLayer>, bool), E> {
-        if let Some(found) = self.get(&key) {
+        let key = HashedKey::new(key);
+        if let Some(found) = self.get_hashed(&key) {
             return Ok((found, true));
         }
-        let value = compute()?;
-        Ok((self.insert(key, value), false))
+        let slot = self.insert_hashed(key, compute()?);
+        Ok((Arc::clone(&slot.value), false))
     }
 
     /// A point-in-time copy of every entry (cheap: values are `Arc`s).
@@ -267,7 +446,7 @@ impl CompiledLayerCache {
             .read()
             .expect("cache lock")
             .iter()
-            .map(|(k, slot)| (*k, Arc::clone(&slot.value)))
+            .map(|(k, slot)| (k.key, Arc::clone(&slot.value)))
             .collect()
     }
 
@@ -365,6 +544,42 @@ mod tests {
         let b = LayerKey::new(pool, Scheme::Intra, &cfg, &opts);
         assert_eq!(a, b);
         assert_eq!(a.scheme, Scheme::Inter);
+    }
+
+    #[test]
+    fn packed_encoding_tells_every_field_apart() {
+        // Each zoo key under every scheme, and under a change to each
+        // field outside the layer itself.
+        let tweaks: [fn(&mut LayerKey); 10] = [
+            |k| k.cfg.pe.tin += 1,
+            |k| k.cfg.pe.tout += 1,
+            |k| k.cfg.inout_buf_bytes += 1,
+            |k| k.cfg.weight_buf_bytes += 1,
+            |k| k.cfg.bias_buf_bytes += 1,
+            |k| k.cfg.dram_bytes_per_cycle += 1,
+            |k| k.cfg.freq_mhz += 1,
+            |k| k.machine.overlap_dma ^= true,
+            |k| k.machine.add_store_on_critical_path ^= true,
+            |k| k.batch += 1,
+        ];
+        let cfg = AcceleratorConfig::paper_16_16();
+        let opts = RunOptions::default();
+        let mut keys = std::collections::HashSet::new();
+        for net in zoo::all() {
+            for layer in net.layers() {
+                for scheme in Scheme::ALL {
+                    let key = LayerKey::new(layer, scheme, &cfg, &opts);
+                    keys.insert(key);
+                    for tweak in tweaks {
+                        let mut changed = key;
+                        tweak(&mut changed);
+                        keys.insert(changed);
+                    }
+                }
+            }
+        }
+        let packed: std::collections::HashSet<_> = keys.iter().map(LayerKey::packed).collect();
+        assert_eq!(packed.len(), keys.len());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! byte-identical to a serial one.
 
 use crate::adaptive::{scheme_for, Policy};
-use crate::cache::{CachedLayer, CompiledLayerCache, LayerKey};
+use crate::cache::{CachedLayer, CompiledLayerCache, HashedKey, HashedMap, LayerKey, Slot};
 use crate::error::RunError;
 use crate::pool::try_parallel_map;
 use cbrain_compiler::cost::analytic_cost;
@@ -16,7 +16,7 @@ use cbrain_compiler::{
 };
 use cbrain_model::{Layer, LayerKind, Network};
 use cbrain_sim::{AcceleratorConfig, EnergyBreakdown, EnergyModel, Machine, MachineOptions, Stats};
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::sync::Arc;
 
@@ -142,7 +142,10 @@ pub struct LayerReport {
     pub name: String,
     /// Scheme used (None for pooling).
     pub scheme: Option<Scheme>,
-    /// Simulation statistics (transform cost included in `cycles`).
+    /// Simulation statistics of the layer's own program. An explicit
+    /// layout transform before the layer is not included: its cycles are
+    /// in `layout_transform_cycles`, and its stats only in the run's
+    /// [`NetworkReport::totals`].
     pub stats: Stats,
     /// The 100%-utilization lower bound the paper plots as "ideal".
     pub ideal_cycles: u64,
@@ -259,6 +262,29 @@ pub trait CompileBackend: Send + Sync + fmt::Debug {
     ) -> Result<(), RunError>;
 }
 
+/// Where a probed key's entry comes from: the slot the cache held at
+/// the probe, or an index into the run's compile work-list.
+enum Probe {
+    Cached(Arc<Slot>),
+    Queued(usize),
+}
+
+/// A key a layer's plan visited: its scheme (the selection tie-break)
+/// and the slot holding its entry.
+type Visit = (Scheme, Arc<Slot>);
+
+/// Resolves one layer's probes against the slots its compile work-list
+/// produced, keeping the probe order.
+fn resolve(probes: Vec<(Scheme, Probe)>, compiled: &[Arc<Slot>]) -> Vec<Visit> {
+    probes
+        .into_iter()
+        .map(|(scheme, probe)| match probe {
+            Probe::Cached(slot) => (scheme, slot),
+            Probe::Queued(i) => (scheme, Arc::clone(&compiled[i])),
+        })
+        .collect()
+}
+
 /// What a run's plan-and-compile phase hands its merge pass.
 struct Planned {
     hits: u64,
@@ -358,23 +384,37 @@ impl Runner {
 
     /// Executes a compile work-list: through the installed
     /// [`CompileBackend`] if one is present, else over the in-process
-    /// pool with [`RunOptions::jobs`] workers. On success every key in
-    /// the list is present in the cache.
-    fn compile_worklist(&self, worklist: Vec<(LayerKey, &Layer)>) -> Result<(), RunError> {
+    /// pool with [`RunOptions::jobs`] workers. Returns the cache slot of
+    /// each key, in work-list order. A key the backend cached but that is
+    /// gone when the runner looks it up (a concurrent
+    /// [`CompiledLayerCache::evict_lru`]) is compiled here: an entry is a
+    /// pure function of its key.
+    fn compile_worklist(
+        &self,
+        worklist: Vec<(HashedKey, &Layer)>,
+    ) -> Result<Vec<Arc<Slot>>, RunError> {
         if let Some(backend) = &self.backend {
             let owned = worklist
-                .into_iter()
-                .map(|(key, layer)| (key, layer.clone()))
+                .iter()
+                .map(|&(key, layer)| (key.key, layer.clone()))
                 .collect();
-            return backend.compile_batch(&self.cache, owned);
+            backend.compile_batch(&self.cache, owned)?;
+            return worklist
+                .into_iter()
+                .map(|(key, layer)| match self.cache.lookup(&key) {
+                    Some(slot) => Ok(slot),
+                    None => compile_cache_entry(layer, &key.key)
+                        .map(|entry| self.cache.insert_hashed(key, entry)),
+                })
+                .collect();
         }
         let compiled = try_parallel_map(self.opts.jobs, worklist, |(key, layer)| {
-            compile_cache_entry(layer, &key).map(|entry| (key, entry))
+            compile_cache_entry(layer, &key.key).map(|entry| (key, entry))
         })?;
-        for (key, entry) in compiled {
-            self.cache.insert(key, entry);
-        }
-        Ok(())
+        Ok(compiled
+            .into_iter()
+            .map(|(key, entry)| self.cache.insert_hashed(key, entry))
+            .collect())
     }
 
     /// The pruned oracle's per-layer visit order: every scheme paired
@@ -407,6 +447,15 @@ impl Runner {
     /// whatever was simulated, and every possible minimum is.
     const PRUNED_SPECULATION: usize = 2;
 
+    /// The pruned oracle's serial probe: the slot holding `key`, compiled
+    /// on the spot on a miss. The boolean is `true` on a hit.
+    fn visit(&self, key: HashedKey, layer: &Layer) -> Result<(Arc<Slot>, bool), RunError> {
+        match self.cache.lookup(&key) {
+            Some(slot) => Ok((slot, true)),
+            None => Ok((self.compile_worklist(vec![(key, layer)])?.remove(0), false)),
+        }
+    }
+
     /// The pruned oracle's phase 1+2: simulate the two cheapest-bound
     /// candidates unconditionally (compiled as one batch through the
     /// pool or [`CompileBackend`]), then visit the remaining schemes
@@ -426,40 +475,36 @@ impl Runner {
         for &layer in layers {
             if layer.as_conv().is_none() {
                 let key = LayerKey::new(layer, Scheme::Inter, &self.cfg, &self.opts);
-                if self.cache.contains(&key) {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                    self.compile_worklist(vec![(key, layer)])?;
-                }
-                visited.push(vec![key]);
+                let (slot, hit) = self.visit(HashedKey::new(key), layer)?;
+                hits += u64::from(hit);
+                misses += u64::from(!hit);
+                visited.push(vec![(key.scheme, slot)]);
                 continue;
             }
             let order = self.pruned_scheme_order(layer)?;
             let spec_n = order.len().min(Self::PRUNED_SPECULATION);
 
             // Speculative prefix: account, then compile as one batch.
-            let mut keys = Vec::with_capacity(order.len());
-            let mut pair: Vec<(LayerKey, &Layer)> = Vec::new();
+            let mut probes = Vec::with_capacity(spec_n);
+            let mut pair: Vec<(HashedKey, &Layer)> = Vec::new();
             for &(_, scheme) in &order[..spec_n] {
-                let key = LayerKey::new(layer, scheme, &self.cfg, &self.opts);
-                if self.cache.contains(&key) {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                    pair.push((key, layer));
-                }
-                keys.push(key);
+                let key = HashedKey::new(LayerKey::new(layer, scheme, &self.cfg, &self.opts));
+                let probe = match self.cache.lookup(&key) {
+                    Some(slot) => {
+                        hits += 1;
+                        Probe::Cached(slot)
+                    }
+                    None => {
+                        misses += 1;
+                        pair.push((key, layer));
+                        Probe::Queued(pair.len() - 1)
+                    }
+                };
+                probes.push((scheme, probe));
             }
-            self.compile_worklist(pair)?;
-            let mut best: Option<u64> = None;
-            for key in &keys {
-                let entry = self
-                    .cache
-                    .peek(key)
-                    .expect("the speculative pair was just compiled");
-                best = Some(best.map_or(entry.stats.cycles, |b| b.min(entry.stats.cycles)));
-            }
+            let compiled = self.compile_worklist(pair)?;
+            let mut visits = resolve(probes, &compiled);
+            let mut best = visits.iter().map(|(_, slot)| slot.value.stats.cycles).min();
 
             // Tail: serial bound-skip, each result tightening the bound.
             for &(bound, scheme) in &order[spec_n..] {
@@ -467,26 +512,17 @@ impl Runner {
                     continue;
                 }
                 let key = LayerKey::new(layer, scheme, &self.cfg, &self.opts);
-                let entry = match self.cache.peek(&key) {
-                    Some(entry) => {
-                        hits += 1;
-                        entry
-                    }
-                    None => {
-                        misses += 1;
-                        self.compile_worklist(vec![(key, layer)])?;
-                        self.cache
-                            .peek(&key)
-                            .expect("compile_worklist cached the key")
-                    }
-                };
-                best = Some(best.map_or(entry.stats.cycles, |b| b.min(entry.stats.cycles)));
-                keys.push(key);
+                let (slot, hit) = self.visit(HashedKey::new(key), layer)?;
+                hits += u64::from(hit);
+                misses += u64::from(!hit);
+                let cycles = slot.value.stats.cycles;
+                best = Some(best.map_or(cycles, |b| b.min(cycles)));
+                visits.push((scheme, slot));
             }
             // Winner re-fetch, mirroring the exhaustive Oracle's
             // accounting convention.
             hits += 1;
-            visited.push(keys);
+            visited.push(visits);
         }
         self.cache.record(hits, misses);
         Ok(Planned {
@@ -509,57 +545,75 @@ impl Runner {
         if policy == Policy::OraclePruned {
             return self.plan_and_compile_pruned(layers);
         }
-        let mut seen: HashSet<LayerKey> = HashSet::new();
+        // Each work-list key's index, so a repeat probe in this run
+        // shares the first probe's compile.
+        let mut seen: HashedMap<usize> = HashedMap::default();
         let mut hits = 0u64;
         let mut misses = 0u64;
-        let mut worklist: Vec<(LayerKey, &Layer)> = Vec::new();
+        let mut worklist: Vec<(HashedKey, &Layer)> = Vec::new();
         let mut probes = Vec::with_capacity(layers.len());
-        for layer in layers {
+        for &layer in layers {
             let keys = self.probe_keys(layer, policy);
-            for &key in &keys {
-                if self.cache.contains(&key) || seen.contains(&key) {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                    seen.insert(key);
-                    worklist.push((key, layer));
-                }
+            let mut layer_probes = Vec::with_capacity(keys.len());
+            for key in keys {
+                let key = HashedKey::new(key);
+                let probe = match self.cache.lookup(&key) {
+                    Some(slot) => {
+                        hits += 1;
+                        Probe::Cached(slot)
+                    }
+                    None => match seen.entry(key) {
+                        Entry::Occupied(queued) => {
+                            hits += 1;
+                            Probe::Queued(*queued.get())
+                        }
+                        Entry::Vacant(slot) => {
+                            misses += 1;
+                            slot.insert(worklist.len());
+                            worklist.push((key, layer));
+                            Probe::Queued(worklist.len() - 1)
+                        }
+                    },
+                };
+                layer_probes.push((key.key.scheme, probe));
             }
             if policy == Policy::Oracle && layer.as_conv().is_some() {
                 // After the sweep the winning scheme is fetched back out
                 // of the cache: a guaranteed hit on every Oracle layer.
                 hits += 1;
             }
-            probes.push(keys);
+            probes.push(layer_probes);
         }
-        self.compile_worklist(worklist)?;
+        let compiled = self.compile_worklist(worklist)?;
         self.cache.record(hits, misses);
+        let visited: Vec<Vec<Visit>> = probes
+            .into_iter()
+            .map(|layer_probes| resolve(layer_probes, &compiled))
+            .collect();
         Ok(Planned {
             hits,
             misses,
-            entries: self.choose(&probes),
+            entries: self.choose(&visited),
         })
     }
 
-    /// Fetches, layer by layer, every key a layer's plan visited and picks
-    /// the entry it executes: the fewest cycles, ties broken in
-    /// `Scheme::ALL` order — the Oracle's selection, and for a single key
-    /// just that key. A scheme the pruned oracle skipped has a lower bound
-    /// above the final minimum, so every minimum (and every
-    /// `Scheme::ALL`-order tie for it) was visited. Every key must already
-    /// be cached; the lookups run after every compile and in layer order,
-    /// so LRU recency follows the run's layer order.
-    fn choose(&self, visited: &[Vec<LayerKey>]) -> Vec<Arc<CachedLayer>> {
+    /// Stamps, layer by layer, the slot of every key a layer's plan
+    /// visited and picks the entry it executes: the fewest cycles, ties
+    /// broken in `Scheme::ALL` order — the Oracle's selection, and for a
+    /// single key just that key. A scheme the pruned oracle skipped has a
+    /// lower bound above the final minimum, so every minimum (and every
+    /// `Scheme::ALL`-order tie for it) was visited. The stamps run after
+    /// every compile and in layer order, so LRU recency follows the run's
+    /// layer order.
+    fn choose(&self, visited: &[Vec<Visit>]) -> Vec<Arc<CachedLayer>> {
         visited
             .iter()
-            .map(|keys| {
-                keys.iter()
-                    .map(|key| {
-                        let entry = self
-                            .cache
-                            .peek(key)
-                            .expect("plan_and_compile cached every visited key");
-                        let rank = Scheme::ALL.iter().position(|&s| s == key.scheme);
+            .map(|visits| {
+                visits
+                    .iter()
+                    .map(|(scheme, slot)| {
+                        let entry = self.cache.touch(slot);
+                        let rank = Scheme::ALL.iter().position(|s| s == scheme);
                         (entry.stats.cycles, rank, entry)
                     })
                     .min_by_key(|&(cycles, rank, _)| (cycles, rank))
@@ -862,6 +916,31 @@ mod tests {
     }
 
     #[test]
+    fn layout_transforms_count_in_totals_not_in_layer_stats() {
+        let report = Runner::with_options(
+            AcceleratorConfig::paper_16_16(),
+            RunOptions {
+                layout_planning: false,
+                ..RunOptions::default()
+            },
+        )
+        .run_network(&zoo::alexnet(), Policy::PAPER_ARMS[3])
+        .unwrap();
+        let transforms: u64 = report
+            .layers
+            .iter()
+            .map(|l| l.layout_transform_cycles)
+            .sum();
+        assert!(transforms > 0);
+        let sum: u64 = report
+            .layers
+            .iter()
+            .map(|l| l.stats.cycles + l.layout_transform_cycles)
+            .sum();
+        assert_eq!(report.cycles(), sum);
+    }
+
+    #[test]
     fn oracle_never_loses_to_any_fixed_scheme() {
         let r = runner();
         for net in zoo::all() {
@@ -1017,6 +1096,90 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Caches every entry, then empties the cache: a daemon's `evict`
+    /// landing between a run's compile and its merge.
+    #[derive(Debug)]
+    struct EvictingBackend;
+
+    impl CompileBackend for EvictingBackend {
+        fn compile_batch(
+            &self,
+            cache: &CompiledLayerCache,
+            worklist: Vec<(LayerKey, Layer)>,
+        ) -> Result<(), RunError> {
+            for (key, layer) in worklist {
+                cache.insert(key, compile_cache_entry(&layer, &key)?);
+            }
+            cache.evict_lru(0);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn eviction_between_compile_and_merge_leaves_the_report_unchanged() {
+        let net = zoo::googlenet();
+        for policy in [Policy::PAPER_ARMS[4], Policy::Oracle, Policy::OraclePruned] {
+            let plain = runner().run_network(&net, policy).unwrap();
+            let evicted = runner()
+                .with_compile_backend(Arc::new(EvictingBackend))
+                .run_network(&net, policy)
+                .unwrap();
+            // Only the hit/miss counters may differ: an evicted key that
+            // the run probes again misses again.
+            assert_eq!(
+                format!("{:?}", plain.layers),
+                format!("{:?}", evicted.layers),
+                "{policy}"
+            );
+            assert_eq!(plain.totals, evicted.totals, "{policy}");
+        }
+    }
+
+    #[test]
+    fn lru_recency_follows_layer_order_after_a_run() {
+        let r = runner();
+        let (cfg, opts) = (*r.config(), *r.options());
+        let googlenet = zoo::googlenet();
+        let alexnet = zoo::alexnet();
+        let runs = [
+            (&googlenet, r.run_network(&googlenet, Policy::PAPER_ARMS[4])),
+            (&alexnet, r.run_network(&alexnet, Policy::Oracle)),
+        ];
+        // Every key the runs visited, in visit order: the report's scheme
+        // for one layer, or all of `Scheme::ALL` for an Oracle conv layer.
+        let mut visits = Vec::new();
+        for (net, report) in &runs {
+            let report = report.as_ref().unwrap();
+            for lr in &report.layers {
+                let layer = net.layer(&lr.name).unwrap();
+                let schemes = if report.policy == Policy::Oracle && layer.as_conv().is_some() {
+                    Scheme::ALL.to_vec()
+                } else {
+                    vec![lr.scheme.unwrap_or(Scheme::Inter)]
+                };
+                visits.extend(
+                    schemes
+                        .into_iter()
+                        .map(|s| LayerKey::new(layer, s, &cfg, &opts)),
+                );
+            }
+        }
+        // Oldest first, each key at its last visit.
+        let mut expected: Vec<LayerKey> = Vec::new();
+        for key in visits {
+            expected.retain(|k| *k != key);
+            expected.push(key);
+        }
+        let cache = r.cache();
+        assert_eq!(cache.len(), expected.len());
+        for (i, key) in expected.iter().enumerate() {
+            assert!(cache.contains(key), "key {i} left early");
+            assert_eq!(cache.evict_lru(cache.len() - 1), 1);
+            assert!(!cache.contains(key), "key {i} stayed");
+        }
+        assert!(cache.is_empty());
     }
 
     #[test]

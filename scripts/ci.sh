@@ -39,6 +39,13 @@ echo "==> idle soak with the telemetry kill switch (counters must stay exact wit
 # histogram counts that the kill switch legitimately blanks.
 CBRAIN_TELEMETRY=off cargo test --test serving -q idle_soak
 
+if [[ $quick -eq 0 ]]; then
+    echo "==> overload admission test, 20 release runs (its shed must not depend on request speed)"
+    for _ in $(seq 20); do
+        cargo test --release --test serving -q overloaded_daemon_sheds_with_busy_yet_every_client_converges
+    done
+fi
+
 echo "==> cargo test --workspace --doc -q"
 cargo test --workspace --doc -q
 

@@ -10,7 +10,7 @@ use cbrain_serve::wire::{Event, NetworkSource, Request, RunRequest};
 use cbrain_serve::{Client, ClientError};
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread;
 use std::time::Duration;
 
@@ -116,7 +116,7 @@ fn exclusive_thread_counts() -> RwLockWriteGuard<'static, ()> {
 fn overloaded_daemon_sheds_with_busy_yet_every_client_converges() {
     let _threads = exclusive_thread_counts();
     // A deliberately tiny daemon: 2 connection workers and a queue of
-    // one, so 8 concurrent clients are guaranteed to overflow admission.
+    // one, so it sheds arrivals once 2 + 1 connections occupy it.
     let daemon = Daemon::bind(
         "127.0.0.1:0",
         DaemonOptions {
@@ -158,11 +158,16 @@ fn overloaded_daemon_sheds_with_busy_yet_every_client_converges() {
         })
         .collect();
 
+    // The overload must not hang on how long a request takes, so the
+    // test makes it: silent connections that never say hello count as
+    // occupancy, and workers + high water (here the queue depth) of them
+    // fill the daemon. Every client is shed until they are released,
+    // which happens once each client has seen a busy answer.
+    let mut holders: Vec<std::net::TcpStream> = (0..2 + 1)
+        .map(|_| std::net::TcpStream::connect(&addr).expect("connect holder"))
+        .collect();
     let busy_seen = AtomicU64::new(0);
-    // All eight dial at once: one exchange takes about a millisecond,
-    // so clients dialing as their threads happen to start could each
-    // finish before the next arrives and never overload the daemon.
-    let start = Barrier::new(runs.len());
+    let clients_shed = AtomicU64::new(0);
     let mut peak_threads = os_thread_count();
     thread::scope(|scope| {
         let handles: Vec<_> = runs
@@ -170,12 +175,12 @@ fn overloaded_daemon_sheds_with_busy_yet_every_client_converges() {
             .map(|run| {
                 let addr = addr.clone();
                 let busy_seen = &busy_seen;
-                let start = &start;
+                let clients_shed = &clients_shed;
                 scope.spawn(move || {
-                    start.wait();
                     // A zero busy budget surfaces every shed answer so
                     // the test can count them; the manual retry loop
                     // then honours the daemon's hint by hand.
+                    let mut shed = false;
                     loop {
                         match Client::builder(&addr).busy_wait(Duration::ZERO).connect() {
                             Ok(mut client) => {
@@ -184,6 +189,10 @@ fn overloaded_daemon_sheds_with_busy_yet_every_client_converges() {
                             }
                             Err(ClientError::Busy { retry_after_ms, .. }) => {
                                 busy_seen.fetch_add(1, Ordering::SeqCst);
+                                if !shed {
+                                    shed = true;
+                                    clients_shed.fetch_add(1, Ordering::SeqCst);
+                                }
                                 thread::sleep(Duration::from_millis(retry_after_ms.max(1)));
                             }
                             Err(e) => panic!("unexpected client failure: {e}"),
@@ -193,6 +202,9 @@ fn overloaded_daemon_sheds_with_busy_yet_every_client_converges() {
             })
             .collect();
         while handles.iter().any(|h| !h.is_finished()) {
+            if clients_shed.load(Ordering::SeqCst) == runs.len() as u64 {
+                holders.clear();
+            }
             peak_threads = peak_threads.max(os_thread_count());
             thread::sleep(Duration::from_millis(5));
         }
