@@ -249,7 +249,9 @@ pub fn compile_cache_entry(layer: &Layer, key: &LayerKey) -> Result<CachedLayer,
 /// reordering yields the same cache contents.
 pub trait CompileBackend: Send + Sync + fmt::Debug {
     /// Compiles every `(key, layer)` pair and makes each key present in
-    /// `cache` before returning.
+    /// `cache` before returning. A concurrent
+    /// [`CompiledLayerCache::evict_lru`] may drop an entry again before
+    /// the runner reads it; the runner then compiles that key itself.
     ///
     /// # Errors
     ///

@@ -116,11 +116,16 @@ impl CompileBackend for CompileBatcher {
         let mut rounds = 0u32;
         loop {
             let mut st = self.state.lock().expect("batcher lock");
-            // Resolved? (Failures surface the stored message.)
+            // Resolved? (Failures surface the stored message.) A key
+            // counts once it is cached or has left the queue: the daemon
+            // answers `evict` while batches run, so a compiled key can be
+            // gone again already, and the runner compiles such a key
+            // itself. Waiting for it to reappear would spin forever.
             if let Some(msg) = my_keys.iter().find_map(|k| st.failed.get(k)) {
                 return Err(RunError::Backend(msg.clone()));
             }
-            if my_keys.iter().all(|k| cache.contains(k)) {
+            let waiting = |k: &LayerKey| st.queued.contains(k) || st.inflight.contains(k);
+            if my_keys.iter().all(|k| cache.contains(k) || !waiting(k)) {
                 return Ok(());
             }
             if st.worker_running {
@@ -175,8 +180,11 @@ mod tests {
     use super::*;
     use cbrain::{Policy, RunOptions, Runner};
     use cbrain_model::zoo;
-    use cbrain_sim::AcceleratorConfig;
+    use cbrain_sim::{AcceleratorConfig, PeConfig};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc::{self, RecvTimeoutError};
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn batched_runner_matches_direct_runner() {
@@ -191,6 +199,53 @@ mod tests {
             .run_network(&net, Policy::Oracle)
             .unwrap();
         assert_eq!(format!("{direct:?}"), format!("{batched:?}"));
+    }
+
+    #[test]
+    fn batched_runs_finish_while_the_cache_is_emptied() {
+        let cache = CompiledLayerCache::shared();
+        let batcher = Arc::new(CompileBatcher::new(1));
+        let stop = Arc::new(AtomicBool::new(false));
+        // What a stream of `evict 0` requests does to a daemon's cache
+        // while its workers compile.
+        let evictor = {
+            let (cache, stop) = (Arc::clone(&cache), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    cache.evict_lru(0);
+                    std::thread::yield_now();
+                }
+            })
+        };
+        let (done, finished) = mpsc::channel();
+        let runs = std::thread::spawn(move || {
+            let net = zoo::alexnet();
+            for tin in 4..12 {
+                let cfg = AcceleratorConfig::with_pe(PeConfig::new(tin, 8));
+                let plain = Runner::new(cfg).run_network(&net, Policy::Oracle).unwrap();
+                let batched = Runner::new(cfg)
+                    .with_cache(Arc::clone(&cache))
+                    .with_compile_backend(batcher.clone())
+                    .run_network(&net, Policy::Oracle)
+                    .unwrap();
+                assert_eq!(
+                    format!("{:?}", plain.layers),
+                    format!("{:?}", batched.layers)
+                );
+                assert_eq!(plain.totals, batched.totals);
+            }
+            done.send(()).expect("the test waits for the runs");
+        });
+        // A stalled run cannot be joined; fail instead of hanging.
+        let outcome = finished.recv_timeout(Duration::from_secs(60));
+        stop.store(true, Ordering::Relaxed);
+        assert_ne!(
+            outcome,
+            Err(RecvTimeoutError::Timeout),
+            "a batched run stalled while the cache was emptied"
+        );
+        runs.join().expect("runs thread");
+        evictor.join().expect("evictor thread");
     }
 
     #[test]
