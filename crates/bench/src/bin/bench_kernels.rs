@@ -18,6 +18,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use cbrain::functional::{improved_inter_forward, unrolled_forward};
+use cbrain::persist::fnv1a64;
 use cbrain_compiler::{compile_conv, Scheme};
 use cbrain_model::rng::XorShift64;
 use cbrain_model::{reference, simd, zoo, ConvParams, ConvWeights, FcParams, Tensor3, TensorShape};
@@ -31,17 +32,20 @@ struct Row {
     identical: bool,
 }
 
-/// FNV-1a over a byte stream — enough to certify the two legs produced
-/// the same bits (elementwise bit-parity is proven by `tests/prop_simd.rs`;
-/// this is the honesty check that the bench ran what it claims).
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    bytes.fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x1_0000_01b3)
-    })
-}
-
+/// FNV-1a over the values' bytes — enough to certify the two legs
+/// produced the same bits (elementwise bit-parity is proven by
+/// `tests/prop_simd.rs`; this is the honesty check that the bench ran what
+/// it claims). It runs inside the timed closures, so it reads the slice in
+/// place instead of copying it.
 fn digest_f32(values: &[f32]) -> u64 {
-    fnv1a(values.iter().flat_map(|v| v.to_bits().to_le_bytes()))
+    // SAFETY: `f32` has no padding and every byte of it is initialized, so
+    // its memory is a valid `[u8]` of `size_of_val` bytes for the slice's
+    // lifetime. The view is in native byte order, which is all comparing
+    // two legs in one process needs.
+    let bytes = unsafe {
+        std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), std::mem::size_of_val(values))
+    };
+    fnv1a64(bytes)
 }
 
 /// Runs one leg: pins the backend, takes one warm-up (whose digest is
@@ -152,7 +156,7 @@ fn rows(samples: usize) -> Vec<Row> {
     let compiled = compile_conv(layer, Scheme::Inter, &cfg).expect("compiles");
     out.push(run_pair("mac_burst_sim_vgg_conv3_2", samples, &|| {
         let stats = machine.run(&compiled.program);
-        fnv1a(format!("{stats:?}").bytes())
+        fnv1a64(format!("{stats:?}").as_bytes())
     }));
 
     out

@@ -13,7 +13,7 @@
 //! `CBRAIN_CACHE=off`; all notices go to stderr so experiment stdout
 //! stays byte-identical either way.
 
-use cbrain::persist::{self, LoadOutcome};
+use cbrain::persist;
 use cbrain::{CompileBackend, CompiledLayerCache, RunOptions, Runner};
 use cbrain_fleet::FleetRouter;
 use cbrain_sim::AcceleratorConfig;
@@ -71,21 +71,7 @@ pub fn init_for_binary() -> PersistGuard {
     let Some(path) = persist::resolved_cache_file() else {
         return PersistGuard { path: None };
     };
-    let cache = shared_cache();
-    match persist::load_into(&cache, &path) {
-        Ok(LoadOutcome::Loaded { entries }) => {
-            eprintln!("cache: loaded {entries} entries from {}", path.display());
-        }
-        Ok(LoadOutcome::Missing) => {}
-        Ok(LoadOutcome::VersionMismatch { found }) => {
-            eprintln!(
-                "cache: ignoring {} (format v{found}, expected v{})",
-                path.display(),
-                persist::FORMAT_VERSION
-            );
-        }
-        Err(e) => eprintln!("cache: ignoring {}: {e}", path.display()),
-    }
+    eprintln!("cache: {}", persist::load_or_cold(&shared_cache(), &path));
     PersistGuard { path: Some(path) }
 }
 

@@ -4,7 +4,7 @@
 use crate::args::{ClientArgs, FleetArgs, NetworkRef, RunArgs, ScheduleArgs, SchemeArgs};
 use cbrain::journal::{self, Journal};
 use cbrain::partition_math::{partition, unroll_duplication};
-use cbrain::persist::{self, LoadOutcome};
+use cbrain::persist;
 use cbrain::report::{render_run_report, render_table};
 use cbrain::schedule::plan_network;
 use cbrain::{select_scheme, RunOptions, Runner, Scheme};
@@ -144,20 +144,7 @@ pub fn run(args: &RunArgs) -> Result<String, CommandError> {
     );
     let path = cache_file(args.cache.as_deref());
     if let Some(path) = &path {
-        match persist::load_into(runner.cache(), path) {
-            Ok(LoadOutcome::Loaded { entries }) => {
-                eprintln!("cache: loaded {entries} entries from {}", path.display());
-            }
-            Ok(LoadOutcome::Missing) => {}
-            Ok(LoadOutcome::VersionMismatch { found }) => {
-                eprintln!(
-                    "cache: ignoring {} (format v{found}, expected v{})",
-                    path.display(),
-                    persist::FORMAT_VERSION
-                );
-            }
-            Err(e) => eprintln!("cache: ignoring {}: {e}", path.display()),
-        }
+        eprintln!("cache: {}", persist::load_or_cold(runner.cache(), path));
     }
     let report = runner.run_network(&net, args.policy)?;
     if let Some(path) = &path {

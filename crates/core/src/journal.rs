@@ -7,11 +7,12 @@
 //! them, so its stdout is byte-identical to an uninterrupted run.
 //!
 //! The file is an append-only, in-tree binary log (the workspace builds
-//! offline with no serde). Unlike [`crate::persist`], which checksums the
-//! whole file at once, the journal checksums **each record separately** so
-//! that a crash mid-append (SIGKILL, power loss) leaves a recoverable
-//! file: the torn tail is detected and dropped, and every record before it
-//! survives.
+//! offline with no serde). It has the record-file layout (`record.rs`)
+//! of the [`crate::persist`] cache file: a header, then frames. The cache
+//! file holds one frame; the journal holds **one frame per record**, each
+//! with its own checksum, so that a crash mid-append (SIGKILL, power
+//! loss) leaves a recoverable file: the torn tail is detected and
+//! dropped, and every record before it survives.
 //!
 //! ```text
 //! header  magic b"CBJL"    4 bytes
@@ -46,6 +47,7 @@
 //! only ever produce a torn tail, never a torn middle.
 
 use crate::persist::fnv1a64;
+use crate::record::{self, corrupt, put_str, put_u64, Decoded, Frame, HEADER_LEN};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Write};
@@ -61,11 +63,9 @@ pub const FORMAT_VERSION: u32 = 1;
 /// compacts the file automatically.
 pub const COMPACT_SLACK: usize = 64;
 
-/// Byte length of the file header (magic + version).
-const HEADER_LEN: usize = 8;
-
-/// Byte length of a record frame (length + checksum) before its payload.
-const FRAME_LEN: usize = 16;
+// The tests walk record frames by hand.
+#[cfg(test)]
+use crate::record::FRAME_LEN;
 
 /// Error from opening, appending to, or compacting a journal.
 #[derive(Debug)]
@@ -98,6 +98,12 @@ impl std::error::Error for JournalError {
 impl From<io::Error> for JournalError {
     fn from(e: io::Error) -> Self {
         JournalError::Io(e)
+    }
+}
+
+impl From<record::Corrupt> for JournalError {
+    fn from(c: record::Corrupt) -> Self {
+        JournalError::Corrupt(c.0)
     }
 }
 
@@ -147,97 +153,29 @@ pub fn digest(text: &str) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Record codec: little-endian, length-prefixed strings.
+// Record codec: one cell per frame.
 // ---------------------------------------------------------------------
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn corrupt<T>(why: impl Into<String>) -> Result<T, JournalError> {
-    Err(JournalError::Corrupt(why.into()))
-}
-
-/// Bounds-checked decode cursor over a record payload.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], JournalError> {
-        match self.buf.get(self.pos..self.pos + n) {
-            Some(s) => {
-                self.pos += n;
-                Ok(s)
-            }
-            None => corrupt(format!(
-                "record payload truncated at byte {} (wanted {n} more)",
-                self.pos
-            )),
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, JournalError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, JournalError> {
-        let len = self.u64()?;
-        let len = usize::try_from(len)
-            .or_else(|_| corrupt(format!("string length {len} exceeds usize")))?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).or_else(|_| corrupt("string payload is not valid UTF-8"))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-/// Encodes one cell as a framed record: length + checksum + payload.
-fn record_bytes(cell: &Cell) -> Vec<u8> {
-    let mut payload = Vec::new();
-    put_str(&mut payload, &cell.name);
-    put_u64(&mut payload, cell.digest);
-    put_str(&mut payload, &cell.provenance);
-    put_str(&mut payload, &cell.output);
-    let mut rec = Vec::with_capacity(FRAME_LEN + payload.len());
-    put_u64(&mut rec, payload.len() as u64);
-    put_u64(&mut rec, fnv1a64(&payload));
-    rec.extend_from_slice(&payload);
-    rec
+/// Appends one cell as a framed record.
+fn put_record(out: &mut Vec<u8>, cell: &Cell) {
+    record::put_frame(out, |payload| {
+        put_str(payload, &cell.name);
+        put_u64(payload, cell.digest);
+        put_str(payload, &cell.provenance);
+        put_str(payload, &cell.output);
+    });
 }
 
 /// Decodes one record payload back into a cell.
-fn decode_cell(payload: &[u8]) -> Result<Cell, JournalError> {
-    let mut c = Cursor::new(payload);
-    let cell = Cell {
-        name: c.str()?,
-        digest: c.u64()?,
-        provenance: c.str()?,
-        output: c.str()?,
-    };
-    if !c.done() {
-        return corrupt("trailing bytes inside a record payload");
-    }
-    Ok(cell)
-}
-
-fn header_bytes() -> [u8; HEADER_LEN] {
-    let mut h = [0u8; HEADER_LEN];
-    h[..4].copy_from_slice(&MAGIC);
-    h[4..].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-    h
+fn decode_cell(payload: &[u8]) -> Decoded<Cell> {
+    record::decode_exact(payload, "the cell", |c| {
+        Ok(Cell {
+            name: c.str()?,
+            digest: c.u64()?,
+            provenance: c.str()?,
+            output: c.str()?,
+        })
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -274,32 +212,16 @@ impl Journal {
     /// failure-mode split.
     pub fn open(path: impl Into<PathBuf>) -> Result<(Self, OpenOutcome), JournalError> {
         let path = path.into();
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Ok((Self::fresh(path, false), OpenOutcome::Fresh));
-            }
-            Err(e) => return Err(e.into()),
-        };
-        if bytes.is_empty() {
+        let bytes = match record::read(&path)? {
             // An empty file (e.g. `touch`ed by an operator) is a fresh
             // journal; the header is written with the first record.
-            return Ok((Self::fresh(path, false), OpenOutcome::Fresh));
-        }
-        if bytes.len() < HEADER_LEN {
-            return corrupt(format!(
-                "file is {} bytes, shorter than the header",
-                bytes.len()
-            ));
-        }
-        if bytes[..4] != MAGIC {
-            return corrupt("bad magic (not a journal file)");
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version != FORMAT_VERSION {
+            Some(bytes) if !bytes.is_empty() => bytes,
+            _ => return Ok((Self::fresh(path, false), OpenOutcome::Fresh)),
+        };
+        if let Some(found) = record::foreign_version(&bytes, MAGIC, FORMAT_VERSION)? {
             return Ok((
                 Self::fresh(path, true),
-                OpenOutcome::VersionMismatch { found: version },
+                OpenOutcome::VersionMismatch { found },
             ));
         }
 
@@ -307,30 +229,22 @@ impl Journal {
         let mut pos = HEADER_LEN;
         let mut dropped_bytes = 0u64;
         while pos < bytes.len() {
-            let remaining = bytes.len() - pos;
-            if remaining < FRAME_LEN {
-                // Crash landed inside a record frame: torn tail.
-                dropped_bytes = remaining as u64;
-                break;
-            }
-            let len = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
-            let check = u64::from_le_bytes(bytes[pos + 8..pos + 16].try_into().unwrap());
-            let Some(len_usize) = usize::try_from(len)
-                .ok()
-                .filter(|l| *l <= remaining - FRAME_LEN)
-            else {
-                // The declared payload runs past end of file: torn tail.
-                dropped_bytes = remaining as u64;
-                break;
-            };
-            let payload = &bytes[pos + FRAME_LEN..pos + FRAME_LEN + len_usize];
-            if fnv1a64(payload) != check {
+            match record::read_frame(&bytes, pos) {
+                Frame::Whole { payload, end } => {
+                    cells.push(decode_cell(payload)?);
+                    pos = end;
+                }
+                // Crash landed inside the last record: torn tail.
+                Frame::Torn => {
+                    dropped_bytes = (bytes.len() - pos) as u64;
+                    break;
+                }
                 // The record is fully present yet damaged — this is disk
                 // corruption, not a crash artifact, so reject the file.
-                return corrupt(format!("record checksum mismatch at byte {pos}"));
+                Frame::Damaged => {
+                    return corrupt(format!("record checksum mismatch at byte {pos}"))
+                }
             }
-            cells.push(decode_cell(payload)?);
-            pos += FRAME_LEN + len_usize;
         }
 
         let mut index = HashMap::new();
@@ -467,15 +381,17 @@ impl Journal {
             self.rewrite_pending = false;
             return Ok(());
         }
-        let rec = record_bytes(&cell);
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(&self.path)?;
-        if file.metadata()?.len() == 0 {
-            file.write_all(&header_bytes())?;
-        }
-        file.write_all(&rec)?;
+        let mut bytes = if file.metadata()?.len() == 0 {
+            record::header(MAGIC, FORMAT_VERSION)
+        } else {
+            Vec::new()
+        };
+        put_record(&mut bytes, &cell);
+        file.write_all(&bytes)?;
         file.flush()?;
         self.cells.push(cell);
         let last = self.cells.len() - 1;
@@ -508,19 +424,11 @@ impl Journal {
     /// Writes header + the given records to a `.tmp` sibling and renames
     /// it over the journal path.
     fn rewrite<'a>(&self, cells: impl Iterator<Item = &'a Cell>) -> Result<(), JournalError> {
-        let mut bytes = header_bytes().to_vec();
+        let mut bytes = record::header(MAGIC, FORMAT_VERSION);
         for cell in cells {
-            bytes.extend_from_slice(&record_bytes(cell));
+            put_record(&mut bytes, cell);
         }
-        if let Some(parent) = self.path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let tmp = self.path.with_extension("tmp");
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, &self.path)?;
-        Ok(())
+        Ok(record::write_atomic(&self.path, &bytes)?)
     }
 }
 

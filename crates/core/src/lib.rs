@@ -53,6 +53,7 @@ pub mod partition_math;
 pub mod persist;
 pub mod pool;
 pub mod quantized;
+mod record;
 pub mod report;
 mod runner;
 pub mod schedule;

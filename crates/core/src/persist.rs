@@ -6,8 +6,9 @@
 //! all share one warm store under `~/.cache/cbrain` (overridable, see
 //! [`resolved_cache_file`]).
 //!
-//! The format is an in-tree binary serialization (the workspace builds
-//! offline with no serde):
+//! The file is a record file (`record.rs`, the layout the run journal
+//! shares) holding exactly one frame, in an in-tree binary serialization
+//! (the workspace builds offline with no serde):
 //!
 //! ```text
 //! magic   b"CBLC"          4 bytes
@@ -23,8 +24,9 @@
 //! * **version mismatch** — an old/newer writer; the reader falls back to
 //!   a cold cache ([`LoadOutcome::VersionMismatch`]) rather than guessing
 //!   at a foreign layout;
-//! * **truncation / corruption** — magic, length or checksum disagree, or
-//!   the payload fails to decode; the file is *rejected* with
+//! * **truncation / corruption** — the file is shorter than the header
+//!   and one frame, magic, length or checksum disagree, or the payload
+//!   fails to decode; the file is *rejected* with
 //!   [`PersistError::Corrupt`] so the caller can surface it (silently
 //!   reusing a damaged cache could poison every later report).
 //!
@@ -33,6 +35,10 @@
 //! the published path.
 
 use crate::cache::{CachedLayer, CompiledLayerCache, LayerKey};
+use crate::record::{
+    self, corrupt, fnv1a, put_bool, put_str, put_u32, put_u64, put_u8, put_usize, Cursor, Decoded,
+    Frame, FRAME_LEN, HEADER_LEN,
+};
 use cbrain_compiler::{CompiledLayer, DataLayout, Scheme, TilePlan};
 use cbrain_model::{
     ConvParams, EltwiseOp, EltwiseParams, FcParams, LayerKind, PoolKind, PoolParams, TensorShape,
@@ -44,6 +50,8 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+pub use crate::record::fnv1a as fnv1a64;
 
 /// File magic: "C-Brain Layer Cache".
 pub const MAGIC: [u8; 4] = *b"CBLC";
@@ -89,6 +97,12 @@ impl From<io::Error> for PersistError {
     }
 }
 
+impl From<record::Corrupt> for PersistError {
+    fn from(c: record::Corrupt) -> Self {
+        PersistError::Corrupt(c.0)
+    }
+}
+
 /// What a [`load_into`] call found.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LoadOutcome {
@@ -108,105 +122,18 @@ pub enum LoadOutcome {
 }
 
 // ---------------------------------------------------------------------
-// Primitive encoding: little-endian, length-prefixed strings, u8 tags.
-// ---------------------------------------------------------------------
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_usize(out: &mut Vec<u8>, v: usize) {
-    put_u64(out, v as u64);
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    put_u8(out, u8::from(v));
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Decode cursor over the payload. Every read is bounds-checked; running
-/// off the end is a corruption, not a panic.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-type Decoded<T> = Result<T, PersistError>;
-
-fn corrupt<T>(why: impl Into<String>) -> Decoded<T> {
-    Err(PersistError::Corrupt(why.into()))
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Decoded<&'a [u8]> {
-        match self.buf.get(self.pos..self.pos + n) {
-            Some(s) => {
-                self.pos += n;
-                Ok(s)
-            }
-            None => corrupt(format!(
-                "payload truncated at byte {} (wanted {n} more)",
-                self.pos
-            )),
-        }
-    }
-
-    fn u8(&mut self) -> Decoded<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Decoded<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Decoded<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn usize(&mut self) -> Decoded<usize> {
-        let v = self.u64()?;
-        usize::try_from(v).or_else(|_| corrupt(format!("value {v} exceeds usize")))
-    }
-
-    fn bool(&mut self) -> Decoded<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => corrupt(format!("invalid bool byte {b:#x}")),
-        }
-    }
-
-    fn str(&mut self) -> Decoded<String> {
-        let len = self.usize()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).or_else(|_| corrupt("string payload is not valid UTF-8"))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-// ---------------------------------------------------------------------
 // Struct encoding. Field order here *is* the file format; any change
 // must bump FORMAT_VERSION.
 // ---------------------------------------------------------------------
+
+/// Shortest encodings, the floor [`Cursor::count`] checks each count
+/// against: an op is a tag and one u64; a tile is two byte counts and an
+/// op count; an entry is an eltwise key (93 bytes), an empty program
+/// (16), no scheme (1), two layouts (2), a tile plan (65) and the stats
+/// (136).
+const MIN_OP_LEN: usize = 9;
+const MIN_TILE_LEN: usize = 24;
+const MIN_ENTRY_LEN: usize = 313;
 
 fn put_shape(out: &mut Vec<u8>, s: TensorShape) {
     put_usize(out, s.maps);
@@ -480,14 +407,12 @@ fn put_program(out: &mut Vec<u8>, p: &RunProgram) {
 /// Reads a tile list back into canonical runs.
 fn get_program(c: &mut Cursor) -> Decoded<RunProgram> {
     let mut program = RunProgram::new(c.str()?);
-    let n_tiles = c.usize()?;
+    let n_tiles = c.count(MIN_TILE_LEN)?;
     for _ in 0..n_tiles {
         let dram_read_bytes = c.u64()?;
         let dram_write_bytes = c.u64()?;
-        let n_ops = c.usize()?;
-        // Cap pre-allocation by what the remaining payload could possibly
-        // hold, so a corrupt length cannot trigger a huge allocation.
-        let mut ops = Vec::with_capacity(n_ops.min(c.buf.len() - c.pos));
+        let n_ops = c.count(MIN_OP_LEN)?;
+        let mut ops = Vec::with_capacity(n_ops);
         for _ in 0..n_ops {
             ops.push(get_op(c)?);
         }
@@ -616,16 +541,6 @@ fn get_entry(c: &mut Cursor) -> Decoded<(LayerKey, CachedLayer)> {
     ))
 }
 
-/// FNV-1a 64-bit, the checksum of the payload.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 // ---------------------------------------------------------------------
 // Public entry/key codecs.
 //
@@ -636,12 +551,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 // client decodes them back — the exact bytes a local compile would have
 // produced, because the entry is a pure function of the key).
 // ---------------------------------------------------------------------
-
-/// FNV-1a 64-bit over arbitrary bytes (the same function the file
-/// checksum uses). Stable across platforms and versions of this crate.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a(bytes)
-}
 
 /// The canonical binary encoding of a [`LayerKey`] — the format's key
 /// serialization, usable as a deterministic hash/sort identity.
@@ -664,15 +573,7 @@ pub fn key_hash(key: &LayerKey) -> u64 {
 /// Returns [`PersistError::Corrupt`] on truncated or invalid bytes,
 /// including trailing garbage.
 pub fn decode_key_bytes(bytes: &[u8]) -> Result<LayerKey, PersistError> {
-    let mut c = Cursor::new(bytes);
-    let key = get_key(&mut c)?;
-    if !c.done() {
-        return corrupt(format!(
-            "{} trailing bytes after the key",
-            bytes.len() - c.pos
-        ));
-    }
-    Ok(key)
+    Ok(record::decode_exact(bytes, "the key", get_key)?)
 }
 
 /// The canonical binary encoding of one `(key, entry)` pair — exactly
@@ -691,15 +592,7 @@ pub fn entry_bytes(key: &LayerKey, value: &CachedLayer) -> Vec<u8> {
 /// Returns [`PersistError::Corrupt`] on truncated or invalid bytes,
 /// including trailing garbage.
 pub fn decode_entry_bytes(bytes: &[u8]) -> Result<(LayerKey, CachedLayer), PersistError> {
-    let mut c = Cursor::new(bytes);
-    let pair = get_entry(&mut c)?;
-    if !c.done() {
-        return corrupt(format!(
-            "{} trailing bytes after the entry",
-            bytes.len() - c.pos
-        ));
-    }
-    Ok(pair)
+    Ok(record::decode_exact(bytes, "the entry", get_entry)?)
 }
 
 /// The entry bound `CBRAIN_CACHE_MAX` selects, if any. Delegates to
@@ -730,18 +623,13 @@ fn encode(cache: &CompiledLayerCache) -> Vec<u8> {
         .collect();
     by_key.sort_by(|a, b| a.0.cmp(&b.0));
 
-    let mut payload = Vec::new();
-    put_usize(&mut payload, by_key.len());
-    for (_, key, value) in &by_key {
-        put_entry(&mut payload, key, value);
-    }
-
-    let mut file = Vec::with_capacity(payload.len() + 24);
-    file.extend_from_slice(&MAGIC);
-    put_u32(&mut file, FORMAT_VERSION);
-    put_u64(&mut file, payload.len() as u64);
-    put_u64(&mut file, fnv1a(&payload));
-    file.extend_from_slice(&payload);
+    let mut file = record::header(MAGIC, FORMAT_VERSION);
+    record::put_frame(&mut file, |payload| {
+        put_usize(payload, by_key.len());
+        for (_, key, value) in &by_key {
+            put_entry(payload, key, value);
+        }
+    });
     file
 }
 
@@ -779,14 +667,7 @@ pub fn save_with_max(
     }
     let bytes = encode(cache);
     let entries = cache.len();
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &bytes)?;
-    std::fs::rename(&tmp, path)?;
+    record::write_atomic(path, &bytes)?;
     let reg = cbrain_telemetry::Registry::global();
     reg.counter(
         "persist_saves_total",
@@ -813,45 +694,28 @@ pub fn save_with_max(
 /// version but fails validation (truncation, checksum mismatch, bad
 /// tags, trailing bytes), and [`PersistError::Io`] on read failures.
 pub fn load_into(cache: &CompiledLayerCache, path: &Path) -> Result<LoadOutcome, PersistError> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(LoadOutcome::Missing),
-        Err(e) => return Err(e.into()),
+    let Some(bytes) = record::read(path)? else {
+        return Ok(LoadOutcome::Missing);
     };
-    if bytes.len() < 24 {
+    if bytes.len() < HEADER_LEN + FRAME_LEN {
         return corrupt(format!("file is {} bytes, header needs 24", bytes.len()));
     }
-    if bytes[..4] != MAGIC {
-        return corrupt("bad magic (not a cbrain cache file)");
+    if let Some(found) = record::foreign_version(&bytes, MAGIC, FORMAT_VERSION)? {
+        return Ok(LoadOutcome::VersionMismatch { found });
     }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return Ok(LoadOutcome::VersionMismatch { found: version });
-    }
-    let length = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    let checksum = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let payload = &bytes[24..];
-    if payload.len() as u64 != length {
-        return corrupt(format!(
-            "payload is {} bytes but header claims {length}",
-            payload.len()
-        ));
-    }
-    if fnv1a(payload) != checksum {
-        return corrupt("checksum mismatch");
-    }
-    let mut c = Cursor::new(payload);
-    let count = c.usize()?;
-    let mut decoded = Vec::with_capacity(count.min(payload.len()));
-    for _ in 0..count {
-        decoded.push(get_entry(&mut c)?);
-    }
-    if !c.done() {
-        return corrupt(format!(
-            "{} trailing bytes after the last entry",
-            payload.len() - c.pos
-        ));
-    }
+    let payload = match record::read_frame(&bytes, HEADER_LEN) {
+        Frame::Whole { payload, end } if end == bytes.len() => payload,
+        Frame::Damaged => return corrupt("checksum mismatch"),
+        _ => return corrupt("the bytes after the header are not exactly one frame"),
+    };
+    let decoded = record::decode_exact(payload, "the last entry", |c| {
+        let count = c.count(MIN_ENTRY_LEN)?;
+        let mut decoded = Vec::with_capacity(count);
+        for _ in 0..count {
+            decoded.push(get_entry(c)?);
+        }
+        Ok(decoded)
+    })?;
     let entries = decoded.len();
     for (key, value) in decoded {
         cache.insert(key, value);
@@ -865,6 +729,23 @@ pub fn load_into(cache: &CompiledLayerCache, path: &Path) -> Result<LoadOutcome,
     )
     .add(bytes.len() as u64);
     Ok(LoadOutcome::Loaded { entries })
+}
+
+/// [`load_into`] for a caller that carries on cold whatever it finds:
+/// returns a one-line note for the operator (stderr, never stdout), as
+/// [`crate::journal::Journal::open_or_fresh`] does for the journal.
+pub fn load_or_cold(cache: &CompiledLayerCache, path: &Path) -> String {
+    let shown = path.display();
+    match load_into(cache, path) {
+        Ok(LoadOutcome::Loaded { entries }) => {
+            format!("loaded {entries} cached layers from {shown}")
+        }
+        Ok(LoadOutcome::Missing) => format!("no cache file at {shown} (cold start)"),
+        Ok(LoadOutcome::VersionMismatch { found }) => {
+            format!("cache file {shown} is format v{found} (want v{FORMAT_VERSION}); cold start")
+        }
+        Err(e) => format!("cache file {shown} unusable ({e}); cold start"),
+    }
 }
 
 /// The cache file the environment selects, or `None` when persistence is

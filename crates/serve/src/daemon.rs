@@ -42,7 +42,7 @@ use crate::wire::{
     CompileItem, Event, NetworkSource, Request, RunRequest, PROTOCOL_MINOR, PROTOCOL_VERSION,
 };
 use cbrain::forward::{forward, NetworkWeights};
-use cbrain::persist::{self, LoadOutcome};
+use cbrain::persist;
 use cbrain::telemetry::{
     self, http::MetricsServer, Counter, Gauge, Histogram, MetricKind, Registry, Sample,
     SampleValue, Span, DURATION_BUCKETS,
@@ -565,20 +565,7 @@ impl Daemon {
         let cache = CompiledLayerCache::shared();
         let load_note = match &opts.cache_path {
             None => "cache persistence disabled".to_owned(),
-            Some(path) => match persist::load_into(&cache, path) {
-                Ok(LoadOutcome::Loaded { entries }) => {
-                    format!("loaded {entries} cached layers from {}", path.display())
-                }
-                Ok(LoadOutcome::Missing) => {
-                    format!("no cache file at {} (cold start)", path.display())
-                }
-                Ok(LoadOutcome::VersionMismatch { found }) => format!(
-                    "cache file {} is format v{found} (want v{}); cold start",
-                    path.display(),
-                    persist::FORMAT_VERSION
-                ),
-                Err(e) => format!("cache file {} unusable ({e}); cold start", path.display()),
-            },
+            Some(path) => persist::load_or_cold(&cache, path),
         };
         let workers = if opts.workers == 0 {
             cbrain::available_jobs().max(DEFAULT_MIN_WORKERS)

@@ -8,8 +8,8 @@
 
 use cbrain::cache::{CachedLayer, CompiledLayerCache, LayerKey};
 use cbrain::compiler::{CompiledLayer, DataLayout, TilePlan};
-use cbrain::journal::{self, Cell, Journal, OpenOutcome};
-use cbrain::persist::{self, LoadOutcome};
+use cbrain::journal::{self, Cell, Journal, JournalError, OpenOutcome};
+use cbrain::persist::{self, LoadOutcome, PersistError};
 use cbrain::Scheme;
 use cbrain_model::{ConvParams, EltwiseParams, LayerKind, TensorShape};
 use cbrain_sim::{AcceleratorConfig, MachineOptions, MacroOp, RunProgram, Stats, Tile};
@@ -24,6 +24,17 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 fn u64le(v: u64) -> [u8; 8] {
     v.to_le_bytes()
+}
+
+/// Header and one frame around `payload`, as both record files lay them
+/// out, with a correct checksum.
+fn framed(magic: &[u8; 4], payload: &[u8]) -> Vec<u8> {
+    let mut file = magic.to_vec();
+    file.extend_from_slice(&1u32.to_le_bytes());
+    file.extend_from_slice(&u64le(payload.len() as u64));
+    file.extend_from_slice(&u64le(persist::fnv1a64(payload)));
+    file.extend_from_slice(payload);
+    file
 }
 
 /// A conv key whose every field is spelled out.
@@ -198,6 +209,45 @@ fn journal_bytes_are_pinned() {
             dropped_bytes: 0
         }
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn entry_decoder_rejects_a_label_length_past_the_end() {
+    // A conv key's 140 bytes, then a program label claiming u64::MAX
+    // bytes: the cursor must answer `Corrupt`, not overflow.
+    let mut bytes = persist::key_bytes(&conv_key());
+    assert_eq!(bytes.len(), 140);
+    bytes.extend_from_slice(&u64le(u64::MAX));
+    let err = persist::decode_entry_bytes(&bytes).expect_err("hostile length");
+    assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
+}
+
+#[test]
+fn journal_rejects_a_checksummed_string_length_past_the_end() {
+    // A complete record with a valid checksum whose name claims u64::MAX
+    // bytes.
+    let dir = tmpdir("hostile_journal");
+    let path = dir.join("journal.bin");
+    std::fs::write(&path, framed(b"CBJL", &u64le(u64::MAX))).expect("write");
+    let err = Journal::open(&path).expect_err("hostile length");
+    assert!(matches!(err, JournalError::Corrupt(_)), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cache_file_rejects_an_entry_count_its_payload_cannot_hold() {
+    let dir = tmpdir("hostile_count");
+    let path = dir.join(persist::CACHE_FILE_NAME);
+    std::fs::write(&path, framed(b"CBLC", &u64le(u64::MAX))).expect("write");
+    let cache = CompiledLayerCache::new();
+    match persist::load_into(&cache, &path) {
+        Err(PersistError::Corrupt(why)) => {
+            assert!(why.contains(&u64::MAX.to_string()), "{why}");
+        }
+        other => panic!("expected a corrupt count, got {other:?}"),
+    }
+    assert!(cache.is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
 
