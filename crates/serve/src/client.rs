@@ -1,11 +1,12 @@
 //! Client side of the `cbrand` protocol.
 //!
 //! Connections are built through [`ClientBuilder`] ([`Client::builder`]),
-//! which owns the connect/IO deadlines, the transport retry policy, the
-//! `hello` handshake (with optional required capabilities), and the
-//! reaction to an admission-control [`Event::Busy`] answer: sleep out
-//! the daemon's hint and reconnect, up to a configurable deadline —
-//! busy is backoff, not failure.
+//! which owns the connect/IO deadlines, the `hello` handshake (with
+//! optional required capabilities), and the reaction to an
+//! admission-control [`Event::Busy`] answer: sleep out the daemon's hint
+//! and reconnect, up to a configurable deadline — busy is backoff, not
+//! failure. Transport failures are not retried here; the fleet's
+//! `RetryPolicy` is the one caller that retries them.
 //!
 //! The client reconstructs a full [`NetworkReport`] from the streamed
 //! layer events, so rendering it through
@@ -259,27 +260,21 @@ impl Client {
     }
 }
 
-/// Builder for a [`Client`] connection: deadlines, transport retries,
-/// busy back-off, and the capabilities the `hello` handshake must
-/// confirm. Obtained from [`Client::builder`].
+/// Builder for a [`Client`] connection: deadlines, busy back-off, and
+/// the capabilities the `hello` handshake must confirm. Obtained from
+/// [`Client::builder`].
 ///
-/// [`connect`](ClientBuilder::connect) distinguishes two transient
-/// failure families:
-///
-/// * **transport errors** ([`ClientError::Io`]) consume one of
-///   [`attempts`](ClientBuilder::attempts), with exponential
-///   [`backoff`](ClientBuilder::backoff) between tries;
-/// * **admission refusals** ([`ClientError::Busy`]) never consume an
-///   attempt — the daemon is alive — and are retried after the daemon's
-///   own hint until [`busy_wait`](ClientBuilder::busy_wait) is
-///   exhausted, at which point the busy error surfaces to the caller.
+/// [`connect`](ClientBuilder::connect) makes one transport attempt: a
+/// transport error ([`ClientError::Io`]) surfaces at once. An admission
+/// refusal ([`ClientError::Busy`]) means the daemon is alive, so it is
+/// retried after the daemon's own hint until
+/// [`busy_wait`](ClientBuilder::busy_wait) is exhausted, at which point
+/// the busy error surfaces to the caller.
 #[derive(Debug, Clone)]
 pub struct ClientBuilder {
     addr: String,
     connect_timeout: Option<Duration>,
     io_timeout: Option<Duration>,
-    attempts: u32,
-    backoff: Duration,
     busy_wait: Duration,
     expect_caps: Vec<String>,
     handshake: bool,
@@ -295,8 +290,6 @@ impl ClientBuilder {
             addr: addr.to_owned(),
             connect_timeout: None,
             io_timeout: None,
-            attempts: 1,
-            backoff: Duration::from_millis(25),
             busy_wait: Duration::from_secs(30),
             expect_caps: Vec::new(),
             handshake: true,
@@ -316,20 +309,6 @@ impl ClientBuilder {
     #[must_use]
     pub fn io_timeout(mut self, timeout: Duration) -> Self {
         self.io_timeout = Some(timeout);
-        self
-    }
-
-    /// Total connect attempts on transport failure (minimum 1).
-    #[must_use]
-    pub fn attempts(mut self, attempts: u32) -> Self {
-        self.attempts = attempts.max(1);
-        self
-    }
-
-    /// Base pause between transport attempts; doubles per failure.
-    #[must_use]
-    pub fn backoff(mut self, backoff: Duration) -> Self {
-        self.backoff = backoff;
         self
     }
 
@@ -364,25 +343,22 @@ impl ClientBuilder {
         self
     }
 
-    /// Connects, retrying transport failures per [`attempts`] and
-    /// waiting out `busy` refusals per [`busy_wait`], then (by default)
-    /// performs the `hello` handshake and checks [`expect_caps`].
+    /// Connects, waiting out `busy` refusals per [`busy_wait`], then (by
+    /// default) performs the `hello` handshake and checks
+    /// [`expect_caps`].
     ///
-    /// [`attempts`]: ClientBuilder::attempts
     /// [`busy_wait`]: ClientBuilder::busy_wait
     /// [`expect_caps`]: ClientBuilder::expect_caps
     ///
     /// # Errors
     ///
-    /// [`ClientError::Io`] once attempts are exhausted,
+    /// [`ClientError::Io`] on a transport failure,
     /// [`ClientError::Busy`] once the busy budget is exhausted, or
     /// handshake errors ([`ClientError::Remote`] / `Protocol`).
     pub fn connect(&self) -> Result<Client, ClientError> {
         let busy_deadline = Instant::now().checked_add(self.busy_wait);
-        let mut transport_failures: u32 = 0;
         loop {
             match self.try_connect() {
-                Ok(client) => return Ok(client),
                 Err(ClientError::Busy {
                     retry_after_ms,
                     queue_depth,
@@ -400,15 +376,7 @@ impl ClientBuilder {
                     }
                     std::thread::sleep(hint);
                 }
-                Err(ClientError::Io(e)) => {
-                    transport_failures += 1;
-                    if transport_failures >= self.attempts {
-                        return Err(ClientError::Io(e));
-                    }
-                    let shift = (transport_failures - 1).min(16);
-                    std::thread::sleep(self.backoff.saturating_mul(1 << shift));
-                }
-                Err(other) => return Err(other),
+                other => return other,
             }
         }
     }
