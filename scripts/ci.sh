@@ -31,9 +31,6 @@ cargo test --workspace -q
 echo "==> cargo test --workspace -q (CBRAIN_FORCE_SCALAR=1: scalar-fallback leg)"
 CBRAIN_FORCE_SCALAR=1 cargo test --workspace -q
 
-echo "==> serving daemon e2e (loopback concurrency + persisted-cache restart)"
-cargo test --test serving -q
-
 echo "==> idle soak with the telemetry kill switch (counters must stay exact with spans dark)"
 # Name-filtered on purpose: the rest of the suite asserts span-fed
 # histogram counts that the kill switch legitimately blanks.
