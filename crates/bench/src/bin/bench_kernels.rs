@@ -38,10 +38,11 @@ struct Row {
 /// it claims). It runs inside the timed closures, so it reads the slice in
 /// place instead of copying it.
 fn digest_f32(values: &[f32]) -> u64 {
-    // SAFETY: `f32` has no padding and every byte of it is initialized, so
-    // its memory is a valid `[u8]` of `size_of_val` bytes for the slice's
-    // lifetime. The view is in native byte order, which is all comparing
-    // two legs in one process needs.
+    // SAFETY: the pointer and byte length come from a live `&[f32]`, so
+    // they are non-null, aligned for `u8` and in bounds for the borrow's
+    // lifetime, and `f32` has no padding, so every byte is initialized.
+    // The view is in native byte order, which is all comparing two legs
+    // in one process needs.
     let bytes = unsafe {
         std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), std::mem::size_of_val(values))
     };
