@@ -1,9 +1,8 @@
 //! One function per table/figure of the paper's evaluation section.
 //!
-//! Every function returns structured rows; the `exp_*` binaries print them
-//! and the timing harness in `benches/experiments.rs` times their
-//! regeneration. EXPERIMENTS.md records the paper-vs-measured comparison
-//! for each.
+//! Every function returns structured rows; the `exp_*` binaries print
+//! them. EXPERIMENTS.md records the paper-vs-measured comparison for
+//! each.
 //!
 //! The heavy functions take a `jobs` argument and fan their independent
 //! experiment cells — (network, config, arm) triples and sweep points —

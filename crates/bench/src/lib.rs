@@ -3,10 +3,9 @@
 //! Experiment harness regenerating every table and figure of the C-Brain
 //! paper's evaluation section (Sec. 5). Each table/figure has:
 //!
-//! * a function in [`experiments`] returning structured rows,
+//! * a function in [`experiments`] returning structured rows, and
 //! * an `exp_*` binary printing the rows (`cargo run -p cbrain-bench
-//!   --bin exp_fig7 --release`),
-//! * a timing harness entry (`cargo bench`, std-only, no external deps).
+//!   --bin exp_fig7 --release`).
 //!
 //! The heavy binaries accept `--jobs N` (default: all cores) and fan
 //! their experiment cells over a deterministic thread pool; output is

@@ -19,11 +19,12 @@
 //! for whole-process summaries.
 //!
 //! A key is hashed once per visit. [`LayerKey`]'s `Hash` writes one
-//! fixed 144-byte packed encoding in a single `write`. The map is keyed
-//! by the key paired with its SipHash under one `RandomState` drawn per
-//! process, and its hasher passes that stored value through, so the
-//! probe, the runner's per-run de-dup map, the insert, every growth
-//! rehash and the post-compile lookup all reuse one hash. The hash stays
+//! fixed 160-byte packed encoding in a single `write`; the same bytes
+//! are the key's encoding in the cache file and on the wire. The map is
+//! keyed by the key paired with its SipHash under one `RandomState`
+//! drawn per process, and its hasher passes that stored value through,
+//! so the probe, the runner's per-run de-dup map, the insert, every
+//! growth rehash and the post-compile lookup all reuse one hash. The hash stays
 //! keyed because keys arrive in wire requests. The runner keeps the slot
 //! handle each probe or insert returns and stamps LRU recency on it
 //! without another lookup, so a concurrent
@@ -53,7 +54,8 @@
 use crate::runner::RunOptions;
 use cbrain_compiler::{CompiledLayer, Scheme};
 use cbrain_model::{
-    ConvParams, EltwiseParams, FcParams, Layer, LayerKind, PoolParams, TensorShape,
+    ConvParams, EltwiseOp, EltwiseParams, FcParams, Layer, LayerKind, PoolKind, PoolParams,
+    TensorShape,
 };
 use cbrain_sim::{AcceleratorConfig, MachineOptions, PeConfig, Stats};
 use std::collections::HashMap;
@@ -86,9 +88,14 @@ pub struct LayerKey {
     pub batch: usize,
 }
 
-/// Words in [`LayerKey`]'s packed encoding: a head word, six layer
-/// parameters, three shape dimensions, seven config fields and the batch.
-const PACKED_WORDS: usize = 18;
+/// Words in [`LayerKey`]'s packed encoding, in the order v1 of the cache
+/// file wrote the fields: the kind tag, six layer parameters, three shape
+/// dimensions, the scheme, seven config fields, the two machine flags in
+/// one word, and the batch.
+const PACKED_WORDS: usize = 20;
+
+/// Bytes in [`LayerKey`]'s packed encoding.
+pub(crate) const KEY_LEN: usize = PACKED_WORDS * 8;
 
 impl LayerKey {
     /// Key for compiling `layer` under `scheme` with the given hardware
@@ -111,11 +118,15 @@ impl LayerKey {
         }
     }
 
-    /// The key as 144 bytes (18 little-endian words), a one-to-one image
-    /// of every field; fieldless enums pack as their discriminants. The
-    /// destructures are exhaustive, so a field added to the key or to one
-    /// of its parts fails to build until it is packed here.
-    fn packed(&self) -> [u8; PACKED_WORDS * 8] {
+    /// The key as 160 bytes (20 little-endian words), a one-to-one image
+    /// of every field; fieldless enums and flags pack as their
+    /// discriminants. Each field sits where v1's field-by-field encoding
+    /// put it, widened to a word, so comparing packed bytes orders keys as
+    /// v1's bytes did: a cache file lists its entries, and a load stamps
+    /// their recency, in v1's order, so evictions after a reload are
+    /// unchanged. The destructures are exhaustive, so a field added to the
+    /// key or to one of its parts fails to build until it is packed here.
+    pub(crate) fn packed(&self) -> [u8; KEY_LEN] {
         let LayerKey {
             kind,
             input:
@@ -163,12 +174,8 @@ impl LayerKey {
             }) => (2, [in_features, out_features, 0, 0, 0, 0]),
             LayerKind::Eltwise(EltwiseParams { op }) => (3, [op as usize, 0, 0, 0, 0, 0]),
         };
-        let head = tag
-            | (scheme as u64) << 8
-            | u64::from(overlap_dma) << 16
-            | u64::from(add_store_on_critical_path) << 24;
         let words: [u64; PACKED_WORDS] = [
-            head,
+            tag,
             params[0] as u64,
             params[1] as u64,
             params[2] as u64,
@@ -178,6 +185,7 @@ impl LayerKey {
             maps as u64,
             height as u64,
             width as u64,
+            scheme as u64,
             tin as u64,
             tout as u64,
             inout_buf_bytes as u64,
@@ -185,13 +193,72 @@ impl LayerKey {
             bias_buf_bytes as u64,
             dram_bytes_per_cycle as u64,
             freq_mhz,
+            u64::from(overlap_dma) | u64::from(add_store_on_critical_path) << 8,
             batch as u64,
         ];
-        let mut out = [0u8; PACKED_WORDS * 8];
+        let mut out = [0u8; KEY_LEN];
         for (bytes, word) in out.chunks_exact_mut(8).zip(words) {
             bytes.copy_from_slice(&word.to_le_bytes());
         }
         out
+    }
+
+    /// The inverse of [`LayerKey::packed`]: the key `bytes` encode, or
+    /// `None` unless they re-pack to themselves. That rejects a tag,
+    /// scheme or flag out of range, non-zero padding and a value past
+    /// `usize`, so every key has exactly one encoding.
+    pub(crate) fn unpack(bytes: &[u8; KEY_LEN]) -> Option<Self> {
+        let mut words = [0u64; PACKED_WORDS];
+        for (word, chunk) in words.iter_mut().zip(bytes.chunks_exact(8)) {
+            *word = u64::from_le_bytes(chunk.try_into().ok()?);
+        }
+        let size = |i: usize| usize::try_from(words[i]).ok();
+        let p = [size(1)?, size(2)?, size(3)?, size(4)?, size(5)?, size(6)?];
+        let kind = match words[0] {
+            0 => LayerKind::Conv(ConvParams {
+                in_maps: p[0],
+                out_maps: p[1],
+                kernel: p[2],
+                stride: p[3],
+                pad: p[4],
+                groups: p[5],
+            }),
+            1 => LayerKind::Pool(PoolParams {
+                kernel: p[0],
+                stride: p[1],
+                kind: if p[2] == 1 {
+                    PoolKind::Average
+                } else {
+                    PoolKind::Max
+                },
+                ceil_mode: p[3] == 1,
+            }),
+            2 => LayerKind::FullyConnected(FcParams {
+                in_features: p[0],
+                out_features: p[1],
+            }),
+            3 => LayerKind::Eltwise(EltwiseParams { op: EltwiseOp::Add }),
+            _ => return None,
+        };
+        let key = LayerKey {
+            kind,
+            input: TensorShape::new(size(7)?, size(8)?, size(9)?),
+            scheme: *Scheme::ALL.get(size(10)?)?,
+            cfg: AcceleratorConfig {
+                pe: PeConfig::new(size(11)?, size(12)?),
+                inout_buf_bytes: size(13)?,
+                weight_buf_bytes: size(14)?,
+                bias_buf_bytes: size(15)?,
+                dram_bytes_per_cycle: size(16)?,
+                freq_mhz: words[17],
+            },
+            machine: MachineOptions {
+                overlap_dma: words[18] & 0xff == 1,
+                add_store_on_critical_path: words[18] >> 8 == 1,
+            },
+            batch: size(19)?,
+        };
+        (key.packed() == *bytes).then_some(key)
     }
 }
 
@@ -391,28 +458,22 @@ impl CompiledLayerCache {
     }
 
     /// Evicts least-recently-used entries until at most `max` remain,
-    /// returning how many were dropped. Recency ties (e.g. entries bulk
-    /// loaded by [`crate::persist::load_into`] that were never looked up)
-    /// break on the entries' encoded key bytes, so eviction is
-    /// deterministic for a deterministic access sequence.
+    /// returning how many were dropped. Every stamp takes a fresh tick,
+    /// so no two entries share a recency. [`crate::persist::load_into`]
+    /// inserts entries one by one in file order, so the file's order sets
+    /// the recency of loaded entries that were not used since.
     pub fn evict_lru(&self, max: usize) -> usize {
         let mut map = self.entries.write().expect("cache lock");
         if map.len() <= max {
             return 0;
         }
-        let mut order: Vec<(u64, Vec<u8>, HashedKey)> = map
+        let mut order: Vec<(u64, HashedKey)> = map
             .iter()
-            .map(|(key, slot)| {
-                (
-                    slot.last_used.load(Ordering::Relaxed),
-                    crate::persist::key_bytes(&key.key),
-                    *key,
-                )
-            })
+            .map(|(key, slot)| (slot.last_used.load(Ordering::Relaxed), *key))
             .collect();
-        order.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        order.sort_unstable_by_key(|&(last_used, _)| last_used);
         let evict = map.len() - max;
-        for (_, _, key) in order.iter().take(evict) {
+        for (_, key) in order.iter().take(evict) {
             map.remove(key);
         }
         self.evictions.fetch_add(evict as u64, Ordering::Relaxed);

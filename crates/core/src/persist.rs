@@ -18,6 +18,12 @@
 //! payload entry count u64 LE, then (LayerKey, CachedLayer) pairs
 //! ```
 //!
+//! An entry is the key's 160 packed bytes ([`key_bytes`]), then the
+//! program as its label and `(repeat, tile)` runs, the scheme, both
+//! layouts, the tile plan and the stats. Entries are sorted by key
+//! bytes. A file of any other version is a cold start, replaced by the
+//! next save.
+//!
 //! Failure modes are deliberately split:
 //!
 //! * **missing file** — a normal cold start ([`LoadOutcome::Missing`]);
@@ -40,16 +46,10 @@ use crate::record::{
     Frame, FRAME_LEN, HEADER_LEN,
 };
 use cbrain_compiler::{CompiledLayer, DataLayout, Scheme, TilePlan};
-use cbrain_model::{
-    ConvParams, EltwiseOp, EltwiseParams, FcParams, LayerKind, PoolKind, PoolParams, TensorShape,
-};
-use cbrain_sim::{
-    AcceleratorConfig, BufferTraffic, MachineOptions, MacroOp, PeConfig, RunProgram, Stats, Tile,
-};
+use cbrain_sim::{BufferTraffic, MacroOp, RunProgram, Stats, Tile};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 pub use crate::record::fnv1a as fnv1a64;
 
@@ -57,7 +57,7 @@ pub use crate::record::fnv1a as fnv1a64;
 pub const MAGIC: [u8; 4] = *b"CBLC";
 
 /// Current format version. Bump whenever any serialized struct changes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// File name used inside the resolved cache directory.
 pub const CACHE_FILE_NAME: &str = "compiled-layers.bin";
@@ -127,23 +127,13 @@ pub enum LoadOutcome {
 // ---------------------------------------------------------------------
 
 /// Shortest encodings, the floor [`Cursor::count`] checks each count
-/// against: an op is a tag and one u64; a tile is two byte counts and an
-/// op count; an entry is an eltwise key (93 bytes), an empty program
-/// (16), no scheme (1), two layouts (2), a tile plan (65) and the stats
-/// (136).
+/// against: an op is a tag and one u64; a run is a repeat and a tile of
+/// two byte counts and an op count; an entry is a key (160 bytes), an
+/// empty program (16), no scheme (1), two layouts (2), a tile plan (65)
+/// and the stats (136).
 const MIN_OP_LEN: usize = 9;
-const MIN_TILE_LEN: usize = 24;
-const MIN_ENTRY_LEN: usize = 313;
-
-fn put_shape(out: &mut Vec<u8>, s: TensorShape) {
-    put_usize(out, s.maps);
-    put_usize(out, s.height);
-    put_usize(out, s.width);
-}
-
-fn get_shape(c: &mut Cursor) -> Decoded<TensorShape> {
-    Ok(TensorShape::new(c.usize()?, c.usize()?, c.usize()?))
-}
+const MIN_RUN_LEN: usize = 32;
+const MIN_ENTRY_LEN: usize = 380;
 
 fn scheme_tag(s: Scheme) -> u8 {
     match s {
@@ -179,126 +169,8 @@ fn layout_from_tag(t: u8) -> Decoded<DataLayout> {
     }
 }
 
-fn put_kind(out: &mut Vec<u8>, kind: &LayerKind) {
-    match kind {
-        LayerKind::Conv(p) => {
-            put_u8(out, 0);
-            put_usize(out, p.in_maps);
-            put_usize(out, p.out_maps);
-            put_usize(out, p.kernel);
-            put_usize(out, p.stride);
-            put_usize(out, p.pad);
-            put_usize(out, p.groups);
-        }
-        LayerKind::Pool(p) => {
-            put_u8(out, 1);
-            put_usize(out, p.kernel);
-            put_usize(out, p.stride);
-            put_u8(out, matches!(p.kind, PoolKind::Average).into());
-            put_bool(out, p.ceil_mode);
-        }
-        LayerKind::FullyConnected(p) => {
-            put_u8(out, 2);
-            put_usize(out, p.in_features);
-            put_usize(out, p.out_features);
-        }
-        LayerKind::Eltwise(p) => {
-            put_u8(out, 3);
-            // EltwiseOp currently has one variant; the tag keeps room.
-            put_u8(
-                out,
-                match p.op {
-                    EltwiseOp::Add => 0,
-                },
-            );
-        }
-    }
-}
-
-fn get_kind(c: &mut Cursor) -> Decoded<LayerKind> {
-    match c.u8()? {
-        0 => {
-            let mut p = ConvParams::new(c.usize()?, c.usize()?, c.usize()?, c.usize()?, c.usize()?);
-            p.groups = c.usize()?;
-            Ok(LayerKind::Conv(p))
-        }
-        1 => {
-            let kernel = c.usize()?;
-            let stride = c.usize()?;
-            let kind = match c.u8()? {
-                0 => PoolKind::Max,
-                1 => PoolKind::Average,
-                t => return corrupt(format!("invalid pool-kind tag {t}")),
-            };
-            let ceil_mode = c.bool()?;
-            Ok(LayerKind::Pool(PoolParams {
-                kernel,
-                stride,
-                kind,
-                ceil_mode,
-            }))
-        }
-        2 => Ok(LayerKind::FullyConnected(FcParams::new(
-            c.usize()?,
-            c.usize()?,
-        ))),
-        3 => match c.u8()? {
-            0 => Ok(LayerKind::Eltwise(EltwiseParams::add())),
-            t => corrupt(format!("invalid eltwise-op tag {t}")),
-        },
-        t => corrupt(format!("invalid layer-kind tag {t}")),
-    }
-}
-
-fn put_config(out: &mut Vec<u8>, cfg: &AcceleratorConfig) {
-    put_usize(out, cfg.pe.tin);
-    put_usize(out, cfg.pe.tout);
-    put_usize(out, cfg.inout_buf_bytes);
-    put_usize(out, cfg.weight_buf_bytes);
-    put_usize(out, cfg.bias_buf_bytes);
-    put_usize(out, cfg.dram_bytes_per_cycle);
-    put_u64(out, cfg.freq_mhz);
-}
-
-fn get_config(c: &mut Cursor) -> Decoded<AcceleratorConfig> {
-    Ok(AcceleratorConfig {
-        pe: PeConfig::new(c.usize()?, c.usize()?),
-        inout_buf_bytes: c.usize()?,
-        weight_buf_bytes: c.usize()?,
-        bias_buf_bytes: c.usize()?,
-        dram_bytes_per_cycle: c.usize()?,
-        freq_mhz: c.u64()?,
-    })
-}
-
-fn put_key(out: &mut Vec<u8>, key: &LayerKey) {
-    put_kind(out, &key.kind);
-    put_shape(out, key.input);
-    put_u8(out, scheme_tag(key.scheme));
-    put_config(out, &key.cfg);
-    put_bool(out, key.machine.overlap_dma);
-    put_bool(out, key.machine.add_store_on_critical_path);
-    put_usize(out, key.batch);
-}
-
 fn get_key(c: &mut Cursor) -> Decoded<LayerKey> {
-    let kind = get_kind(c)?;
-    let input = get_shape(c)?;
-    let scheme = scheme_from_tag(c.u8()?)?;
-    let cfg = get_config(c)?;
-    let machine = MachineOptions {
-        overlap_dma: c.bool()?,
-        add_store_on_critical_path: c.bool()?,
-    };
-    let batch = c.usize()?;
-    Ok(LayerKey {
-        kind,
-        input,
-        scheme,
-        cfg,
-        machine,
-        batch,
-    })
+    LayerKey::unpack(&c.array()?).map_or_else(|| corrupt("the key bytes are not canonical"), Ok)
 }
 
 fn put_op(out: &mut Vec<u8>, op: &MacroOp) {
@@ -384,31 +256,30 @@ fn get_op(c: &mut Cursor) -> Decoded<MacroOp> {
     }
 }
 
-/// Writes the expanded tile list: each run's tile `repeat` times, so the
-/// bytes do not depend on how the program is stored in memory.
+/// Writes the program as its runs: each `(repeat, tile)` once.
 fn put_program(out: &mut Vec<u8>, p: &RunProgram) {
     put_str(out, &p.label);
-    put_u64(out, p.tile_count());
+    put_usize(out, p.runs().len());
     for run in p.runs() {
-        let start = out.len();
+        put_u64(out, run.repeat);
         put_u64(out, run.tile.dram_read_bytes);
         put_u64(out, run.tile.dram_write_bytes);
         put_usize(out, run.tile.ops.len());
         for op in &run.tile.ops {
             put_op(out, op);
         }
-        let end = out.len();
-        for _ in 1..run.repeat {
-            out.extend_from_within(start..end);
-        }
     }
 }
 
-/// Reads a tile list back into canonical runs.
+/// Reads the runs back. Only canonical runs decode: a zero repeat, a run
+/// equal to the one before it, or repeats whose sum overflows a `u64`
+/// (which [`RunProgram::tile_count`] sums unchecked) is corrupt.
 fn get_program(c: &mut Cursor) -> Decoded<RunProgram> {
     let mut program = RunProgram::new(c.str()?);
-    let n_tiles = c.count(MIN_TILE_LEN)?;
-    for _ in 0..n_tiles {
+    let n_runs = c.count(MIN_RUN_LEN)?;
+    let mut tiles = 0u64;
+    for _ in 0..n_runs {
+        let repeat = c.u64()?;
         let dram_read_bytes = c.u64()?;
         let dram_write_bytes = c.u64()?;
         let n_ops = c.count(MIN_OP_LEN)?;
@@ -421,7 +292,17 @@ fn get_program(c: &mut Cursor) -> Decoded<RunProgram> {
             dram_write_bytes,
             ops,
         };
-        program.push(tile, 1);
+        if repeat == 0 {
+            return corrupt("a run repeats its tile 0 times");
+        }
+        if program.runs().last().is_some_and(|last| last.tile == tile) {
+            return corrupt("a run repeats the tile of the run before it");
+        }
+        let Some(sum) = tiles.checked_add(repeat) else {
+            return corrupt("the runs repeat more than u64::MAX tiles");
+        };
+        tiles = sum;
+        program.push(tile, repeat);
     }
     Ok(program)
 }
@@ -499,7 +380,7 @@ fn get_stats(c: &mut Cursor) -> Decoded<Stats> {
 }
 
 fn put_entry(out: &mut Vec<u8>, key: &LayerKey, value: &CachedLayer) {
-    put_key(out, key);
+    out.extend_from_slice(&key.packed());
     put_program(out, &value.compiled.program);
     match value.compiled.scheme {
         None => put_u8(out, 0),
@@ -545,33 +426,32 @@ fn get_entry(c: &mut Cursor) -> Decoded<(LayerKey, CachedLayer)> {
 // Public entry/key codecs.
 //
 // The fleet layer reuses the file format's codecs for two jobs: hashing
-// a key onto the consistent-hash ring (the encoded bytes are the
+// a key onto the consistent-hash ring (the packed bytes are the
 // canonical, platform-independent identity of a key) and shipping
 // compiled entries over the wire (a shard streams `entry_bytes`, the
 // client decodes them back — the exact bytes a local compile would have
 // produced, because the entry is a pure function of the key).
 // ---------------------------------------------------------------------
 
-/// The canonical binary encoding of a [`LayerKey`] — the format's key
-/// serialization, usable as a deterministic hash/sort identity.
+/// The canonical binary encoding of a [`LayerKey`]: its 160 packed
+/// bytes, as the cache file and the wire carry it. Comparing encodings
+/// orders keys as the file lists them.
 pub fn key_bytes(key: &LayerKey) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_key(&mut out, key);
-    out
+    key.packed().to_vec()
 }
 
 /// A key's stable 64-bit identity: [`fnv1a64`] over [`key_bytes`]. The
 /// fleet ring hashes this onto shards.
 pub fn key_hash(key: &LayerKey) -> u64 {
-    fnv1a(&key_bytes(key))
+    fnv1a(&key.packed())
 }
 
 /// Decodes a [`LayerKey`] written by [`key_bytes`].
 ///
 /// # Errors
 ///
-/// Returns [`PersistError::Corrupt`] on truncated or invalid bytes,
-/// including trailing garbage.
+/// Returns [`PersistError::Corrupt`] on truncated, trailing or
+/// non-canonical bytes.
 pub fn decode_key_bytes(bytes: &[u8]) -> Result<LayerKey, PersistError> {
     Ok(record::decode_exact(bytes, "the key", get_key)?)
 }
@@ -608,25 +488,16 @@ pub fn cache_max_from_env() -> Option<usize> {
 
 /// Serializes the cache's current entries.
 ///
-/// Entries are sorted by their encoded key bytes so the same cache
+/// Entries are sorted by their packed key bytes so the same cache
 /// contents always produce the same file, regardless of hash-map
 /// iteration order.
 fn encode(cache: &CompiledLayerCache) -> Vec<u8> {
-    let snapshot = cache.snapshot();
-    let mut by_key: Vec<(Vec<u8>, &LayerKey, &Arc<CachedLayer>)> = snapshot
-        .iter()
-        .map(|(key, value)| {
-            let mut kb = Vec::new();
-            put_key(&mut kb, key);
-            (kb, key, value)
-        })
-        .collect();
-    by_key.sort_by(|a, b| a.0.cmp(&b.0));
-
+    let mut snapshot = cache.snapshot();
+    snapshot.sort_by_cached_key(|(key, _)| key.packed());
     let mut file = record::header(MAGIC, FORMAT_VERSION);
     record::put_frame(&mut file, |payload| {
-        put_usize(payload, by_key.len());
-        for (_, key, value) in &by_key {
+        put_usize(payload, snapshot.len());
+        for (key, value) in &snapshot {
             put_entry(payload, key, value);
         }
     });
@@ -764,6 +635,8 @@ mod tests {
     use crate::adaptive::Policy;
     use crate::runner::Runner;
     use cbrain_model::zoo;
+    use cbrain_sim::AcceleratorConfig;
+    use std::sync::Arc;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cbrain_persist_{tag}_{}", std::process::id()));

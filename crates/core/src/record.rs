@@ -218,7 +218,7 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn array<const N: usize>(&mut self) -> Decoded<[u8; N]> {
+    pub(crate) fn array<const N: usize>(&mut self) -> Decoded<[u8; N]> {
         let mut a = [0; N];
         a.copy_from_slice(self.take(N)?);
         Ok(a)

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! cbrand [--host HOST] [--port PORT] [--jobs N] [--cache auto|off|PATH]
-//!        [--workers N] [--queue-depth N] [--high-water N] [--low-water N]
-//!        [--metrics-addr ADDR] [--max-connections N]
+//!        [--workers N] [--queue-depth N] [--metrics-addr ADDR]
+//!        [--max-connections N]
 //! ```
 //!
 //! Prints `cbrand listening on HOST:PORT` on stdout once bound (scripts
@@ -33,11 +33,9 @@ OPTIONS:
     --workers N     Connection-serving worker threads; 0 = max(cores, 4)
                     (default 0)
     --queue-depth N Bound on accepted-but-unserved connections; 0 = 64
-                    (default 0)
-    --high-water N  Queue depth at which the daemon starts answering
-                    `busy` instead of queueing (default: the queue depth)
-    --low-water N   Queue depth at which shedding stops again
-                    (default: half the high-water mark)
+                    (default 0). The daemon starts answering `busy`
+                    instead of queueing at this depth, and stops again
+                    at half of it
     --metrics-addr ADDR
                     Serve Prometheus text-format metrics over HTTP at
                     ADDR (e.g. 127.0.0.1:9227; port 0 picks an ephemeral
@@ -56,8 +54,6 @@ struct Args {
     cache: String,
     workers: usize,
     queue_depth: usize,
-    high_water: Option<usize>,
-    low_water: Option<usize>,
     metrics_addr: Option<String>,
     max_connections: Option<usize>,
 }
@@ -70,8 +66,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         cache: "auto".to_owned(),
         workers: 0,
         queue_depth: 0,
-        high_water: None,
-        low_water: None,
         metrics_addr: None,
         max_connections: None,
     };
@@ -105,20 +99,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                 args.queue_depth = value
                     .parse()
                     .map_err(|_| format!("bad queue depth `{value}`"))?;
-            }
-            "--high-water" => {
-                args.high_water = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad high-water mark `{value}`"))?,
-                );
-            }
-            "--low-water" => {
-                args.low_water = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad low-water mark `{value}`"))?,
-                );
             }
             "--metrics-addr" => args.metrics_addr = Some(value.clone()),
             "--max-connections" => {
@@ -166,8 +146,6 @@ fn main() -> ExitCode {
         cache_path: cache_path(&args.cache),
         workers: args.workers,
         queue_depth: args.queue_depth,
-        high_water: args.high_water,
-        low_water: args.low_water,
         busy_retry_ms: 0,
         metrics_addr: resolve_metrics_addr(args.metrics_addr, &cbrain::config::EnvConfig::load()),
         max_connections: resolve_max_connections(

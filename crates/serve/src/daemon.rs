@@ -47,7 +47,9 @@ use cbrain::telemetry::{
     self, http::MetricsServer, Counter, Gauge, Histogram, MetricKind, Registry, Sample,
     SampleValue, Span, DURATION_BUCKETS,
 };
-use cbrain::{CompileBackend as _, CompiledLayerCache, EnvConfig, RunOptions, Runner};
+use cbrain::{
+    compile_cache_entry, CompileBackend as _, CompiledLayerCache, EnvConfig, RunOptions, Runner,
+};
 use cbrain_model::{spec, zoo, Layer, Network, Tensor3};
 use cbrain_reactor::{Connection, Interest, Phase, Poller, WakeHandle, Waker};
 use std::collections::{HashMap, VecDeque};
@@ -117,17 +119,10 @@ pub struct DaemonOptions {
     /// resolves to `max(available_jobs(), 4)`.
     pub workers: usize,
     /// Bound on parsed-but-unserved compute requests. `0` resolves to
-    /// 64.
+    /// 64. It is also the admission high-water mark: occupancy above the
+    /// worker pool at which the daemon starts shedding new connections
+    /// with `busy`. Shedding stops again at half of it.
     pub queue_depth: usize,
-    /// Occupancy above the worker pool at which the daemon starts
-    /// shedding new connections with `busy`. `None` resolves to the
-    /// queue depth (shed only when full); any value is clamped into
-    /// `1..=queue_depth`.
-    pub high_water: Option<usize>,
-    /// Occupancy above the worker pool at which shedding stops again.
-    /// `None` resolves to half the high-water mark; any value is
-    /// clamped below it.
-    pub low_water: Option<usize>,
     /// Base retry hint in milliseconds; the shed answer scales it by the
     /// daemon's current load (queued + in-flight requests). `0`
     /// resolves to 25.
@@ -577,10 +572,7 @@ impl Daemon {
         } else {
             opts.queue_depth
         };
-        // High water must be at least 1 or every connection — including
-        // the eventual `shutdown` — would be shed forever.
-        let high_water = opts.high_water.unwrap_or(queue_depth).clamp(1, queue_depth);
-        let low_water = opts.low_water.unwrap_or(high_water / 2).min(high_water - 1);
+        let (high_water, low_water) = (queue_depth, queue_depth / 2);
         let busy_retry_ms = if opts.busy_retry_ms == 0 {
             DEFAULT_BUSY_RETRY_MS
         } else {
@@ -988,11 +980,21 @@ fn handle_compile_keys(
     id: Option<u64>,
 ) -> io::Result<()> {
     // Decode every key before compiling anything: a malformed item fails
-    // the whole batch without wasted work.
-    let mut keys = Vec::with_capacity(items.len());
+    // the whole batch without wasted work. A key is self-contained:
+    // rebuild the layer the compiler needs from it (the name is only for
+    // diagnostics, `skip` does not affect compilation).
+    let mut keyed = Vec::with_capacity(items.len());
     for item in items {
         match persist::decode_key_bytes(&item.key) {
-            Ok(key) => keys.push(key),
+            Ok(key) => keyed.push((
+                key,
+                Layer {
+                    name: item.name.clone(),
+                    input: key.input,
+                    kind: key.kind,
+                    skip: None,
+                },
+            )),
             Err(e) => {
                 return sink.event(
                     &Event::Error {
@@ -1003,24 +1005,11 @@ fn handle_compile_keys(
             }
         }
     }
-    // A key is self-contained: rebuild the layer the compiler needs from
-    // it (the name is only for diagnostics, `skip` does not affect
-    // compilation). Already-cached keys stay off the work-list.
-    let worklist: Vec<_> = keys
+    // Already-cached keys stay off the work-list.
+    let worklist = keyed
         .iter()
-        .zip(items)
         .filter(|(key, _)| !state.cache.contains(key))
-        .map(|(key, item)| {
-            (
-                *key,
-                Layer {
-                    name: item.name.clone(),
-                    input: key.input,
-                    kind: key.kind,
-                    skip: None,
-                },
-            )
-        })
+        .cloned()
         .collect();
     if let Err(e) = state.batcher.compile_batch(&state.cache, worklist) {
         return sink.event(
@@ -1030,11 +1019,24 @@ fn handle_compile_keys(
             id,
         );
     }
-    for key in &keys {
-        let entry = state
-            .cache
-            .peek(key)
-            .expect("compile_batch caches every key");
+    // An `evict` answered meanwhile may have dropped any key again, one
+    // left off the work-list or one the batch compiled: compile it here,
+    // as the runner does. An entry is a pure function of its key.
+    for (key, layer) in &keyed {
+        let entry = match state.cache.peek(key) {
+            Some(entry) => entry,
+            None => match compile_cache_entry(layer, key) {
+                Ok(entry) => state.cache.insert(*key, entry),
+                Err(e) => {
+                    return sink.event(
+                        &Event::Error {
+                            message: e.to_string(),
+                        },
+                        id,
+                    )
+                }
+            },
+        };
         sink.event(
             &Event::Entry {
                 data: persist::entry_bytes(key, &entry),

@@ -21,22 +21,19 @@ use std::fmt;
 /// Version of the wire protocol this build speaks. Peers exchange it in
 /// `hello` and refuse to talk across a mismatch — compiled-entry bytes
 /// ride the wire verbatim, so a version skew could silently corrupt a
-/// cache.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// cache. v3 carries keys and entries in the v2 cache-file encoding
+/// (160-byte packed keys, run-length programs); a v2 peer could not
+/// decode them.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Minor revision of the wire protocol, advertised in the `hello`
-/// answer. Minor revisions are backwards compatible — v2.1 adds the
-/// `busy` admission-control event, the admission counters on `stats`,
-/// and the `progress` request/event pair for live run-progress queries,
-/// all of which a v2.0 peer simply never sees (a v2.0 *client* talking
-/// to a v2.1 daemon under overload sees the connection refused with an
-/// unknown event, which is the correct failure for a peer that cannot
-/// honor the backoff hint). v2.2 adds the `metrics` request/event pair
-/// (the telemetry registry as a deterministic sorted JSON object) and
-/// the matching `metrics` capability label; older peers never send the
-/// request and never see the event. Peers never refuse a connection over
+/// answer. Minor revisions are backwards compatible: a later minor only
+/// adds requests, events, members or capability labels that an older
+/// peer never sends and never sees. v3.0 keeps the whole v2.2 grammar
+/// (the `busy` admission-control event and counters of v2.1, the
+/// `progress` and `metrics` pairs). Peers never refuse a connection over
 /// a minor skew.
-pub const PROTOCOL_MINOR: u32 = 2;
+pub const PROTOCOL_MINOR: u32 = 0;
 
 /// Error from decoding a request or event line.
 #[derive(Debug, Clone, PartialEq, Eq)]

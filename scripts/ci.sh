@@ -109,6 +109,48 @@ if [[ $quick -eq 0 ]]; then
 fi
 
 if [[ $quick -eq 0 ]]; then
+    echo "==> cache-file smoke: a file cbrain run saved must warm a second run, a daemon and its client"
+    cf_dir="$(mktemp -d)"
+    trap 'kill "$cf_pid" 2>/dev/null || true; rm -rf "$cf_dir"' EXIT
+    cf_file="$cf_dir/compiled-layers.bin"
+    cf_run=(./target/release/cbrain run --spec specs/alexnet.spec --policy oracle --cache "$cf_file")
+    "${cf_run[@]}" >"$cf_dir/cold.txt" 2>"$cf_dir/cold.err"
+    "${cf_run[@]}" >"$cf_dir/warm.txt" 2>"$cf_dir/warm.err"
+    loaded="$(sed -n 's/^cache: loaded \([0-9]*\) cached layers from .*/\1/p' "$cf_dir/warm.err")"
+    [[ -n "$loaded" ]] || { echo "error: the second run loaded no cache file" >&2; cat "$cf_dir/warm.err" >&2; exit 1; }
+    grep -q 'cache [0-9]*h/0m$' "$cf_dir/warm.txt" \
+        || { echo "error: the warm run compiled layers" >&2; cat "$cf_dir/warm.txt" >&2; exit 1; }
+    # Only the cache token may differ between the cold and warm reports.
+    untoken() { sed 's/cache [0-9]*h\/[0-9]*m$/cache TOKEN/' "$1"; }
+    if ! diff -u <(untoken "$cf_dir/cold.txt") <(untoken "$cf_dir/warm.txt"); then
+        echo "error: the warm report differs from the cold one beyond its cache token" >&2
+        exit 1
+    fi
+
+    ./target/release/cbrand --port 0 --cache "$cf_file" >"$cf_dir/daemon.out" 2>"$cf_dir/daemon.err" &
+    cf_pid=$!
+    addr=""
+    for _ in $(seq 1 50); do
+        addr="$(sed -n 's/^cbrand listening on //p' "$cf_dir/daemon.out")"
+        [[ -n "$addr" ]] && break
+        sleep 0.1
+    done
+    [[ -n "$addr" ]] || { echo "error: cache-file cbrand never reported its address" >&2; cat "$cf_dir/daemon.err" >&2; exit 1; }
+    grep -q "^cbrand: loaded $loaded cached layers from " "$cf_dir/daemon.err" \
+        || { echo "error: the daemon did not load the $loaded layers the warm run did" >&2; cat "$cf_dir/daemon.err" >&2; exit 1; }
+    ./target/release/cbrain cbrand-client --connect "$addr" \
+        --spec specs/alexnet.spec --policy oracle >"$cf_dir/client.txt" 2>/dev/null
+    if ! diff -u "$cf_dir/warm.txt" "$cf_dir/client.txt"; then
+        echo "error: the client of the warm daemon did not get the warm report" >&2
+        exit 1
+    fi
+    ./target/release/cbrain cbrand-client --connect "$addr" --shutdown >/dev/null
+    wait "$cf_pid"
+    trap - EXIT
+    rm -rf "$cf_dir"
+fi
+
+if [[ $quick -eq 0 ]]; then
     echo "==> overload smoke: flooded 2-worker daemon must shed with busy, yet reports stay byte-identical"
     ovl_dir="$(mktemp -d)"
     trap 'kill "$ovl_pid" 2>/dev/null || true; rm -rf "$ovl_dir"' EXIT
@@ -256,7 +298,7 @@ if [[ $quick -eq 0 ]]; then
     for i in $(seq 1 256); do
         exec {c10k_fd}<>"/dev/tcp/${addr%:*}/${addr##*:}" \
             || { echo "error: idle connection $i failed to open" >&2; exit 1; }
-        printf '{"req":"hello","version":2}\n' >&"$c10k_fd"
+        printf '{"req":"hello","version":3}\n' >&"$c10k_fd"
         IFS= read -r c10k_hello <&"$c10k_fd" \
             || { echo "error: idle connection $i got no hello answer" >&2; exit 1; }
         grep -q '"ev":"hello"' <<<"$c10k_hello" \

@@ -6,11 +6,12 @@
 //! and image, and splices one unroll pre-pass ahead of each image. Every
 //! zoo layer under every scheme, PE shape and batch, and a seeded set of
 //! random plans and templates, must expand to exactly the oracle's tiles,
-//! simulate and trace to the same result as that expansion, and serialize
-//! to the bytes the tile-list encoder wrote.
+//! simulate and trace to the same result as that expansion, and survive
+//! the cache entry codec: decode to the same runs and re-encode to the
+//! same bytes.
 
 use cbrain::cache::{CachedLayer, LayerKey};
-use cbrain::persist::{decode_entry_bytes, entry_bytes, key_bytes};
+use cbrain::persist::{decode_entry_bytes, entry_bytes};
 use cbrain::RunOptions;
 use cbrain_compiler::{
     compile_layer_batched, emit_inter, emit_intra, emit_partition, CompiledLayer, ConvGeometry,
@@ -341,89 +342,6 @@ fn oracle_layer(
 }
 
 // ---------------------------------------------------------------------
-// The tile-list encoder of the cache file and wire, verbatim.
-// ---------------------------------------------------------------------
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_op(out: &mut Vec<u8>, op: &MacroOp) {
-    match *op {
-        MacroOp::MacBurst {
-            bursts,
-            active_lanes,
-            input_reads,
-            input_requests,
-            weight_reads,
-            psum_reads,
-            output_writes,
-        } => {
-            out.push(0);
-            put_u64(out, bursts);
-            put_u32(out, active_lanes);
-            put_u32(out, input_reads);
-            put_u32(out, input_requests);
-            put_u32(out, weight_reads);
-            put_u32(out, psum_reads);
-            put_u32(out, output_writes);
-        }
-        MacroOp::AddStore { count } => {
-            out.push(1);
-            put_u64(out, count);
-        }
-        MacroOp::OutputWrite { elems } => {
-            out.push(2);
-            put_u64(out, elems);
-        }
-        MacroOp::PoolBurst {
-            bursts,
-            input_reads,
-            output_writes,
-        } => {
-            out.push(3);
-            put_u64(out, bursts);
-            put_u32(out, input_reads);
-            put_u32(out, output_writes);
-        }
-        MacroOp::BiasLoad { elems } => {
-            out.push(4);
-            put_u64(out, elems);
-        }
-        MacroOp::EltwiseBurst {
-            bursts,
-            input_reads,
-            output_writes,
-        } => {
-            out.push(5);
-            put_u64(out, bursts);
-            put_u32(out, input_reads);
-            put_u32(out, output_writes);
-        }
-    }
-}
-
-fn program_bytes(label: &str, tiles: &[Tile]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, label.len() as u64);
-    out.extend_from_slice(label.as_bytes());
-    put_u64(&mut out, tiles.len() as u64);
-    for tile in tiles {
-        put_u64(&mut out, tile.dram_read_bytes);
-        put_u64(&mut out, tile.dram_write_bytes);
-        put_u64(&mut out, tile.ops.len() as u64);
-        for op in &tile.ops {
-            put_op(&mut out, op);
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
 // The checks.
 // ---------------------------------------------------------------------
 
@@ -459,8 +377,8 @@ fn assert_simulates_like(cfg: AcceleratorConfig, runs: &RunProgram, expanded: &P
     }
 }
 
-/// The entry's bytes carry the expanded tile list, exactly as the
-/// tile-list encoder wrote it, and decode back to the same runs.
+/// The entry decodes to the same key and runs, whose expansion is the
+/// oracle's tiles, and re-encodes to the same bytes.
 fn assert_entry_bytes(key: &LayerKey, compiled: &CompiledLayer, tiles: &[Tile], ctx: &str) {
     let stats = Machine::with_options(key.cfg, key.machine).run(&compiled.program);
     let entry = CachedLayer {
@@ -468,14 +386,24 @@ fn assert_entry_bytes(key: &LayerKey, compiled: &CompiledLayer, tiles: &[Tile], 
         stats,
     };
     let bytes = entry_bytes(key, &entry);
-    let mut prefix = key_bytes(key);
-    prefix.extend(program_bytes(&compiled.program.label, tiles));
-    assert!(bytes.starts_with(&prefix), "{ctx}: entry bytes changed");
-    let (_, decoded) = decode_entry_bytes(&bytes).expect("decodes");
+    let (decoded_key, decoded) = decode_entry_bytes(&bytes).expect("decodes");
+    assert_eq!(decoded_key, *key, "{ctx}");
+    let program = &decoded.compiled.program;
+    assert_eq!(
+        program.runs(),
+        compiled.program.runs(),
+        "{ctx}: runs differ"
+    );
+    assert_eq!(program.tiles, tiles, "{ctx}: expansion differs");
     assert_eq!(
         format!("{:?}", decoded.compiled),
         format!("{:?}", entry.compiled),
         "{ctx}"
+    );
+    assert_eq!(
+        entry_bytes(&decoded_key, &decoded),
+        bytes,
+        "{ctx}: re-encoding changed the bytes"
     );
 }
 

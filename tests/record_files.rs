@@ -10,9 +10,12 @@ use cbrain::cache::{CachedLayer, CompiledLayerCache, LayerKey};
 use cbrain::compiler::{CompiledLayer, DataLayout, TilePlan};
 use cbrain::journal::{self, Cell, Journal, JournalError, OpenOutcome};
 use cbrain::persist::{self, LoadOutcome, PersistError};
-use cbrain::Scheme;
-use cbrain_model::{ConvParams, EltwiseParams, LayerKind, TensorShape};
-use cbrain_sim::{AcceleratorConfig, MachineOptions, MacroOp, RunProgram, Stats, Tile};
+use cbrain::{RunOptions, Scheme};
+use cbrain_model::{
+    zoo, ConvParams, EltwiseParams, FcParams, LayerKind, PoolKind, PoolParams, TensorShape,
+};
+use cbrain_sim::{AcceleratorConfig, MachineOptions, MacroOp, PeConfig, RunProgram, Stats, Tile};
+use std::collections::HashSet;
 use std::path::PathBuf;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -28,9 +31,9 @@ fn u64le(v: u64) -> [u8; 8] {
 
 /// Header and one frame around `payload`, as both record files lay them
 /// out, with a correct checksum.
-fn framed(magic: &[u8; 4], payload: &[u8]) -> Vec<u8> {
+fn framed(magic: &[u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
     let mut file = magic.to_vec();
-    file.extend_from_slice(&1u32.to_le_bytes());
+    file.extend_from_slice(&version.to_le_bytes());
     file.extend_from_slice(&u64le(payload.len() as u64));
     file.extend_from_slice(&u64le(persist::fnv1a64(payload)));
     file.extend_from_slice(payload);
@@ -63,8 +66,8 @@ fn tile_plan() -> TilePlan {
     }
 }
 
-/// A small entry with a tile repeated three times (the file holds the
-/// expanded tile list) and ops of three encoded widths.
+/// A small entry with a tile repeated three times (the file holds it
+/// once, as a run) and ops of three encoded widths.
 fn small_entry() -> CachedLayer {
     let mut program = RunProgram::new("pin");
     let tile = Tile {
@@ -119,9 +122,9 @@ fn small_entry() -> CachedLayer {
 
 #[test]
 fn cache_file_bytes_are_pinned() {
-    const PAYLOAD_LEN: u64 = 620;
-    const PAYLOAD_FNV: u64 = 0xc404_6c9d_83c8_334c;
-    const FILE_FNV: u64 = 0x5a2c_80bd_c942_c5b6;
+    const PAYLOAD_LEN: u64 = 524;
+    const PAYLOAD_FNV: u64 = 0xa8ab_3434_bcba_e660;
+    const FILE_FNV: u64 = 0xc893_bbd7_3e42_c59f;
 
     let cache = CompiledLayerCache::new();
     cache.insert(conv_key(), small_entry());
@@ -136,9 +139,9 @@ fn cache_file_bytes_are_pinned() {
     #[rustfmt::skip]
     let header: [u8; 24] = [
         b'C', b'B', b'L', b'C',                          // magic
-        1, 0, 0, 0,                                      // version 1
-        0x6c, 0x02, 0, 0, 0, 0, 0, 0,                    // payload length 620
-        0x4c, 0x33, 0xc8, 0x83, 0x9d, 0x6c, 0x04, 0xc4,  // FNV-1a 64 of the payload
+        2, 0, 0, 0,                                      // version 2
+        0x0c, 0x02, 0, 0, 0, 0, 0, 0,                    // payload length 524
+        0x60, 0xe6, 0xba, 0xbc, 0x34, 0x34, 0xab, 0xa8,  // FNV-1a 64 of the payload
     ];
     assert_eq!(bytes[..24], header);
     assert_eq!(header[8..16], u64le(PAYLOAD_LEN));
@@ -151,6 +154,28 @@ fn cache_file_bytes_are_pinned() {
         bytes[32..],
         persist::entry_bytes(&conv_key(), &small_entry())
     );
+    // The entry opens with the key's 20 words: the conv tag and its six
+    // parameters, the input shape, the scheme (partition), the config,
+    // the machine flags (overlap_dma) and the batch.
+    #[rustfmt::skip]
+    let key_words: [u64; 20] = [
+        0, 3, 8, 3, 1, 1, 1,
+        3, 8, 8,
+        2,
+        16, 16, 2 << 20, 1 << 20, 4 << 10, 8, 1000,
+        1,
+        1,
+    ];
+    for (i, word) in key_words.into_iter().enumerate() {
+        assert_eq!(bytes[32 + 8 * i..40 + 8 * i], u64le(word), "key word {i}");
+    }
+    // Then the program: its label, two runs, the first repeating its
+    // tile three times.
+    let program = &bytes[192..];
+    assert_eq!(program[..8], u64le(3));
+    assert_eq!(&program[8..11], b"pin");
+    assert_eq!(program[11..19], u64le(2));
+    assert_eq!(program[19..27], u64le(3));
 
     let restored = CompiledLayerCache::new();
     assert_eq!(
@@ -214,10 +239,10 @@ fn journal_bytes_are_pinned() {
 
 #[test]
 fn entry_decoder_rejects_a_label_length_past_the_end() {
-    // A conv key's 140 bytes, then a program label claiming u64::MAX
+    // A conv key's 160 bytes, then a program label claiming u64::MAX
     // bytes: the cursor must answer `Corrupt`, not overflow.
     let mut bytes = persist::key_bytes(&conv_key());
-    assert_eq!(bytes.len(), 140);
+    assert_eq!(bytes.len(), 160);
     bytes.extend_from_slice(&u64le(u64::MAX));
     let err = persist::decode_entry_bytes(&bytes).expect_err("hostile length");
     assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
@@ -229,7 +254,7 @@ fn journal_rejects_a_checksummed_string_length_past_the_end() {
     // bytes.
     let dir = tmpdir("hostile_journal");
     let path = dir.join("journal.bin");
-    std::fs::write(&path, framed(b"CBJL", &u64le(u64::MAX))).expect("write");
+    std::fs::write(&path, framed(b"CBJL", 1, &u64le(u64::MAX))).expect("write");
     let err = Journal::open(&path).expect_err("hostile length");
     assert!(matches!(err, JournalError::Corrupt(_)), "{err}");
     std::fs::remove_dir_all(&dir).ok();
@@ -239,7 +264,11 @@ fn journal_rejects_a_checksummed_string_length_past_the_end() {
 fn cache_file_rejects_an_entry_count_its_payload_cannot_hold() {
     let dir = tmpdir("hostile_count");
     let path = dir.join(persist::CACHE_FILE_NAME);
-    std::fs::write(&path, framed(b"CBLC", &u64le(u64::MAX))).expect("write");
+    std::fs::write(
+        &path,
+        framed(b"CBLC", persist::FORMAT_VERSION, &u64le(u64::MAX)),
+    )
+    .expect("write");
     let cache = CompiledLayerCache::new();
     match persist::load_into(&cache, &path) {
         Err(PersistError::Corrupt(why)) => {
@@ -274,14 +303,14 @@ fn the_smallest_entry_fills_its_payload_exactly_and_loads() {
         },
         stats: Stats::new(),
     };
-    assert_eq!(persist::entry_bytes(&key, &entry).len(), 313);
+    assert_eq!(persist::entry_bytes(&key, &entry).len(), 380);
 
     let cache = CompiledLayerCache::new();
     cache.insert(key, entry);
     let dir = tmpdir("smallest");
     let path = dir.join(persist::CACHE_FILE_NAME);
     persist::save_with_max(&cache, &path, None).expect("save");
-    assert_eq!(std::fs::metadata(&path).expect("stat").len(), 24 + 8 + 313);
+    assert_eq!(std::fs::metadata(&path).expect("stat").len(), 24 + 8 + 380);
     let restored = CompiledLayerCache::new();
     assert_eq!(
         persist::load_into(&restored, &path).expect("load"),
@@ -289,4 +318,189 @@ fn the_smallest_entry_fills_its_payload_exactly_and_loads() {
     );
     assert_eq!(restored.snapshot()[0].0, key);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The v1 file's field-by-field key encoding, the oracle for the order
+/// of packed keys: a `u8` kind tag and the kind's parameters, the input
+/// shape, a `u8` scheme tag, the config, a `u8` per machine flag, and
+/// the batch.
+fn v1_key_bytes(key: &LayerKey) -> Vec<u8> {
+    let mut out = Vec::new();
+    let word = |out: &mut Vec<u8>, v: usize| out.extend_from_slice(&u64le(v as u64));
+    match key.kind {
+        LayerKind::Conv(p) => {
+            out.push(0);
+            for v in [p.in_maps, p.out_maps, p.kernel, p.stride, p.pad, p.groups] {
+                word(&mut out, v);
+            }
+        }
+        LayerKind::Pool(p) => {
+            out.push(1);
+            word(&mut out, p.kernel);
+            word(&mut out, p.stride);
+            out.push(u8::from(p.kind == PoolKind::Average));
+            out.push(u8::from(p.ceil_mode));
+        }
+        LayerKind::FullyConnected(p) => {
+            out.push(2);
+            word(&mut out, p.in_features);
+            word(&mut out, p.out_features);
+        }
+        LayerKind::Eltwise(_) => out.extend([3, 0]),
+    }
+    for v in [key.input.maps, key.input.height, key.input.width] {
+        word(&mut out, v);
+    }
+    out.push(match key.scheme {
+        Scheme::Inter => 0,
+        Scheme::Intra => 1,
+        Scheme::Partition => 2,
+        Scheme::InterImproved => 3,
+    });
+    let cfg = key.cfg;
+    for v in [
+        cfg.pe.tin,
+        cfg.pe.tout,
+        cfg.inout_buf_bytes,
+        cfg.weight_buf_bytes,
+        cfg.bias_buf_bytes,
+        cfg.dram_bytes_per_cycle,
+    ] {
+        word(&mut out, v);
+    }
+    out.extend_from_slice(&u64le(cfg.freq_mhz));
+    out.push(u8::from(key.machine.overlap_dma));
+    out.push(u8::from(key.machine.add_store_on_critical_path));
+    word(&mut out, key.batch);
+    out
+}
+
+/// Every distinct zoo layer key under every scheme, two PE shapes, all
+/// four machine-flag settings and batch 1 and 4.
+fn zoo_keys() -> Vec<LayerKey> {
+    let mut keys = HashSet::new();
+    for net in zoo::all() {
+        for layer in net.layers() {
+            for scheme in Scheme::ALL {
+                for (tin, tout) in [(16, 16), (32, 8)] {
+                    let cfg = AcceleratorConfig::with_pe(PeConfig::new(tin, tout));
+                    for (flags, batch) in (0..4).flat_map(|flags| [(flags, 1), (flags, 4)]) {
+                        let opts = RunOptions {
+                            batch,
+                            machine: MachineOptions {
+                                overlap_dma: flags & 1 == 1,
+                                add_store_on_critical_path: flags & 2 == 2,
+                            },
+                            ..RunOptions::default()
+                        };
+                        keys.insert(LayerKey::new(layer, scheme, &cfg, &opts));
+                    }
+                }
+            }
+        }
+    }
+    keys.into_iter().collect()
+}
+
+#[test]
+fn packed_keys_sort_as_v1_keys_did() {
+    let keys = zoo_keys();
+    assert!(keys.len() > 1_000, "only {} keys", keys.len());
+    let mut by_packed = keys.clone();
+    by_packed.sort_by_key(persist::key_bytes);
+    let mut by_v1 = keys;
+    by_v1.sort_by_key(v1_key_bytes);
+    assert!(
+        by_packed == by_v1,
+        "packed and v1 key bytes order keys apart"
+    );
+}
+
+#[test]
+fn key_decoder_round_trips_every_key_and_rejects_non_canonical_bytes() {
+    for key in zoo_keys() {
+        let bytes = persist::key_bytes(&key);
+        assert_eq!(bytes.len(), 160);
+        assert_eq!(persist::decode_key_bytes(&bytes).expect("decodes"), key);
+        assert!(persist::decode_key_bytes(&bytes[..159]).is_err());
+        assert!(persist::decode_key_bytes(&[&bytes[..], &[0]].concat()).is_err());
+    }
+
+    // One key of each kind, with one word set to `value`.
+    let pool = LayerKind::Pool(PoolParams {
+        kernel: 3,
+        stride: 2,
+        kind: PoolKind::Average,
+        ceil_mode: true,
+    });
+    let with_word = |kind: LayerKind, word: usize, value: u64| {
+        let key = LayerKey { kind, ..conv_key() };
+        let mut bytes = persist::key_bytes(&key);
+        bytes[8 * word..8 * word + 8].copy_from_slice(&u64le(value));
+        persist::decode_key_bytes(&bytes)
+    };
+    let conv = conv_key().kind;
+    let fc = LayerKind::FullyConnected(FcParams::new(9, 10));
+    let eltwise = LayerKind::Eltwise(EltwiseParams::add());
+    assert!(with_word(pool, 3, 1).is_ok(), "a canonical control");
+    let non_canonical = [
+        ("kind tag", conv, 0, 4),
+        ("pool kind", pool, 3, 2),
+        ("ceil mode", pool, 4, 2),
+        ("pool padding", pool, 5, 1),
+        ("fc padding", fc, 3, 1),
+        ("eltwise op", eltwise, 1, 1),
+        ("eltwise padding", eltwise, 6, 1),
+        ("scheme", conv, 10, 4),
+        ("overlap_dma flag", conv, 18, 2),
+        ("add-store flag", conv, 18, 2 << 8),
+        ("flag word bits", conv, 18, 1 << 16),
+    ];
+    for (what, kind, word, value) in non_canonical {
+        let err = with_word(kind, word, value).expect_err(what);
+        assert!(matches!(err, PersistError::Corrupt(_)), "{what}: {err}");
+    }
+    // A word past `usize` is rejected where `usize` is narrower than 64
+    // bits; elsewhere every word fits.
+    assert_eq!(
+        with_word(conv, 19, u64::MAX).is_ok(),
+        usize::try_from(u64::MAX).is_ok()
+    );
+}
+
+#[test]
+fn run_decoder_rejects_non_canonical_runs() {
+    let bytes = persist::entry_bytes(&conv_key(), &small_entry());
+    // The key (160 bytes), the label "pin" (8 + 3) and the run count
+    // (8) come first. The first run is its repeat (8), a tile header
+    // (24) and two ops (33 + 9) at bytes 179..253; the second, of one
+    // tile, follows.
+    let (first, second) = (179..253, 253..311);
+    assert_eq!(bytes[first.start..first.start + 8], u64le(3));
+    assert_eq!(bytes[second.start..second.start + 8], u64le(1));
+    assert!(persist::decode_entry_bytes(&bytes).is_ok());
+
+    let with_repeat = |at: usize, repeat: u64| {
+        let mut bad = bytes.clone();
+        bad[at..at + 8].copy_from_slice(&u64le(repeat));
+        bad
+    };
+    let zero_repeat = with_repeat(first.start, 0);
+    let overflowing = with_repeat(first.start, u64::MAX);
+    // The first run written twice: two runs of one tile, which the
+    // writer would have merged into one.
+    let merged = [
+        &bytes[..second.start],
+        &bytes[first.clone()],
+        &bytes[second.end..],
+    ]
+    .concat();
+    for (what, bad) in [
+        ("zero repeat", zero_repeat),
+        ("merged run", merged),
+        ("overflowing repeat sum", overflowing),
+    ] {
+        let err = persist::decode_entry_bytes(&bad).expect_err(what);
+        assert!(matches!(err, PersistError::Corrupt(_)), "{what}: {err}");
+    }
 }

@@ -2,12 +2,15 @@
 //! streamed client reports must be byte-identical to a single-process
 //! [`Runner`], and the persisted cache must make a daemon restart warm.
 
+use cbrain::cache::LayerKey;
+use cbrain::persist;
 use cbrain::report::render_run_report;
-use cbrain::{RunOptions, Runner};
+use cbrain::{RunOptions, Runner, Scheme};
 use cbrain_serve::daemon::{Daemon, DaemonOptions};
 use cbrain_serve::json::Value;
-use cbrain_serve::wire::{Event, NetworkSource, Request, RunRequest};
+use cbrain_serve::wire::{CompileItem, Event, NetworkSource, Request, RunRequest};
 use cbrain_serve::{Client, ClientError};
+use cbrain_sim::AcceleratorConfig;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -808,4 +811,169 @@ fn daemon_restart_serves_from_persisted_cache() {
     server.join().expect("server thread").expect("clean exit");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Waits on `rx` for the daemon thread's result, failing the test
+/// instead of hanging if the daemon does not exit.
+fn join_within(server: thread::JoinHandle<std::io::Result<String>>, limit: Duration) -> String {
+    let (tx, rx) = std::sync::mpsc::channel();
+    thread::spawn(move || tx.send(server.join()));
+    rx.recv_timeout(limit)
+        .expect("the daemon exits after shutdown")
+        .expect("server thread")
+        .expect("clean exit")
+}
+
+#[test]
+fn compile_keys_answers_every_batch_while_evict_empties_the_cache() {
+    let _threads = shared_thread_counts();
+    let io = Duration::from_secs(10);
+    let daemon = Daemon::bind(
+        "127.0.0.1:0",
+        DaemonOptions {
+            jobs: 1,
+            ..DaemonOptions::default()
+        },
+    )
+    .expect("bind loopback");
+    let addr = daemon.local_addr().to_string();
+    let server = thread::spawn(move || daemon.run());
+
+    // Every distinct alexnet key under every scheme, as a fleet router
+    // would scatter them.
+    let net = cbrain::model::zoo::alexnet();
+    let cfg = AcceleratorConfig::paper_16_16();
+    let opts = RunOptions::default();
+    let mut keys: Vec<(LayerKey, String)> = Vec::new();
+    for layer in net.layers() {
+        for scheme in Scheme::ALL {
+            let key = LayerKey::new(layer, scheme, &cfg, &opts);
+            if keys.iter().all(|(k, _)| *k != key) {
+                keys.push((key, layer.name.clone()));
+            }
+        }
+    }
+    let items: Vec<CompileItem> = keys
+        .iter()
+        .map(|(key, name)| CompileItem {
+            key: persist::key_bytes(key),
+            name: name.clone(),
+        })
+        .collect();
+
+    // One client sends the batches while another loops `evict 0`, which
+    // the reactor answers inline while a batch compiles or streams.
+    thread::scope(|scope| {
+        let batches = scope.spawn(|| {
+            let mut client = Client::builder(&addr)
+                .io_timeout(io)
+                .connect()
+                .expect("connect");
+            for _ in 0..4 {
+                let mut entries = Vec::new();
+                let request = Request::CompileKeys {
+                    items: items.clone(),
+                };
+                let terminal = client
+                    .submit(&request, |event| {
+                        if let Event::Entry { data } = event {
+                            entries.push(data.clone());
+                        }
+                    })
+                    .expect("the batch is answered");
+                assert_eq!(terminal, Event::Ok);
+                assert_eq!(entries.len(), keys.len());
+                for (data, (key, name)) in entries.iter().zip(&keys) {
+                    let (decoded, _) = persist::decode_entry_bytes(data).expect("entry decodes");
+                    assert_eq!(decoded, *key, "entry for {name}");
+                }
+            }
+        });
+        let mut evictor = Client::builder(&addr)
+            .io_timeout(io)
+            .connect()
+            .expect("connect");
+        while !batches.is_finished() {
+            evictor
+                .submit(&Request::Evict { max: 0 }, |_| {})
+                .expect("evict");
+        }
+        batches
+            .join()
+            .expect("every batch answers ok with its keys");
+    });
+
+    let mut client = Client::builder(&addr)
+        .io_timeout(io)
+        .connect()
+        .expect("connect");
+    client.submit(&Request::Shutdown, |_| {}).expect("shutdown");
+    join_within(server, Duration::from_secs(20));
+}
+
+#[test]
+fn connection_cap_sheds_arrivals_past_it_until_a_connection_closes() {
+    let _threads = shared_thread_counts();
+    let io = Duration::from_secs(10);
+    let daemon = Daemon::bind(
+        "127.0.0.1:0",
+        DaemonOptions {
+            jobs: 1,
+            max_connections: 2,
+            ..DaemonOptions::default()
+        },
+    )
+    .expect("bind loopback");
+    let addr = daemon.local_addr().to_string();
+    let server = thread::spawn(move || daemon.run());
+    let connect = || {
+        Client::builder(&addr)
+            .io_timeout(io)
+            .busy_wait(Duration::ZERO)
+            .connect()
+    };
+
+    // Two connections that said `hello` fill the cap.
+    let mut first = connect().expect("first connection");
+    let mut second = connect().expect("second connection");
+
+    // A third gets one `busy` line, then EOF.
+    let mut third = std::net::TcpStream::connect(&addr).expect("dial");
+    third.set_read_timeout(Some(io)).expect("read timeout");
+    let mut reply = String::new();
+    third
+        .read_to_string(&mut reply)
+        .expect("busy line, then EOF");
+    let lines: Vec<&str> = reply.lines().collect();
+    assert_eq!(lines.len(), 1, "{reply:?}");
+    assert!(
+        matches!(Event::decode(lines[0]), Ok(Event::Busy { .. })),
+        "{reply:?}"
+    );
+    drop(third);
+
+    // Both admitted connections are still open and served.
+    first.hello().expect("first connection still served");
+    let metrics = fetch_metrics(&mut second);
+    assert_eq!(counter(&metrics, "accept_rejected_total"), 1);
+    assert_eq!(counter(&metrics, "admission_shed_total"), 1);
+
+    // Once one closes, and the shed one has drained, a new connection
+    // is admitted.
+    drop(first);
+    let deadline = std::time::Instant::now() + io;
+    while counter(&fetch_metrics(&mut second), "connections_open") != 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "closed connections never left the daemon"
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+    let mut fourth = connect().expect("a freed slot admits a new connection");
+    fourth.hello().expect("new connection served");
+    let metrics = fetch_metrics(&mut fourth);
+    assert_eq!(counter(&metrics, "accept_rejected_total"), 1);
+
+    fourth.submit(&Request::Shutdown, |_| {}).expect("shutdown");
+    join_within(server, Duration::from_secs(20));
 }
