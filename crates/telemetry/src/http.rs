@@ -4,12 +4,25 @@
 //! for a standard Prometheus scraper (which speaks plain HTTP GET) or a
 //! `bash /dev/tcp` probe to pull the text exposition. Every response
 //! closes the connection. Anything that is not `GET /metrics` gets a 404.
+//!
+//! Scrapes are answered one at a time, so each request head is read
+//! under one deadline for the whole head and capped in size. A head
+//! still incomplete at the deadline, or longer than the cap, closes the
+//! connection unanswered: a client trickling bytes can hold the listener
+//! for at most the deadline, and one that never sends a newline costs at
+//! most the cap.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Time a client has to send its whole request head.
+const HEAD_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Most bytes a request head may hold.
+const HEAD_CAP: usize = 8 << 10;
 
 /// Renders the exposition body on demand (called once per scrape, after
 /// the owner has refreshed any sampled gauges).
@@ -82,26 +95,41 @@ impl Drop for MetricsServer {
     }
 }
 
-/// Read one request, answer it, close. Bounded reads so a slow or
-/// malicious peer cannot park the thread for long.
-fn answer(stream: TcpStream, render: &RenderFn) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    let mut parts = line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    // Drain headers until the blank line, with a hard cap.
-    let mut header = String::new();
-    for _ in 0..64 {
-        header.clear();
-        if reader.read_line(&mut header).unwrap_or(0) == 0 || header.trim().is_empty() {
-            break;
+/// Reads the request head through the blank line that ends it (or
+/// until the peer closes its half). `None` when the head is incomplete at
+/// [`HEAD_DEADLINE`] or grows past [`HEAD_CAP`].
+fn read_head(stream: &mut TcpStream) -> Option<String> {
+    let deadline = Instant::now() + HEAD_DEADLINE;
+    let mut head = Vec::new();
+    let mut buf = [0; 1024];
+    while !(head.windows(2).any(|w| w == b"\n\n") || head.windows(3).any(|w| w == b"\n\r\n")) {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return None;
+        }
+        stream.set_read_timeout(Some(left)).ok()?;
+        match stream.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => head.extend_from_slice(&buf[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return None,
+        }
+        if head.len() > HEAD_CAP {
+            return None;
         }
     }
-    let mut stream = reader.into_inner();
+    Some(String::from_utf8_lossy(&head).into_owned())
+}
+
+/// Read one request head, answer it, close.
+fn answer(mut stream: TcpStream, render: &RenderFn) -> std::io::Result<()> {
+    let Some(head) = read_head(&mut stream) else {
+        return Ok(());
+    };
+    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
+    let mut parts = head.lines().next().unwrap_or("").split_whitespace();
+    let method = parts.next().unwrap_or("");
+    let path = parts.next().unwrap_or("");
     if method == "GET" && (path == "/metrics" || path == "/metrics/") {
         let body = render();
         write!(
@@ -130,10 +158,60 @@ mod tests {
 
     fn scrape(addr: SocketAddr, request: &str) -> String {
         let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         s.write_all(request.as_bytes()).unwrap();
         let mut out = String::new();
         s.read_to_string(&mut out).unwrap();
         out
+    }
+
+    fn server() -> MetricsServer {
+        let render: RenderFn = Arc::new(|| "up 1\n".to_owned());
+        MetricsServer::serve("127.0.0.1:0", render).unwrap()
+    }
+
+    #[test]
+    fn a_trickling_client_holds_the_listener_no_longer_than_the_head_deadline() {
+        let mut srv = server();
+        let mut slow = TcpStream::connect(srv.addr()).unwrap();
+        let trickler = std::thread::spawn(move || {
+            // One byte every 500 ms for 4 s, never ending the head.
+            for byte in *b"GET /met" {
+                if slow.write_all(&[byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(500));
+            }
+        });
+        let start = Instant::now();
+        let ok = scrape(srv.addr(), "GET /metrics HTTP/1.0\r\n\r\n");
+        let took = start.elapsed();
+        assert!(ok.starts_with("HTTP/1.0 200 OK\r\n"), "{ok}");
+        assert!(took < Duration::from_secs(3), "the scrape took {took:?}");
+        trickler.join().unwrap();
+        srv.stop();
+    }
+
+    #[test]
+    fn a_head_past_the_cap_is_cut_off_unread() {
+        let mut srv = server();
+        let mut flood = TcpStream::connect(srv.addr()).unwrap();
+        flood
+            .set_write_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let err = flood
+            .write_all(&vec![b'G'; 16 << 20])
+            .expect_err("the listener read 16 MiB without a newline");
+        assert!(
+            matches!(
+                err.kind(),
+                ErrorKind::BrokenPipe | ErrorKind::ConnectionReset
+            ),
+            "{err}"
+        );
+        let ok = scrape(srv.addr(), "GET /metrics HTTP/1.0\r\n\r\n");
+        assert!(ok.starts_with("HTTP/1.0 200 OK\r\n"), "{ok}");
+        srv.stop();
     }
 
     #[test]
