@@ -241,7 +241,9 @@ type CommonArgs = (
     bool,
 );
 
-fn parse_common(tokens: &[String]) -> Result<CommonArgs, ArgError> {
+/// Parses `run`'s flags. A command that takes fewer passes `accepts`,
+/// which names the flags it keeps; any other flag is unknown to it.
+fn parse_common(tokens: &[String], accepts: fn(&str) -> bool) -> Result<CommonArgs, ArgError> {
     let mut network = None;
     let mut policy = Policy::Adaptive {
         improved_inter: true,
@@ -259,6 +261,7 @@ fn parse_common(tokens: &[String]) -> Result<CommonArgs, ArgError> {
     let mut f = Flags { tokens, index: 0 };
     while f.index < tokens.len() {
         match tokens[f.index].as_str() {
+            other if !accepts(other) => return fail(format!("unknown flag `{other}`")),
             "--network" => network = Some(NetworkRef::Zoo(f.value("--network")?.to_owned())),
             "--spec" => network = Some(NetworkRef::SpecFile(f.value("--spec")?.to_owned())),
             "--policy" => policy = parse_policy(f.value("--policy")?)?,
@@ -473,7 +476,7 @@ pub fn parse(tokens: &[String]) -> Result<Command, ArgError> {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "run" => {
             let (network, policy, config, workload, batch, jobs, breakdown, cache, journal, resume) =
-                parse_common(&tokens[1..])?;
+                parse_common(&tokens[1..], |_| true)?;
             let network =
                 network.ok_or_else(|| ArgError("run needs --network or --spec".into()))?;
             Ok(Command::Run(RunArgs {
@@ -493,7 +496,9 @@ pub fn parse(tokens: &[String]) -> Result<Command, ArgError> {
         "cbrand-client" => Ok(Command::Client(parse_client(&tokens[1..])?)),
         "fleet-client" => Ok(Command::FleetClient(parse_fleet(&tokens[1..])?)),
         "schedule" => {
-            let (network, policy, config, _, _, _, _, _, _, _) = parse_common(&tokens[1..])?;
+            let (network, policy, config, ..) = parse_common(&tokens[1..], |flag| {
+                matches!(flag, "--network" | "--spec" | "--policy" | "--pe")
+            })?;
             let network =
                 network.ok_or_else(|| ArgError("schedule needs --network or --spec".into()))?;
             Ok(Command::Schedule(ScheduleArgs {
@@ -846,6 +851,33 @@ mod tests {
             panic!("fleet-client expected")
         };
         assert!(args.shards.is_empty());
+    }
+
+    #[test]
+    fn schedule_rejects_the_run_flags_it_does_not_use() {
+        let Command::Schedule(args) =
+            parse(&toks("schedule --spec n.spec --policy oracle --pe 32x32")).unwrap()
+        else {
+            panic!("schedule expected")
+        };
+        assert_eq!(args.network, NetworkRef::SpecFile("n.spec".into()));
+        assert_eq!(args.policy, Policy::Oracle);
+        assert_eq!(args.config.pe, PeConfig::new(32, 32));
+        for extra in [
+            "--batch 4",
+            "--jobs 2",
+            "--workload conv1",
+            "--mhz 100",
+            "--breakdown",
+            "--cache c.bin",
+            "--journal j.bin",
+            "--resume",
+        ] {
+            let flag = extra.split_whitespace().next().unwrap();
+            let err =
+                parse(&toks(&format!("schedule --network alexnet {extra}"))).expect_err(extra);
+            assert_eq!(err.0, format!("unknown flag `{flag}`"));
+        }
     }
 
     #[test]
