@@ -520,14 +520,11 @@ pub fn ablate_ks() -> Vec<AblationRow> {
                 }
             }
         }
-        let stats = machine.run(&Program::single_tile(
-            label,
-            Tile {
-                dram_read_bytes: 0,
-                dram_write_bytes: 0,
-                ops,
-            },
-        ));
+        let stats = machine.run(&Program::single_tile(Tile {
+            dram_read_bytes: 0,
+            dram_write_bytes: 0,
+            ops,
+        }));
         rows.push(AblationRow {
             arm: label.to_owned(),
             cycles: stats.cycles,

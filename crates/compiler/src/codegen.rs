@@ -117,12 +117,7 @@ pub fn compile_conv_batched(
     });
 
     Ok(CompiledLayer {
-        program: plan.build_program(
-            format!("{} [{scheme}]", layer.name),
-            &template,
-            batch,
-            prepass.as_ref(),
-        ),
+        program: plan.build_program(&template, batch, prepass.as_ref()),
         scheme: Some(scheme),
         wants_input_layout: DataLayout::preferred_by(scheme),
         output_layout: DataLayout::preferred_by(scheme),
@@ -174,14 +169,7 @@ pub fn compile_pool_batched(
     // stride >= 1 pools as overlap is tiny).
     let in_bytes = layer.input.bytes() as u64;
     let out_bytes = out.bytes() as u64;
-    let program = banded_program(
-        format!("{} [pool]", layer.name),
-        &template,
-        in_bytes,
-        out_bytes,
-        cfg,
-        batch,
-    );
+    let program = banded_program(&template, in_bytes, out_bytes, cfg, batch);
 
     Ok(CompiledLayer {
         program,
@@ -242,14 +230,7 @@ pub fn compile_eltwise_batched(
     // when the combined working set exceeds the data buffer.
     let in_bytes = 2 * layer.input.bytes() as u64;
     let out_bytes = layer.input.bytes() as u64;
-    let program = banded_program(
-        format!("{} [eltwise]", layer.name),
-        &template,
-        in_bytes,
-        out_bytes,
-        cfg,
-        batch,
-    );
+    let program = banded_program(&template, in_bytes, out_bytes, cfg, batch);
 
     Ok(CompiledLayer {
         program,
@@ -265,7 +246,6 @@ pub fn compile_eltwise_batched(
 /// image, split into as many equal spatial bands as the data buffer
 /// needs, each with its share of the template.
 fn banded_program(
-    label: String,
     template: &[MacroOp],
     in_bytes: u64,
     out_bytes: u64,
@@ -285,7 +265,7 @@ fn banded_program(
         };
         TileRun::push(&mut per_image, tile, 1);
     }
-    let mut program = RunProgram::new(label);
+    let mut program = RunProgram::new();
     program.push_runs(&per_image, batch as u64);
     program
 }
@@ -366,7 +346,7 @@ pub fn compile_fc_batched(
         other => other,
     })?;
     Ok(CompiledLayer {
-        program: plan.build_program(format!("{} [fc]", layer.name), &template, batch, None),
+        program: plan.build_program(&template, batch, None),
         scheme: Some(Scheme::Inter),
         wants_input_layout: DataLayout::InterOrder,
         output_layout: DataLayout::InterOrder,
@@ -414,16 +394,13 @@ pub fn compile_layer_batched(
 /// A standalone layout-transform program: streams a tensor out to memory
 /// and back in the other order. The adaptive mapper exists precisely to
 /// avoid these (Sec. 4.2.3); the ablation bench inserts them.
-pub fn layout_transform_program(shape: TensorShape, label: &str) -> Program {
+pub fn layout_transform_program(shape: TensorShape) -> Program {
     let bytes = shape.bytes() as u64;
-    Program::single_tile(
-        format!("{label} [layout-transform]"),
-        Tile {
-            dram_read_bytes: bytes,
-            dram_write_bytes: bytes,
-            ops: Vec::new(),
-        },
-    )
+    Program::single_tile(Tile {
+        dram_read_bytes: bytes,
+        dram_write_bytes: bytes,
+        ops: Vec::new(),
+    })
 }
 
 /// The upper-bound cycle count the paper plots as "ideal": every multiplier
@@ -478,11 +455,12 @@ mod tests {
         let net = zoo::alexnet();
         // conv1: k=11, s=4 -> unrolling pre-pass tile with no ops.
         let c = compile_conv(net.conv1(), Scheme::Intra, &cfg()).unwrap();
-        assert!(c.program.tiles[0].ops.is_empty());
-        assert!(c.program.tiles[0].dram_write_bytes > c.program.tiles[0].dram_read_bytes);
+        let tiles = c.program.to_program().tiles;
+        assert!(tiles[0].ops.is_empty());
+        assert!(tiles[0].dram_write_bytes > tiles[0].dram_read_bytes);
         // Inter never needs one.
         let c = compile_conv(net.conv1(), Scheme::Inter, &cfg()).unwrap();
-        assert!(!c.program.tiles[0].ops.is_empty());
+        assert!(!c.program.to_program().tiles[0].ops.is_empty());
     }
 
     #[test]
@@ -531,7 +509,7 @@ mod tests {
         let net = zoo::vgg16();
         let pool = net.layer("pool1").unwrap();
         let compiled = compile_pool(pool, &cfg()).unwrap();
-        assert!(compiled.program.tiles.len() > 1);
+        assert!(compiled.program.to_program().tiles.len() > 1);
     }
 
     #[test]
@@ -543,7 +521,7 @@ mod tests {
 
     #[test]
     fn layout_transform_is_a_memory_round_trip() {
-        let p = layout_transform_program(TensorShape::new(96, 55, 55), "t");
+        let p = layout_transform_program(TensorShape::new(96, 55, 55));
         assert_eq!(p.dram_bytes(), 2 * 96 * 55 * 55 * 2);
     }
 

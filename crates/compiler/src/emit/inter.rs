@@ -87,14 +87,11 @@ mod tests {
 
     fn run(ops: Vec<MacroOp>) -> cbrain_sim::Stats {
         let machine = Machine::new(cfg());
-        machine.run(&Program::single_tile(
-            "t",
-            Tile {
-                dram_read_bytes: 0,
-                dram_write_bytes: 0,
-                ops,
-            },
-        ))
+        machine.run(&Program::single_tile(Tile {
+            dram_read_bytes: 0,
+            dram_write_bytes: 0,
+            ops,
+        }))
     }
 
     fn alexnet_c1() -> ConvGeometry {

@@ -2,7 +2,7 @@
 //!
 //! Every emitter returns a *whole-layer template*: a short list of
 //! [`MacroOp`]s whose counts cover the full layer. The tiler
-//! ([`crate::tiling::TilePlan::build_tiles`]) then distributes those counts
+//! ([`crate::tiling::TilePlan::build_program`]) then distributes those counts
 //! across double-buffered tiles. Emitting aggregate ops (a handful per
 //! layer) instead of per-issue events is what lets a VGG-16 forward pass
 //! simulate in milliseconds while keeping cycle/traffic counts exact.

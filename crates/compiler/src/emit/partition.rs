@@ -59,14 +59,11 @@ mod tests {
     }
 
     fn run(ops: Vec<MacroOp>) -> Stats {
-        Machine::new(cfg()).run(&Program::single_tile(
-            "t",
-            Tile {
-                dram_read_bytes: 0,
-                dram_write_bytes: 0,
-                ops,
-            },
-        ))
+        Machine::new(cfg()).run(&Program::single_tile(Tile {
+            dram_read_bytes: 0,
+            dram_write_bytes: 0,
+            ops,
+        }))
     }
 
     fn alexnet_c1() -> ConvGeometry {

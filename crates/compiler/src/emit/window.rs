@@ -133,14 +133,11 @@ mod tests {
     }
 
     fn run(ops: Vec<MacroOp>) -> Stats {
-        Machine::new(cfg()).run(&Program::single_tile(
-            "t",
-            Tile {
-                dram_read_bytes: 0,
-                dram_write_bytes: 0,
-                ops,
-            },
-        ))
+        Machine::new(cfg()).run(&Program::single_tile(Tile {
+            dram_read_bytes: 0,
+            dram_write_bytes: 0,
+            ops,
+        }))
     }
 
     #[test]

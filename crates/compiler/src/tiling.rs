@@ -184,37 +184,14 @@ impl TilePlan {
         self.output_group_bytes * self.groups as u64
     }
 
-    /// Materializes machine tiles, distributing each template op's volume
-    /// fairly across them.
+    /// Builds the program of a batch of `batch` images as runs of
+    /// identical tiles, without materializing the repeats.
     ///
     /// `template` holds whole-layer totals; tile `i` of `n` receives the
     /// `[i*total/n, (i+1)*total/n)` share of every count, so the sum over
-    /// tiles is exact.
-    pub fn build_tiles(&self, template: &[MacroOp]) -> Vec<Tile> {
-        self.build_tiles_batched(template, 1)
-    }
-
-    /// Like [`TilePlan::build_tiles`] but for a batch of `batch` images:
-    /// the expansion of [`TilePlan::build_program`].
-    ///
-    /// Activations (input fetches, output drains) and compute repeat per
-    /// image; **resident weights are fetched once for the whole batch** —
-    /// the amortization that makes batching pay, most dramatically on
-    /// weight-streaming FC layers when the weights fit on chip (and even
-    /// when they do not, the per-image compute cost is unchanged while
-    /// this plan keeps the streaming order identical per image).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    pub fn build_tiles_batched(&self, template: &[MacroOp], batch: usize) -> Vec<Tile> {
-        self.build_program("", template, batch, None)
-            .to_program()
-            .tiles
-    }
-
-    /// Builds the program of a batch of `batch` images as runs of
-    /// identical tiles, without materializing the repeats.
+    /// tiles is exact. Activations (input fetches, output drains) and
+    /// compute repeat per image; **resident weights are fetched once for
+    /// the whole batch**, the amortization that makes batching pay.
     ///
     /// Two repetitions of the tile order are exact. Every image after the
     /// first repeats the first image's tiles, less the once-per-batch
@@ -231,13 +208,12 @@ impl TilePlan {
     /// Panics if `batch` is zero.
     pub fn build_program(
         &self,
-        label: impl Into<String>,
         template: &[MacroOp],
         batch: usize,
         prepass: Option<&Tile>,
     ) -> RunProgram {
         assert!(batch > 0, "batch must be non-zero");
-        let mut program = RunProgram::new(label);
+        let mut program = RunProgram::new();
         // Streaming-weight flat layers (FC) batch best with the weight
         // chunks in the *outer* loop: every chunk is fetched once and
         // applied to all resident images, dividing the dominant weight
@@ -472,7 +448,7 @@ mod tests {
             },
             MacroOp::AddStore { count: 999 },
         ];
-        let tiles = plan.build_tiles(&template);
+        let tiles = plan.build_program(&template, 1, None).to_program().tiles;
         assert_eq!(tiles.len(), plan.tile_count());
         let mut bursts = 0;
         let mut adds = 0;
@@ -501,8 +477,8 @@ mod tests {
         let plan = TilePlan::conv(&g, &cfg(), 1.0).unwrap();
         assert!(plan.weights_resident);
         let template = vec![MacroOp::OutputWrite { elems: 100 }];
-        let one = plan.build_tiles_batched(&template, 1);
-        let four = plan.build_tiles_batched(&template, 4);
+        let one = plan.build_program(&template, 1, None).to_program().tiles;
+        let four = plan.build_program(&template, 4, None).to_program().tiles;
         assert_eq!(four.len(), 4 * one.len());
         let total = |tiles: &[Tile]| tiles.iter().map(|t| t.dram_read_bytes).sum::<u64>();
         // 4 images fetch the input 4x but the weights once.
@@ -518,12 +494,16 @@ mod tests {
         let too_big = plan.max_weight_outer_batch + 1;
         let template: Vec<MacroOp> = Vec::new();
         let one: u64 = plan
-            .build_tiles_batched(&template, 1)
+            .build_program(&template, 1, None)
+            .to_program()
+            .tiles
             .iter()
             .map(|t| t.dram_read_bytes)
             .sum();
         let big: u64 = plan
-            .build_tiles_batched(&template, too_big)
+            .build_program(&template, too_big, None)
+            .to_program()
+            .tiles
             .iter()
             .map(|t| t.dram_read_bytes)
             .sum();
@@ -556,8 +536,8 @@ mod tests {
                 })
                 .sum::<u64>()
         };
-        let one = plan.build_tiles_batched(&template, 1);
-        let sixteen = plan.build_tiles_batched(&template, 16);
+        let one = plan.build_program(&template, 1, None).to_program().tiles;
+        let sixteen = plan.build_program(&template, 16, None).to_program().tiles;
         // Compute scales with the batch...
         assert_eq!(bursts(&sixteen), 16 * bursts(&one));
         // ...but DRAM reads barely grow (weights fetched once).
@@ -570,7 +550,7 @@ mod tests {
         let net = zoo::alexnet();
         let g = geom_of(&net, "conv2");
         let plan = TilePlan::conv(&g, &cfg(), 1.0).unwrap();
-        let _ = plan.build_tiles_batched(&[], 0);
+        let _ = plan.build_program(&[], 0, None);
     }
 
     #[test]

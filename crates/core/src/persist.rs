@@ -19,10 +19,10 @@
 //! ```
 //!
 //! An entry is the key's 160 packed bytes ([`key_bytes`]), then the
-//! program as its label and `(repeat, tile)` runs, the scheme, both
-//! layouts, the tile plan and the stats. Entries are sorted by key
-//! bytes. A file of any other version is a cold start, replaced by the
-//! next save.
+//! program as `(repeat, tile)` runs, the scheme, both layouts, the tile
+//! plan and the stats: nothing the key does not determine. Entries are
+//! sorted by key bytes. A file of any other version is a cold start,
+//! replaced by the next save.
 //!
 //! Failure modes are deliberately split:
 //!
@@ -42,8 +42,8 @@
 
 use crate::cache::{CachedLayer, CompiledLayerCache, LayerKey};
 use crate::record::{
-    self, corrupt, fnv1a, put_bool, put_str, put_u32, put_u64, put_u8, put_usize, Cursor, Decoded,
-    Frame, FRAME_LEN, HEADER_LEN,
+    self, corrupt, fnv1a, put_bool, put_u32, put_u64, put_u8, put_usize, Cursor, Decoded, Frame,
+    FRAME_LEN, HEADER_LEN,
 };
 use cbrain_compiler::{CompiledLayer, DataLayout, Scheme, TilePlan};
 use cbrain_sim::{BufferTraffic, MacroOp, RunProgram, Stats, Tile};
@@ -57,7 +57,7 @@ pub use crate::record::fnv1a as fnv1a64;
 pub const MAGIC: [u8; 4] = *b"CBLC";
 
 /// Current format version. Bump whenever any serialized struct changes.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// File name used inside the resolved cache directory.
 pub const CACHE_FILE_NAME: &str = "compiled-layers.bin";
@@ -129,11 +129,11 @@ pub enum LoadOutcome {
 /// Shortest encodings, the floor [`Cursor::count`] checks each count
 /// against: an op is a tag and one u64; a run is a repeat and a tile of
 /// two byte counts and an op count; an entry is a key (160 bytes), an
-/// empty program (16), no scheme (1), two layouts (2), a tile plan (65)
+/// empty program (8), no scheme (1), two layouts (2), a tile plan (65)
 /// and the stats (136).
 const MIN_OP_LEN: usize = 9;
 const MIN_RUN_LEN: usize = 32;
-const MIN_ENTRY_LEN: usize = 380;
+const MIN_ENTRY_LEN: usize = 372;
 
 fn scheme_tag(s: Scheme) -> u8 {
     match s {
@@ -258,7 +258,6 @@ fn get_op(c: &mut Cursor) -> Decoded<MacroOp> {
 
 /// Writes the program as its runs: each `(repeat, tile)` once.
 fn put_program(out: &mut Vec<u8>, p: &RunProgram) {
-    put_str(out, &p.label);
     put_usize(out, p.runs().len());
     for run in p.runs() {
         put_u64(out, run.repeat);
@@ -275,7 +274,7 @@ fn put_program(out: &mut Vec<u8>, p: &RunProgram) {
 /// equal to the one before it, or repeats whose sum overflows a `u64`
 /// (which [`RunProgram::tile_count`] sums unchecked) is corrupt.
 fn get_program(c: &mut Cursor) -> Decoded<RunProgram> {
-    let mut program = RunProgram::new(c.str()?);
+    let mut program = RunProgram::new();
     let n_runs = c.count(MIN_RUN_LEN)?;
     let mut tiles = 0u64;
     for _ in 0..n_runs {

@@ -712,7 +712,7 @@ impl Runner {
                     && prev != entry.compiled.wants_input_layout
                     && matches!(layer.kind, LayerKind::Conv(_));
                 if needs_transform {
-                    let t = machine.run(&layout_transform_program(layer.input, &layer.name));
+                    let t = machine.run(&layout_transform_program(layer.input));
                     transform_cycles = t.cycles;
                     totals += t;
                 }

@@ -21,18 +21,18 @@ use std::fmt;
 /// Version of the wire protocol this build speaks. Peers exchange it in
 /// `hello` and refuse to talk across a mismatch — compiled-entry bytes
 /// ride the wire verbatim, so a version skew could silently corrupt a
-/// cache. v3 carries keys and entries in the v2 cache-file encoding
-/// (160-byte packed keys, run-length programs); a v2 peer could not
-/// decode them.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// cache. v4 carries keys and entries in the v3 cache-file encoding
+/// (160-byte packed keys, run-length programs without a label); a v3
+/// peer could not decode them.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Minor revision of the wire protocol, advertised in the `hello`
 /// answer. Minor revisions are backwards compatible: a later minor only
 /// adds requests, events, members or capability labels that an older
-/// peer never sends and never sees. v3.0 keeps the whole v2.2 grammar
-/// (the `busy` admission-control event and counters of v2.1, the
-/// `progress` and `metrics` pairs). Peers never refuse a connection over
-/// a minor skew.
+/// peer never sends and never sees. v4.0 keeps the whole v3.0 grammar,
+/// which is v2.2's (the `busy` admission-control event and counters of
+/// v2.1, the `progress` and `metrics` pairs). Peers never refuse a
+/// connection over a minor skew.
 pub const PROTOCOL_MINOR: u32 = 0;
 
 /// Error from decoding a request or event line.

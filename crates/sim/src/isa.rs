@@ -14,12 +14,9 @@
 //! stores the layer as ordered [`TileRun`]s, one tile plus a repeat
 //! count, so the compiler emits, the machine executes and the cache keeps
 //! each run once. Its expansion into one [`Tile`] per copy, the plain
-//! [`Program`], is built only when a caller reads the tiles.
+//! [`Program`], is built only by [`RunProgram::to_program`].
 
 use crate::config::AcceleratorConfig;
-use std::fmt;
-use std::ops::Deref;
-use std::sync::OnceLock;
 
 /// One macro operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,24 +159,19 @@ impl Tile {
 /// A compiled program for one layer: an ordered list of tiles.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
-    /// Human-readable label (usually the layer name plus the scheme).
-    pub label: String,
     /// Tiles in execution order.
     pub tiles: Vec<Tile>,
 }
 
 impl Program {
     /// Creates a program from tiles.
-    pub fn new(label: impl Into<String>, tiles: Vec<Tile>) -> Self {
-        Self {
-            label: label.into(),
-            tiles,
-        }
+    pub fn new(tiles: Vec<Tile>) -> Self {
+        Self { tiles }
     }
 
     /// A single-tile program (layer fits on chip).
-    pub fn single_tile(label: impl Into<String>, tile: Tile) -> Self {
-        Self::new(label, vec![tile])
+    pub fn single_tile(tile: Tile) -> Self {
+        Self::new(vec![tile])
     }
 
     /// Total DRAM traffic in bytes.
@@ -222,10 +214,9 @@ impl TileRun {
 /// A compiled program for one layer, stored as runs of identical tiles.
 ///
 /// Runs are canonical: no run is empty and no two neighbours hold equal
-/// tiles, so two programs with the same expansion print alike. The
-/// expansion is built on first dereference and kept; `label`,
+/// tiles, so two programs with the same expansion print alike.
 /// [`RunProgram::op_count`] and [`RunProgram::dram_bytes`] are answered
-/// from the runs.
+/// from the runs; [`RunProgram::to_program`] builds the expansion.
 ///
 /// # Examples
 ///
@@ -233,34 +224,26 @@ impl TileRun {
 /// use cbrain_sim::{RunProgram, Tile};
 ///
 /// let tile = Tile { dram_read_bytes: 64, ..Tile::new() };
-/// let mut program = RunProgram::new("dw");
+/// let mut program = RunProgram::new();
 /// program.push(tile.clone(), 3);
 /// program.push(tile, 2);
 /// assert_eq!(program.runs().len(), 1);
 /// assert_eq!(program.tile_count(), 5);
-/// assert_eq!(program.tiles.len(), 5); // expanded on demand
+/// assert_eq!(program.to_program().tiles.len(), 5);
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunProgram {
-    /// Human-readable label (usually the layer name plus the scheme).
-    pub label: String,
     runs: Vec<TileRun>,
-    expanded: OnceLock<Program>,
 }
 
 impl RunProgram {
     /// An empty program.
-    pub fn new(label: impl Into<String>) -> Self {
-        Self {
-            label: label.into(),
-            runs: Vec::new(),
-            expanded: OnceLock::new(),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Appends `repeat` copies of `tile`, merging with the last run.
     pub fn push(&mut self, tile: Tile, repeat: u64) {
-        self.expanded.take();
         TileRun::push(&mut self.runs, tile, repeat);
     }
 
@@ -309,24 +292,7 @@ impl RunProgram {
         for run in &self.runs {
             tiles.extend((0..run.repeat).map(|_| run.tile.clone()));
         }
-        Program::new(self.label.clone(), tiles)
-    }
-}
-
-impl Deref for RunProgram {
-    type Target = Program;
-
-    fn deref(&self) -> &Program {
-        self.expanded.get_or_init(|| self.to_program())
-    }
-}
-
-impl fmt::Debug for RunProgram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RunProgram")
-            .field("label", &self.label)
-            .field("runs", &self.runs)
-            .finish()
+        Program::new(tiles)
     }
 }
 
@@ -440,7 +406,7 @@ mod tests {
             ],
         };
         assert_eq!(tile.compute_cycles(&cfg()), 7);
-        let prog = Program::single_tile("test", tile);
+        let prog = Program::single_tile(tile);
         assert_eq!(prog.dram_bytes(), 150);
         assert_eq!(prog.op_count(), 2);
     }

@@ -28,7 +28,7 @@
 //!         output_writes: 0,
 //!     }],
 //! };
-//! let stats = machine.run(&Program::single_tile("conv1-ish", tile));
+//! let stats = machine.run(&Program::single_tile(tile));
 //! assert!(stats.pe_utilization() < 0.2); // the paper's c1 pathology
 //!
 //! let energy = EnergyModel::default().evaluate(&stats);

@@ -12,12 +12,12 @@
 //! count.
 
 use crate::config::AcceleratorConfig;
-use crate::isa::{MacroOp, Program, TileRuns};
+use crate::isa::{MacroOp, TileRuns};
 use crate::stats::Stats;
 use crate::trace::{Trace, TraceEvent};
 
 #[cfg(test)]
-use crate::isa::Tile;
+use crate::isa::{Program, Tile};
 
 /// Execution policy knobs, exposed for the ablation benches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,7 +60,7 @@ impl Default for MachineOptions {
 ///         output_writes: 16,
 ///     }],
 /// };
-/// let stats = machine.run(&Program::single_tile("demo", tile));
+/// let stats = machine.run(&Program::single_tile(tile));
 /// assert_eq!(stats.compute_cycles, 1000);
 /// assert_eq!(stats.mac_ops, 256_000);
 /// ```
@@ -237,12 +237,6 @@ impl Machine {
         stats.cycles = total;
         stats
     }
-
-    /// Executes several programs back to back (e.g. a whole network),
-    /// summing their statistics.
-    pub fn run_all<'a>(&self, programs: impl IntoIterator<Item = &'a Program>) -> Stats {
-        programs.into_iter().map(|p| self.run(p)).sum()
-    }
 }
 
 fn describe_op(op: &MacroOp) -> (&'static str, String) {
@@ -294,7 +288,7 @@ mod tests {
             dram_write_bytes: 0,
             ops: vec![burst(1000)],
         };
-        let stats = machine().run(&Program::single_tile("t", tile));
+        let stats = machine().run(&Program::single_tile(tile));
         // First fill exposed (20) + compute (1000).
         assert_eq!(stats.cycles, 1020);
         assert_eq!(stats.compute_cycles, 1000);
@@ -311,7 +305,7 @@ mod tests {
                 ops: vec![burst(100)],
             })
             .collect();
-        let stats = machine().run(&Program::new("t", tiles));
+        let stats = machine().run(&Program::new(tiles));
         // Fill(800) + max(100,800) + max(100,800) + max(100,0)
         assert_eq!(stats.cycles, 800 + 800 + 800 + 100);
         assert!(stats.dram_stall_cycles > 0);
@@ -326,7 +320,7 @@ mod tests {
                 ops: vec![burst(150)],
             })
             .collect();
-        let prog = Program::new("t", tiles);
+        let prog = Program::new(tiles);
         let overlapped = machine().run(&prog);
         let serial = Machine::with_options(
             AcceleratorConfig::paper_16_16(),
@@ -353,7 +347,7 @@ mod tests {
                 MacroOp::BiasLoad { elems: 16 },
             ],
         };
-        let stats = machine().run(&Program::single_tile("t", tile));
+        let stats = machine().run(&Program::single_tile(tile));
         assert_eq!(stats.mac_ops, 2560);
         assert_eq!(stats.input_buf.loads, 160);
         assert_eq!(stats.weight_buf.loads, 2560);
@@ -370,7 +364,7 @@ mod tests {
             dram_write_bytes: 0,
             ops: vec![MacroOp::AddStore { count: 160 }],
         };
-        let prog = Program::single_tile("t", tile);
+        let prog = Program::single_tile(tile);
         let hidden = machine().run(&prog);
         assert_eq!(hidden.cycles, 0);
         let charged = Machine::with_options(
@@ -402,7 +396,7 @@ mod tests {
             dram_write_bytes: 0,
             ops: vec![op],
         };
-        let stats = machine().run(&Program::single_tile("t", tile));
+        let stats = machine().run(&Program::single_tile(tile));
         assert_eq!(stats.compute_cycles, 40);
         assert_eq!(stats.lane_slots, 40 * 256);
         assert_eq!(stats.mac_ops, 330);
@@ -410,8 +404,8 @@ mod tests {
 
     #[test]
     fn traced_and_untraced_stats_agree() {
-        // The untraced run batches MacBurst accounting through mac_dot;
-        // the traced run charges per op. Totals must be identical.
+        // Both runs charge each op once per run; the traced run also
+        // records an event per op of every copy. Totals must be identical.
         let tiles: Vec<Tile> = (0..5)
             .map(|i| Tile {
                 dram_read_bytes: 64 * i as u64,
@@ -432,26 +426,9 @@ mod tests {
                 ],
             })
             .collect();
-        let prog = Program::new("t", tiles);
+        let prog = Program::new(tiles);
         let untraced = machine().run(&prog);
         let (traced, _) = machine().run_traced(&prog, 1024);
         assert_eq!(untraced, traced);
-    }
-
-    #[test]
-    fn run_all_sums() {
-        let mk = |bursts| {
-            Program::single_tile(
-                "p",
-                Tile {
-                    dram_read_bytes: 0,
-                    dram_write_bytes: 0,
-                    ops: vec![burst(bursts)],
-                },
-            )
-        };
-        let (a, b) = (mk(10), mk(20));
-        let total = machine().run_all([&a, &b]);
-        assert_eq!(total.compute_cycles, 30);
     }
 }

@@ -103,32 +103,29 @@ mod tests {
     use crate::machine::Machine;
 
     fn program() -> Program {
-        Program::single_tile(
-            "t",
-            Tile {
-                dram_read_bytes: 64,
-                dram_write_bytes: 0,
-                ops: vec![
-                    MacroOp::MacBurst {
-                        bursts: 10,
-                        active_lanes: 256,
-                        input_reads: 16,
-                        input_requests: 1,
-                        weight_reads: 256,
-                        psum_reads: 0,
-                        output_writes: 0,
-                    },
-                    MacroOp::AddStore { count: 5 },
-                    MacroOp::OutputWrite { elems: 3 },
-                    MacroOp::PoolBurst {
-                        bursts: 2,
-                        input_reads: 9,
-                        output_writes: 1,
-                    },
-                    MacroOp::BiasLoad { elems: 16 },
-                ],
-            },
-        )
+        Program::single_tile(Tile {
+            dram_read_bytes: 64,
+            dram_write_bytes: 0,
+            ops: vec![
+                MacroOp::MacBurst {
+                    bursts: 10,
+                    active_lanes: 256,
+                    input_reads: 16,
+                    input_requests: 1,
+                    weight_reads: 256,
+                    psum_reads: 0,
+                    output_writes: 0,
+                },
+                MacroOp::AddStore { count: 5 },
+                MacroOp::OutputWrite { elems: 3 },
+                MacroOp::PoolBurst {
+                    bursts: 2,
+                    input_reads: 9,
+                    output_writes: 1,
+                },
+                MacroOp::BiasLoad { elems: 16 },
+            ],
+        })
     }
 
     #[test]

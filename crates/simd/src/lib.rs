@@ -42,9 +42,6 @@
 //! all partial sums are integers far below 2^24). `tests/prop_simd.rs`
 //! enforces the bit-for-bit contract across lane-remainder geometries.
 //!
-//! Integer kernels ([`mac_dot`]) use wrapping arithmetic, which is
-//! associative, so their result is order-independent by construction.
-//!
 //! ## Example
 //!
 //! ```
@@ -257,24 +254,6 @@ pub fn dot_f64(a: &[f64], b: &[f64]) -> f64 {
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => unsafe { neon::dot_f64(a, b) },
         _ => scalar::dot_f64(a, b),
-    }
-}
-
-/// `Σ bursts[i] * factors[i]` with wrapping 64-bit arithmetic — the
-/// simulator's multiply-burst accounting primitive. Wrapping integer
-/// arithmetic is associative, so lane order cannot change the result;
-/// only AVX2 carries a vector implementation (SSE2/NEON fall back to the
-/// scalar loop, which is already bit-identical).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn mac_dot(bursts: &[u64], factors: &[u32]) -> u64 {
-    assert_eq!(bursts.len(), factors.len(), "mac_dot length mismatch");
-    match Backend::active() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::mac_dot_avx2(bursts, factors) },
-        _ => scalar::mac_dot(bursts, factors),
     }
 }
 
@@ -505,15 +484,6 @@ pub mod scalar {
         }
         let s = [acc[0] + acc[2], acc[1] + acc[3]];
         s[0] + s[1]
-    }
-
-    /// Scalar [`crate::mac_dot`].
-    pub fn mac_dot(bursts: &[u64], factors: &[u32]) -> u64 {
-        let mut acc = 0u64;
-        for (b, f) in bursts.iter().zip(factors) {
-            acc = acc.wrapping_add(b.wrapping_mul(*f as u64));
-        }
-        acc
     }
 }
 
@@ -1062,32 +1032,6 @@ mod x86 {
         let r = _mm_add_sd(s, _mm_unpackhi_pd(s, s));
         _mm_cvtsd_f64(r)
     }
-
-    /// # Safety
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mac_dot_avx2(bursts: &[u64], factors: &[u32]) -> u64 {
-        let n = bursts.len();
-        let mut acc = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 4 <= n {
-            let b = _mm256_loadu_si256(bursts.as_ptr().add(i).cast());
-            // Zero-extend four u32 factors into four u64 lanes.
-            let f = _mm256_cvtepu32_epi64(_mm_loadu_si128(factors.as_ptr().add(i).cast()));
-            // 64x32 wrapping multiply: lo32(b)*f + (hi32(b)*f << 32).
-            let lo = _mm256_mul_epu32(b, f);
-            let hi = _mm256_slli_epi64(_mm256_mul_epu32(_mm256_srli_epi64(b, 32), f), 32);
-            acc = _mm256_add_epi64(acc, _mm256_add_epi64(lo, hi));
-            i += 4;
-        }
-        let mut lanes = [0u64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc);
-        let mut total = lanes[0]
-            .wrapping_add(lanes[2])
-            .wrapping_add(lanes[1].wrapping_add(lanes[3]));
-        total = total.wrapping_add(scalar::mac_dot(&bursts[i..], &factors[i..]));
-        total
-    }
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -1359,23 +1303,6 @@ mod tests {
         for (a, b) in v.iter().zip(&s) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    #[test]
-    fn mac_dot_matches_scalar() {
-        for n in 0..=11 {
-            let mut r = Rng(n as u64 + 13);
-            let bursts: Vec<u64> = (0..n).map(|_| r.next() % (1 << 40)).collect();
-            let factors: Vec<u32> = (0..n).map(|_| (r.next() % 1024) as u32).collect();
-            assert_eq!(
-                mac_dot(&bursts, &factors),
-                scalar::mac_dot(&bursts, &factors)
-            );
-        }
-        // Wrapping parity at the 64-bit edge.
-        let big = [u64::MAX, u64::MAX / 3, 1 << 63];
-        let f = [7u32, 9, 2];
-        assert_eq!(mac_dot(&big, &f), scalar::mac_dot(&big, &f));
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for scheme in [Scheme::Inter, Scheme::Partition] {
         let compiled = compile_conv(&layer, scheme, &cfg)?;
         let (stats, trace) = machine.run_traced(&compiled.program, 32);
-        println!("== {} under {scheme} ==", compiled.program.label);
+        println!("== {} [{scheme}] under {scheme} ==", layer.name);
         println!(
             "{} cycles, {} MACs, utilization {:.1}%",
             stats.cycles,

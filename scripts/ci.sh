@@ -151,6 +151,30 @@ if [[ $quick -eq 0 ]]; then
 fi
 
 if [[ $quick -eq 0 ]]; then
+    echo "==> cache-file determinism: exp_all --jobs 2 must write the --jobs 1 file, 20 runs"
+    # A cache entry is a pure function of its key, so which worker
+    # compiles a key that differently named layers share cannot change
+    # a byte of the file.
+    det_dir="$(mktemp -d)"
+    trap 'rm -rf "$det_dir"' EXIT
+    det_run() { # $1 = run name, $2 = --jobs
+        mkdir "$det_dir/$1"
+        env -u CBRAIN_CACHE -u CBRAIN_CACHE_MAX CBRAIN_MAC_RATE=5.7e8 CBRAIN_CACHE_DIR="$det_dir/$1" \
+            ./target/release/exp_all --jobs "$2" >"$det_dir/$1.txt" 2>/dev/null
+    }
+    det_run one 1
+    for i in $(seq 20); do
+        det_run "two$i" 2
+        cmp "$det_dir/one/compiled-layers.bin" "$det_dir/two$i/compiled-layers.bin" \
+            || { echo "error: exp_all --jobs 2 run $i wrote another cache file than --jobs 1" >&2; exit 1; }
+        cmp "$det_dir/one.txt" "$det_dir/two$i.txt" \
+            || { echo "error: exp_all --jobs 2 run $i printed another report than --jobs 1" >&2; exit 1; }
+    done
+    trap - EXIT
+    rm -rf "$det_dir"
+fi
+
+if [[ $quick -eq 0 ]]; then
     echo "==> overload smoke: flooded 2-worker daemon must shed with busy, yet reports stay byte-identical"
     ovl_dir="$(mktemp -d)"
     trap 'kill "$ovl_pid" 2>/dev/null || true; rm -rf "$ovl_dir"' EXIT
@@ -298,7 +322,7 @@ if [[ $quick -eq 0 ]]; then
     for i in $(seq 1 256); do
         exec {c10k_fd}<>"/dev/tcp/${addr%:*}/${addr##*:}" \
             || { echo "error: idle connection $i failed to open" >&2; exit 1; }
-        printf '{"req":"hello","version":3}\n' >&"$c10k_fd"
+        printf '{"req":"hello","version":4}\n' >&"$c10k_fd"
         IFS= read -r c10k_hello <&"$c10k_fd" \
             || { echo "error: idle connection $i got no hello answer" >&2; exit 1; }
         grep -q '"ev":"hello"' <<<"$c10k_hello" \

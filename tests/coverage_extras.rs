@@ -18,7 +18,12 @@ fn one_by_one_intra_is_a_pure_sliding_window() {
     let cfg = AcceleratorConfig::paper_16_16();
     let compiled = compile_conv(&layer, Scheme::Intra, &cfg).unwrap();
     // No empty-ops unroll pre-pass tile.
-    assert!(compiled.program.tiles.iter().all(|t| !t.ops.is_empty()));
+    assert!(compiled
+        .program
+        .to_program()
+        .tiles
+        .iter()
+        .all(|t| !t.ops.is_empty()));
     let stats = Machine::new(cfg).run(&compiled.program);
     assert_eq!(stats.mac_ops, layer.macs().unwrap());
     // 196 windows pack 16/burst: 12 full + 1 remainder burst + 1 refill
@@ -136,7 +141,7 @@ fn trace_of_a_tiled_layer_spans_tiles() {
     let layer = net.layer("conv1_2").unwrap();
     let cfg = AcceleratorConfig::paper_16_16();
     let compiled = compile_conv(layer, Scheme::Inter, &cfg).unwrap();
-    assert!(compiled.program.tiles.len() > 1);
+    assert!(compiled.program.to_program().tiles.len() > 1);
     let (_, trace) = Machine::new(cfg).run_traced(&compiled.program, 1000);
     let max_tile = trace.events().iter().map(|e| e.tile).max().unwrap();
     assert!(max_tile > 0, "trace should cover multiple tiles");

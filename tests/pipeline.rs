@@ -22,7 +22,7 @@ fn every_zoo_layer_compiles_under_every_scheme_and_config() {
                     let compiled = compile_layer(layer, scheme, &cfg)
                         .unwrap_or_else(|e| panic!("{}/{}: {e}", net.name(), layer.name));
                     assert!(
-                        !compiled.program.tiles.is_empty(),
+                        !compiled.program.to_program().tiles.is_empty(),
                         "{}/{}",
                         net.name(),
                         layer.name

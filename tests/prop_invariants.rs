@@ -218,12 +218,14 @@ fn tiling_conserves_dram_totals() {
         let compiled = compile_conv(&layer, Scheme::Inter, &cfg).expect("compiles");
         let read: u64 = compiled
             .program
+            .to_program()
             .tiles
             .iter()
             .map(|t| t.dram_read_bytes)
             .sum();
         let write: u64 = compiled
             .program
+            .to_program()
             .tiles
             .iter()
             .map(|t| t.dram_write_bytes)

@@ -132,21 +132,6 @@ fn dot_f64_bitwise_across_remainder_widths() {
     }
 }
 
-#[test]
-fn mac_dot_equal_across_widths_and_wrapping() {
-    for n in 0..=11 {
-        let mut rng = XorShift64::seed_from_u64(0x399 + n as u64);
-        let bursts: Vec<u64> = (0..n).map(|_| rng.next_u64() >> 20).collect();
-        let factors: Vec<u32> = (0..n).map(|_| (rng.next_u64() % 4096) as u32).collect();
-        let (s, v) = with_both_backends(|| simd::mac_dot(&bursts, &factors));
-        assert_eq!(s, v, "mac_dot n={n}");
-    }
-    let big = [u64::MAX, u64::MAX - 7, 1 << 63, 3];
-    let f = [11u32, u32::MAX, 2, 9];
-    let (s, v) = with_both_backends(|| simd::mac_dot(&big, &f));
-    assert_eq!(s, v, "mac_dot wrapping edge");
-}
-
 // ---------------------------------------------------------------------
 // Output-parallel kernels: the window-lane dot and the tap pass.
 // ---------------------------------------------------------------------
@@ -609,7 +594,7 @@ fn machine_stats_identical_scalar_vs_simd_and_traced_vs_untraced() {
             }
         })
         .collect();
-    let prog = Program::new("prop", tiles);
+    let prog = Program::new(tiles);
     let machine = Machine::new(AcceleratorConfig::paper_16_16());
     let (s, v) = with_both_backends(|| machine.run(&prog));
     assert_eq!(s, v, "stats diverge between scalar and SIMD accounting");

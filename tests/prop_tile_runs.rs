@@ -246,14 +246,14 @@ fn block_variants(total: usize, width: usize) -> Vec<(usize, u64)> {
     v
 }
 
-/// The label and tiles the one-tile-per-copy compiler produced for a
-/// layer, or `None` where it failed to plan.
+/// The tiles the one-tile-per-copy compiler produced for a layer, or
+/// `None` where it failed to plan.
 fn oracle_layer(
     layer: &Layer,
     scheme: Scheme,
     cfg: &AcceleratorConfig,
     batch: usize,
-) -> Option<(String, Vec<Tile>)> {
+) -> Option<Vec<Tile>> {
     match &layer.kind {
         LayerKind::Conv(_) => {
             let geom = ConvGeometry::from_layer(layer).ok()?;
@@ -280,7 +280,7 @@ fn oracle_layer(
                 };
                 oracle_insert_prepass(&mut tiles, &prepass, plan.tile_count(), batch);
             }
-            Some((format!("{} [{scheme}]", layer.name), tiles))
+            Some(tiles)
         }
         LayerKind::Pool(params) => {
             let out = params.output_shape(layer.input).ok()?;
@@ -293,8 +293,7 @@ fn oracle_layer(
             };
             let (in_bytes, out_bytes) = (layer.input.bytes() as u64, out.bytes() as u64);
             let cap = cfg.inout_buf_bytes as u64;
-            let tiles = oracle_bands(template, in_bytes, out_bytes, cap, batch);
-            Some((format!("{} [pool]", layer.name), tiles))
+            Some(oracle_bands(template, in_bytes, out_bytes, cap, batch))
         }
         LayerKind::Eltwise(_) => {
             let template = MacroOp::EltwiseBurst {
@@ -304,8 +303,7 @@ fn oracle_layer(
             };
             let bytes = layer.input.bytes() as u64;
             let cap = cfg.inout_buf_bytes as u64;
-            let tiles = oracle_bands(template, 2 * bytes, bytes, cap, batch);
-            Some((format!("{} [eltwise]", layer.name), tiles))
+            Some(oracle_bands(template, 2 * bytes, bytes, cap, batch))
         }
         LayerKind::FullyConnected(params) => {
             let mut template = Vec::new();
@@ -335,8 +333,7 @@ fn oracle_layer(
                 cfg,
             )
             .ok()?;
-            let tiles = oracle_build_tiles_batched(&plan, &template, batch);
-            Some((format!("{} [fc]", layer.name), tiles))
+            Some(oracle_build_tiles_batched(&plan, &template, batch))
         }
     }
 }
@@ -353,7 +350,7 @@ fn assert_canonical(program: &RunProgram, ctx: &str) {
         program.runs().windows(2).all(|w| w[0].tile != w[1].tile),
         "{ctx}: neighbouring runs hold equal tiles"
     );
-    let mut merged = RunProgram::new(program.label.clone());
+    let mut merged = RunProgram::new();
     for tile in program.to_program().tiles {
         merged.push(tile, 1);
     }
@@ -394,7 +391,11 @@ fn assert_entry_bytes(key: &LayerKey, compiled: &CompiledLayer, tiles: &[Tile], 
         compiled.program.runs(),
         "{ctx}: runs differ"
     );
-    assert_eq!(program.tiles, tiles, "{ctx}: expansion differs");
+    assert_eq!(
+        program.to_program().tiles,
+        tiles,
+        "{ctx}: expansion differs"
+    );
     assert_eq!(
         format!("{:?}", decoded.compiled),
         format!("{:?}", entry.compiled),
@@ -437,16 +438,19 @@ fn every_zoo_layer_expands_to_the_oracle_tiles_and_simulates_alike() {
                 for &scheme in schemes {
                     let ctx = format!("{} {scheme} pe{tin}x{tout} b{batch}", layer.name);
                     let compiled = compile_layer_batched(layer, scheme, &cfg, batch);
-                    let Some((label, tiles)) = oracle_layer(layer, scheme, &cfg, batch) else {
+                    let Some(tiles) = oracle_layer(layer, scheme, &cfg, batch) else {
                         assert!(compiled.is_err(), "{ctx}: compiled where the oracle failed");
                         continue;
                     };
                     let compiled = compiled.expect("compiles where the oracle did");
                     let program = &compiled.program;
-                    assert_eq!(program.label, label, "{ctx}");
-                    assert_eq!(program.tiles, tiles, "{ctx}: expansion differs");
+                    assert_eq!(
+                        program.to_program().tiles,
+                        tiles,
+                        "{ctx}: expansion differs"
+                    );
                     assert_eq!(program.tile_count(), tiles.len() as u64, "{ctx}");
-                    let expanded = Program::new(label, tiles);
+                    let expanded = Program::new(tiles);
                     assert_eq!(program.op_count(), expanded.op_count(), "{ctx}");
                     assert_eq!(program.dram_bytes(), expanded.dram_bytes(), "{ctx}");
                     assert_canonical(program, &ctx);
@@ -601,10 +605,9 @@ fn random_plans_expand_to_the_oracle_tiles_and_simulate_alike() {
         for batch in BATCHES {
             let ctx = format!("case {case} b{batch} {plan:?} {template:?}");
             let oracle = oracle_build_tiles_batched(&plan, &template, batch);
-            assert_eq!(plan.build_tiles_batched(&template, batch), oracle, "{ctx}");
-            let program = plan.build_program("random", &template, batch, None);
-            let expanded = Program::new("random", oracle);
-            assert_eq!(program.tiles, expanded.tiles, "{ctx}");
+            let program = plan.build_program(&template, batch, None);
+            assert_eq!(program.to_program().tiles, oracle, "{ctx}");
+            let expanded = Program::new(oracle);
             assert_canonical(&program, &ctx);
             assert_simulates_like(cfg, &program, &expanded, &ctx);
 
@@ -619,9 +622,9 @@ fn random_plans_expand_to_the_oracle_tiles_and_simulate_alike() {
                 // The pre-pass only ever precedes image-outer tiles.
                 let mut tiles = expanded.tiles.clone();
                 oracle_insert_prepass(&mut tiles, &prepass, plan.tile_count(), batch);
-                let with = plan.build_program("random", &template, batch, Some(&prepass));
-                let expanded = Program::new("random", tiles);
-                assert_eq!(with.tiles, expanded.tiles, "{ctx} with pre-pass");
+                let with = plan.build_program(&template, batch, Some(&prepass));
+                let expanded = Program::new(tiles);
+                assert_eq!(with.to_program(), expanded, "{ctx} with pre-pass");
                 assert_canonical(&with, &ctx);
                 assert_simulates_like(cfg, &with, &expanded, &ctx);
             }

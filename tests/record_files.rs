@@ -10,12 +10,12 @@ use cbrain::cache::{CachedLayer, CompiledLayerCache, LayerKey};
 use cbrain::compiler::{CompiledLayer, DataLayout, TilePlan};
 use cbrain::journal::{self, Cell, Journal, JournalError, OpenOutcome};
 use cbrain::persist::{self, LoadOutcome, PersistError};
-use cbrain::{RunOptions, Scheme};
+use cbrain::{compile_cache_entry, RunOptions, Scheme};
 use cbrain_model::{
-    zoo, ConvParams, EltwiseParams, FcParams, LayerKind, PoolKind, PoolParams, TensorShape,
+    zoo, ConvParams, EltwiseParams, FcParams, Layer, LayerKind, PoolKind, PoolParams, TensorShape,
 };
 use cbrain_sim::{AcceleratorConfig, MachineOptions, MacroOp, PeConfig, RunProgram, Stats, Tile};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -69,7 +69,7 @@ fn tile_plan() -> TilePlan {
 /// A small entry with a tile repeated three times (the file holds it
 /// once, as a run) and ops of three encoded widths.
 fn small_entry() -> CachedLayer {
-    let mut program = RunProgram::new("pin");
+    let mut program = RunProgram::new();
     let tile = Tile {
         dram_read_bytes: 96,
         dram_write_bytes: 0,
@@ -122,9 +122,9 @@ fn small_entry() -> CachedLayer {
 
 #[test]
 fn cache_file_bytes_are_pinned() {
-    const PAYLOAD_LEN: u64 = 524;
-    const PAYLOAD_FNV: u64 = 0xa8ab_3434_bcba_e660;
-    const FILE_FNV: u64 = 0xc893_bbd7_3e42_c59f;
+    const PAYLOAD_LEN: u64 = 513;
+    const PAYLOAD_FNV: u64 = 0x5a2e_54c6_b57b_c038;
+    const FILE_FNV: u64 = 0x1999_8ecb_5f86_d05e;
 
     let cache = CompiledLayerCache::new();
     cache.insert(conv_key(), small_entry());
@@ -139,9 +139,9 @@ fn cache_file_bytes_are_pinned() {
     #[rustfmt::skip]
     let header: [u8; 24] = [
         b'C', b'B', b'L', b'C',                          // magic
-        2, 0, 0, 0,                                      // version 2
-        0x0c, 0x02, 0, 0, 0, 0, 0, 0,                    // payload length 524
-        0x60, 0xe6, 0xba, 0xbc, 0x34, 0x34, 0xab, 0xa8,  // FNV-1a 64 of the payload
+        3, 0, 0, 0,                                      // version 3
+        0x01, 0x02, 0, 0, 0, 0, 0, 0,                    // payload length 513
+        0x38, 0xc0, 0x7b, 0xb5, 0xc6, 0x54, 0x2e, 0x5a,  // FNV-1a 64 of the payload
     ];
     assert_eq!(bytes[..24], header);
     assert_eq!(header[8..16], u64le(PAYLOAD_LEN));
@@ -169,13 +169,11 @@ fn cache_file_bytes_are_pinned() {
     for (i, word) in key_words.into_iter().enumerate() {
         assert_eq!(bytes[32 + 8 * i..40 + 8 * i], u64le(word), "key word {i}");
     }
-    // Then the program: its label, two runs, the first repeating its
-    // tile three times.
+    // Then the program: two runs, the first repeating its tile three
+    // times.
     let program = &bytes[192..];
-    assert_eq!(program[..8], u64le(3));
-    assert_eq!(&program[8..11], b"pin");
-    assert_eq!(program[11..19], u64le(2));
-    assert_eq!(program[19..27], u64le(3));
+    assert_eq!(program[..8], u64le(2));
+    assert_eq!(program[8..16], u64le(3));
 
     let restored = CompiledLayerCache::new();
     assert_eq!(
@@ -238,9 +236,9 @@ fn journal_bytes_are_pinned() {
 }
 
 #[test]
-fn entry_decoder_rejects_a_label_length_past_the_end() {
-    // A conv key's 160 bytes, then a program label claiming u64::MAX
-    // bytes: the cursor must answer `Corrupt`, not overflow.
+fn entry_decoder_rejects_a_run_count_past_the_end() {
+    // A conv key's 160 bytes, then a program claiming u64::MAX runs: the
+    // cursor must answer `Corrupt`, not overflow.
     let mut bytes = persist::key_bytes(&conv_key());
     assert_eq!(bytes.len(), 160);
     bytes.extend_from_slice(&u64le(u64::MAX));
@@ -295,7 +293,7 @@ fn the_smallest_entry_fills_its_payload_exactly_and_loads() {
     };
     let entry = CachedLayer {
         compiled: CompiledLayer {
-            program: RunProgram::new(""),
+            program: RunProgram::new(),
             scheme: None,
             wants_input_layout: DataLayout::InterOrder,
             output_layout: DataLayout::InterOrder,
@@ -303,14 +301,14 @@ fn the_smallest_entry_fills_its_payload_exactly_and_loads() {
         },
         stats: Stats::new(),
     };
-    assert_eq!(persist::entry_bytes(&key, &entry).len(), 380);
+    assert_eq!(persist::entry_bytes(&key, &entry).len(), 372);
 
     let cache = CompiledLayerCache::new();
     cache.insert(key, entry);
     let dir = tmpdir("smallest");
     let path = dir.join(persist::CACHE_FILE_NAME);
     persist::save_with_max(&cache, &path, None).expect("save");
-    assert_eq!(std::fs::metadata(&path).expect("stat").len(), 24 + 8 + 380);
+    assert_eq!(std::fs::metadata(&path).expect("stat").len(), 24 + 8 + 372);
     let restored = CompiledLayerCache::new();
     assert_eq!(
         persist::load_into(&restored, &path).expect("load"),
@@ -417,6 +415,51 @@ fn packed_keys_sort_as_v1_keys_did() {
 }
 
 #[test]
+fn entries_are_pure_functions_of_their_key() {
+    // Every zoo layer at the paper's configuration, each conv layer under
+    // every scheme and every other layer under its fixed mapping, grouped
+    // by key. Layers of different names share keys (VGG's repeated
+    // blocks, look-alike convolutions across networks); whichever of them
+    // compiles a key, the entry must be the same bytes.
+    let cfg = AcceleratorConfig::paper_16_16();
+    let opts = RunOptions::default();
+    let mut groups: HashMap<LayerKey, Vec<Layer>> = HashMap::new();
+    for net in zoo::all() {
+        for layer in net.layers() {
+            let schemes: &[Scheme] = if layer.as_conv().is_some() {
+                &Scheme::ALL
+            } else {
+                &[Scheme::Inter]
+            };
+            for &scheme in schemes {
+                let key = LayerKey::new(layer, scheme, &cfg, &opts);
+                groups.entry(key).or_default().push(layer.clone());
+            }
+        }
+    }
+    let mut shared = 0;
+    for (key, layers) in &groups {
+        let bytes = |layer: &Layer| {
+            let entry = compile_cache_entry(layer, key).expect("compiles");
+            persist::entry_bytes(key, &entry)
+        };
+        let first = bytes(&layers[0]);
+        for layer in &layers[1..] {
+            assert!(
+                bytes(layer) == first,
+                "{} and {} share a key but not its entry bytes",
+                layers[0].name,
+                layer.name
+            );
+        }
+        if layers.iter().any(|l| l.name != layers[0].name) {
+            shared += 1;
+        }
+    }
+    assert!(shared > 0, "no key is shared by differently named layers");
+}
+
+#[test]
 fn key_decoder_round_trips_every_key_and_rejects_non_canonical_bytes() {
     for key in zoo_keys() {
         let bytes = persist::key_bytes(&key);
@@ -471,11 +514,10 @@ fn key_decoder_round_trips_every_key_and_rejects_non_canonical_bytes() {
 #[test]
 fn run_decoder_rejects_non_canonical_runs() {
     let bytes = persist::entry_bytes(&conv_key(), &small_entry());
-    // The key (160 bytes), the label "pin" (8 + 3) and the run count
-    // (8) come first. The first run is its repeat (8), a tile header
-    // (24) and two ops (33 + 9) at bytes 179..253; the second, of one
-    // tile, follows.
-    let (first, second) = (179..253, 253..311);
+    // The key (160 bytes) and the run count (8) come first. The first
+    // run is its repeat (8), a tile header (24) and two ops (33 + 9) at
+    // bytes 168..242; the second, of one tile, follows.
+    let (first, second) = (168..242, 242..300);
     assert_eq!(bytes[first.start..first.start + 8], u64le(3));
     assert_eq!(bytes[second.start..second.start + 8], u64le(1));
     assert!(persist::decode_entry_bytes(&bytes).is_ok());
