@@ -1,249 +1,32 @@
-//! Command-line handling shared by the `exp_*` binaries.
+//! Command-line handling shared by the `exp_*` binaries, `bench_kernels`
+//! and `gen_specs`. Each names its flags in a table and parses through
+//! the workspace's one flag parser ([`cbrain::config::Flags`]); a usage
+//! error prints the binary's usage line, built from that table, and
+//! exits 1 before any work starts.
 
-/// Parses `--jobs N` (or `--jobs=N`) from the process arguments.
-/// Defaults to the machine's available parallelism; `--jobs 1` forces a
-/// serial run. Output is byte-identical either way — the flag only
-/// changes wall-clock time.
-///
-/// # Panics
-///
-/// Panics with a usage message if the flag's value is missing or not a
-/// positive integer.
-pub fn jobs_from_args() -> usize {
-    jobs_from(std::env::args().skip(1))
+use cbrain::config::{args_or_exit, usage_line, FlagError, FlagSpec, Flags};
+
+/// The one flag of most `exp_*` binaries.
+const JOBS: &[FlagSpec] = &[("--jobs", Some("N"))];
+
+/// Parses this process's arguments against `table` and reads them with
+/// `read`, or exits 1 with `bin`'s usage line.
+pub fn from_args<T>(
+    bin: &str,
+    table: &[FlagSpec],
+    read: impl FnOnce(&Flags) -> Result<T, FlagError>,
+) -> T {
+    args_or_exit(&usage_line(bin, table), table, read)
 }
 
-fn jobs_from(args: impl Iterator<Item = String>) -> usize {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--jobs" || arg == "-j" {
-            args.next()
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            Some(v.to_owned())
-        } else {
-            continue;
-        };
-        let parsed = value.as_deref().and_then(|v| v.parse::<usize>().ok());
-        match parsed {
-            Some(n) if n >= 1 => return n,
-            _ => panic!("--jobs expects a positive integer, got {value:?}"),
-        }
-    }
-    cbrain::available_jobs()
+/// `--jobs N` (N ≥ 1) for a binary whose only flag it is; every core
+/// when it is absent. Output is byte-identical for every `N` — the flag
+/// only changes wall-clock time.
+pub fn jobs_from_args(bin: &str) -> usize {
+    from_args(bin, JOBS, Flags::jobs)
 }
 
-/// Parses `--shards a:p,b:p` (or `--shards=...`) from the process
-/// arguments, falling back to the `CBRAIN_SHARDS` environment variable.
-/// Returns `None` when neither is present — the harness then compiles
-/// locally as before.
-///
-/// # Panics
-///
-/// Panics with a usage message if the flag is present but its value is
-/// missing or empty.
-pub fn shards_from_args() -> Option<Vec<String>> {
-    shards_from(
-        std::env::args().skip(1),
-        cbrain::config::EnvConfig::load().shards(),
-    )
-}
-
-fn shards_from(
-    args: impl Iterator<Item = String>,
-    env: Option<Vec<String>>,
-) -> Option<Vec<String>> {
-    let mut args = args.peekable();
-    let mut raw = None;
-    while let Some(arg) = args.next() {
-        if arg == "--shards" {
-            raw = Some(
-                args.next()
-                    .unwrap_or_else(|| panic!("--shards expects HOST:PORT[,HOST:PORT...]")),
-            );
-        } else if let Some(v) = arg.strip_prefix("--shards=") {
-            raw = Some(v.to_owned());
-        }
-    }
-    // Flag beats environment; environment beats nothing.
-    let Some(raw) = raw else { return env };
-    let shards: Vec<String> = raw
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_owned)
-        .collect();
-    if shards.is_empty() {
-        panic!("--shards expects HOST:PORT[,HOST:PORT...], got {raw:?}");
-    }
-    Some(shards)
-}
-
-/// Parses `--journal PATH` (or `--journal=PATH`) from the process
-/// arguments, falling back to the `CBRAIN_JOURNAL` environment variable.
-/// Returns `None` when neither is present — the sweep then runs
-/// unjournaled as before.
-///
-/// # Panics
-///
-/// Panics with a usage message if the flag is present but its value is
-/// missing or empty.
-pub fn journal_from_args() -> Option<String> {
-    journal_from(
-        std::env::args().skip(1),
-        cbrain::config::EnvConfig::load().journal_file(),
-    )
-}
-
-fn journal_from(
-    args: impl Iterator<Item = String>,
-    env: Option<std::path::PathBuf>,
-) -> Option<String> {
-    let mut args = args.peekable();
-    let mut raw = None;
-    while let Some(arg) = args.next() {
-        if arg == "--journal" {
-            raw = Some(
-                args.next()
-                    .unwrap_or_else(|| panic!("--journal expects a file path")),
-            );
-        } else if let Some(v) = arg.strip_prefix("--journal=") {
-            raw = Some(v.to_owned());
-        }
-    }
-    // Flag beats environment; environment beats nothing.
-    match raw {
-        Some(p) if p.trim().is_empty() => panic!("--journal expects a file path"),
-        Some(p) => Some(p),
-        None => env.map(|p| p.display().to_string()),
-    }
-}
-
-/// Parses `--resume` from the process arguments, falling back to the
-/// `CBRAIN_RESUME` environment variable. When true, cells already
-/// recorded in the journal are replayed instead of re-simulated.
-pub fn resume_from_args() -> bool {
-    resume_from(
-        std::env::args().skip(1),
-        cbrain::config::EnvConfig::load().resume(),
-    )
-}
-
-fn resume_from(args: impl Iterator<Item = String>, env: bool) -> bool {
-    let mut found = false;
-    for arg in args {
-        if arg == "--resume" {
-            found = true;
-        }
-    }
-    found || env
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn of(args: &[&str]) -> usize {
-        jobs_from(args.iter().map(|s| (*s).to_owned()))
-    }
-
-    fn shards_of(args: &[&str], env: Option<&str>) -> Option<Vec<String>> {
-        let env = env.and_then(|raw| {
-            cbrain::config::EnvConfig::from_lookup(|key| {
-                (key == cbrain::config::ENV_SHARDS).then(|| raw.to_owned())
-            })
-            .shards()
-        });
-        shards_from(args.iter().map(|s| (*s).to_owned()), env)
-    }
-
-    #[test]
-    fn parses_shard_lists() {
-        assert_eq!(shards_of(&[], None), None);
-        assert_eq!(
-            shards_of(&["--shards", "a:1,b:2"], None),
-            Some(vec!["a:1".into(), "b:2".into()])
-        );
-        assert_eq!(shards_of(&["--shards=a:1"], None), Some(vec!["a:1".into()]));
-        // Flag beats environment; environment beats nothing.
-        assert_eq!(
-            shards_of(&["--shards", "a:1"], Some("b:2")),
-            Some(vec!["a:1".into()])
-        );
-        assert_eq!(shards_of(&[], Some("b:2")), Some(vec!["b:2".into()]));
-    }
-
-    #[test]
-    #[should_panic(expected = "HOST:PORT")]
-    fn rejects_empty_shard_list() {
-        shards_of(&["--shards", ","], None);
-    }
-
-    fn journal_of(args: &[&str], env: Option<&str>) -> Option<String> {
-        journal_from(
-            args.iter().map(|s| (*s).to_owned()),
-            env.map(std::path::PathBuf::from),
-        )
-    }
-
-    #[test]
-    fn parses_journal_paths() {
-        assert_eq!(journal_of(&[], None), None);
-        assert_eq!(
-            journal_of(&["--journal", "/tmp/j.bin"], None),
-            Some("/tmp/j.bin".to_owned())
-        );
-        assert_eq!(
-            journal_of(&["--journal=j.bin"], None),
-            Some("j.bin".to_owned())
-        );
-        // Flag beats environment; environment beats nothing.
-        assert_eq!(
-            journal_of(&["--journal", "flag.bin"], Some("env.bin")),
-            Some("flag.bin".to_owned())
-        );
-        assert_eq!(journal_of(&[], Some("env.bin")), Some("env.bin".to_owned()));
-    }
-
-    #[test]
-    #[should_panic(expected = "file path")]
-    fn rejects_missing_journal_value() {
-        journal_of(&["--journal"], None);
-    }
-
-    #[test]
-    fn resume_flag_beats_environment() {
-        let resume_of =
-            |args: &[&str], env: bool| resume_from(args.iter().map(|s| (*s).to_owned()), env);
-        assert!(!resume_of(&[], false));
-        assert!(resume_of(&["--resume"], false));
-        assert!(resume_of(&[], true));
-        assert!(resume_of(&["--resume"], true));
-        assert!(!resume_of(&["--journal", "j.bin"], false));
-    }
-
-    #[test]
-    fn parses_flag_forms() {
-        assert_eq!(of(&["--jobs", "3"]), 3);
-        assert_eq!(of(&["--jobs=7"]), 7);
-        assert_eq!(of(&["-j", "2"]), 2);
-        assert_eq!(of(&["other", "--jobs", "4", "tail"]), 4);
-    }
-
-    #[test]
-    fn defaults_to_available_parallelism() {
-        assert_eq!(of(&[]), cbrain::available_jobs());
-        assert_eq!(of(&["unrelated"]), cbrain::available_jobs());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive integer")]
-    fn rejects_zero() {
-        of(&["--jobs", "0"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive integer")]
-    fn rejects_garbage() {
-        of(&["--jobs", "many"]);
-    }
+/// For a binary that takes no flags: any argument is a usage error.
+pub fn no_args(bin: &str) {
+    from_args(bin, &[], |_| Ok(()));
 }

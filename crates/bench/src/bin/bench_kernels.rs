@@ -17,6 +17,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use cbrain::config::FlagSpec;
 use cbrain::functional::{improved_inter_forward, unrolled_forward};
 use cbrain::persist::fnv1a64;
 use cbrain_compiler::{compile_conv, Scheme};
@@ -164,29 +165,10 @@ fn rows(samples: usize) -> Vec<Row> {
 }
 
 fn main() {
-    let mut json = false;
-    let mut samples = 5usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--samples" => {
-                samples = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("error: --samples needs a positive integer");
-                        std::process::exit(2);
-                    });
-            }
-            other => {
-                eprintln!("error: unknown argument {other:?}");
-                eprintln!("usage: bench_kernels [--json] [--samples N]");
-                std::process::exit(2);
-            }
-        }
-    }
+    const FLAGS: &[FlagSpec] = &[("--json", None), ("--samples", Some("N"))];
+    let (json, samples) = cbrain_bench::args::from_args(env!("CARGO_BIN_NAME"), FLAGS, |f| {
+        Ok((f.switch("--json"), f.count("--samples")?.unwrap_or(5)))
+    });
 
     simd::set_force_scalar(Some(false));
     let backend = simd::Backend::active().name();

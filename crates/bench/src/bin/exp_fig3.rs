@@ -1,5 +1,6 @@
 //! Regenerates Fig. 3: raw vs unrolled data size of early conv layers.
 
 fn main() {
+    cbrain_bench::args::no_args(env!("CARGO_BIN_NAME"));
     print!("{}", cbrain_bench::drivers::fig3_report());
 }

@@ -2,7 +2,7 @@
 //! partition vs the ideal bound, 4 networks x 2 PE configs.
 
 fn main() {
-    let jobs = cbrain_bench::args::jobs_from_args();
+    let jobs = cbrain_bench::args::jobs_from_args(env!("CARGO_BIN_NAME"));
     let _cache = cbrain_bench::cache::init_for_binary();
     print!("{}", cbrain_bench::drivers::fig7_report(jobs));
 }

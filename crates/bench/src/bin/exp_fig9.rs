@@ -2,7 +2,7 @@
 //! (zhang-7-64) and three adaptive configurations.
 
 fn main() {
-    let jobs = cbrain_bench::args::jobs_from_args();
+    let jobs = cbrain_bench::args::jobs_from_args(env!("CARGO_BIN_NAME"));
     let _cache = cbrain_bench::cache::init_for_binary();
     print!("{}", cbrain_bench::drivers::fig9_report(jobs));
 }

@@ -9,7 +9,7 @@
 //! for reproducible output (determinism checks, CI diffs).
 
 fn main() {
-    let jobs = cbrain_bench::args::jobs_from_args();
+    let jobs = cbrain_bench::args::jobs_from_args(env!("CARGO_BIN_NAME"));
     let _cache = cbrain_bench::cache::init_for_binary();
     print!("{}", cbrain_bench::drivers::table4_report(jobs));
 }

@@ -7,9 +7,10 @@
 //! * an `exp_*` binary printing the rows (`cargo run -p cbrain-bench
 //!   --bin exp_fig7 --release`).
 //!
-//! The heavy binaries accept `--jobs N` (default: all cores) and fan
-//! their experiment cells over a deterministic thread pool; output is
-//! byte-identical for every `N`. EXPERIMENTS.md at the repository root
+//! The heavy binaries accept `--jobs N` (N ≥ 1; default: all cores) and
+//! fan their experiment cells over a deterministic thread pool; output
+//! is byte-identical for every `N`. Every binary rejects any other flag
+//! (see [`args`]). EXPERIMENTS.md at the repository root
 //! records paper-vs-measured values.
 
 #![warn(missing_docs)]

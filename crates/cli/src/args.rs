@@ -1,9 +1,11 @@
-//! Argument parsing for the `cbrain` binary (hand-rolled; the project
-//! deliberately keeps its dependency set to the offline-sanctioned crates).
+//! Argument parsing for the `cbrain` binary. The grammar and its error
+//! messages belong to the workspace's one flag parser,
+//! [`cbrain::config::Flags`]; this module names each subcommand's flags
+//! and reads them into typed arguments.
 
+use cbrain::config::{shard_list, FlagSpec, Flags};
 use cbrain::{Policy, Workload};
 use cbrain_sim::{AcceleratorConfig, PeConfig};
-use std::fmt;
 
 /// A fully parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,17 +157,9 @@ pub enum NetworkRef {
     SpecFile(String),
 }
 
-/// Argument parsing error with a user-facing message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArgError(pub String);
-
-impl fmt::Display for ArgError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for ArgError {}
+/// Argument parsing error with a user-facing message: the workspace's
+/// one usage-error type (see [`cbrain::config`]).
+pub use cbrain::config::FlagError as ArgError;
 
 fn fail<T>(msg: impl Into<String>) -> Result<T, ArgError> {
     Err(ArgError(msg.into()))
@@ -213,253 +207,94 @@ pub fn parse_workload(s: &str) -> Result<Workload, ArgError> {
     })
 }
 
-struct Flags<'a> {
-    tokens: &'a [String],
-    index: usize,
+/// The flags that say what to simulate and on what, shared by `run`,
+/// `cbrand-client` and `fleet-client`; `schedule` takes the first four.
+const SHAPE: [FlagSpec; 7] = [
+    ("--network", Some("NAME")),
+    ("--spec", Some("FILE")),
+    ("--policy", Some("POLICY")),
+    ("--pe", Some("TinxTout")),
+    ("--mhz", Some("N")),
+    ("--workload", Some("W")),
+    ("--batch", Some("N")),
+];
+
+/// What [`SHAPE`]'s flags select, with `cbrain run`'s defaults for the
+/// ones not given.
+struct Shape {
+    network: Option<NetworkRef>,
+    policy: Policy,
+    pe: PeConfig,
+    mhz: u64,
+    workload: Workload,
+    batch: usize,
 }
 
-impl<'a> Flags<'a> {
-    fn value(&mut self, flag: &str) -> Result<&'a str, ArgError> {
-        self.index += 1;
-        self.tokens
-            .get(self.index)
-            .map(String::as_str)
-            .ok_or_else(|| ArgError(format!("{flag} needs a value")))
-    }
-}
-
-type CommonArgs = (
-    Option<NetworkRef>,
-    Policy,
-    AcceleratorConfig,
-    Workload,
-    usize,
-    usize,
-    bool,
-    Option<String>,
-    Option<String>,
-    bool,
-);
-
-/// Parses `run`'s flags. A command that takes fewer passes `accepts`,
-/// which names the flags it keeps; any other flag is unknown to it.
-fn parse_common(tokens: &[String], accepts: fn(&str) -> bool) -> Result<CommonArgs, ArgError> {
-    let mut network = None;
-    let mut policy = Policy::Adaptive {
-        improved_inter: true,
-    };
-    let mut pe = PeConfig::new(16, 16);
-    let mut mhz = 1000u64;
-    let mut workload = Workload::ConvAndPool;
-    let mut batch = 1usize;
-    let mut jobs = 0usize; // 0 = auto-detect at execution time
-    let mut breakdown = false;
-    let mut cache = None;
-    let mut journal = None;
-    let mut resume = false;
-
-    let mut f = Flags { tokens, index: 0 };
-    while f.index < tokens.len() {
-        match tokens[f.index].as_str() {
-            other if !accepts(other) => return fail(format!("unknown flag `{other}`")),
-            "--network" => network = Some(NetworkRef::Zoo(f.value("--network")?.to_owned())),
-            "--spec" => network = Some(NetworkRef::SpecFile(f.value("--spec")?.to_owned())),
-            "--policy" => policy = parse_policy(f.value("--policy")?)?,
-            "--pe" => pe = parse_pe(f.value("--pe")?)?,
-            "--mhz" => {
-                let v = f.value("--mhz")?;
-                mhz = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad --mhz `{v}`")))?;
-            }
-            "--workload" => workload = parse_workload(f.value("--workload")?)?,
-            "--batch" => {
-                let v = f.value("--batch")?;
-                batch = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad --batch `{v}`")))?;
-                if batch == 0 {
-                    return fail("--batch must be at least 1");
-                }
-            }
-            "--jobs" => {
-                let v = f.value("--jobs")?;
-                jobs = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad --jobs `{v}`")))?;
-                if jobs == 0 {
-                    return fail("--jobs must be at least 1");
-                }
-            }
-            "--breakdown" => breakdown = true,
-            "--cache" => cache = Some(f.value("--cache")?.to_owned()),
-            "--journal" => journal = Some(f.value("--journal")?.to_owned()),
-            "--resume" => resume = true,
-            other => return fail(format!("unknown flag `{other}`")),
-        }
-        f.index += 1;
-    }
-    let config = AcceleratorConfig::with_pe(pe).at_mhz(mhz);
-    Ok((
-        network, policy, config, workload, batch, jobs, breakdown, cache, journal, resume,
-    ))
-}
-
-fn parse_client(tokens: &[String]) -> Result<ClientArgs, ArgError> {
-    let mut args = ClientArgs {
-        connect: "127.0.0.1:7227".to_owned(),
-        network: None,
-        policy: Policy::Adaptive {
-            improved_inter: true,
-        },
-        pe: PeConfig::new(16, 16),
-        mhz: 1000,
-        workload: Workload::ConvAndPool,
-        batch: 1,
-        breakdown: false,
-        stats: false,
-        progress: false,
-        metrics: false,
-        evict: None,
-        shutdown: false,
-    };
-    let mut f = Flags { tokens, index: 0 };
-    while f.index < tokens.len() {
-        match tokens[f.index].as_str() {
-            "--connect" => args.connect = f.value("--connect")?.to_owned(),
-            "--network" => args.network = Some(NetworkRef::Zoo(f.value("--network")?.to_owned())),
-            "--spec" => args.network = Some(NetworkRef::SpecFile(f.value("--spec")?.to_owned())),
-            "--policy" => args.policy = parse_policy(f.value("--policy")?)?,
-            "--pe" => args.pe = parse_pe(f.value("--pe")?)?,
-            "--mhz" => {
-                let v = f.value("--mhz")?;
-                args.mhz = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad --mhz `{v}`")))?;
-            }
-            "--workload" => args.workload = parse_workload(f.value("--workload")?)?,
-            "--batch" => {
-                let v = f.value("--batch")?;
-                args.batch = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad --batch `{v}`")))?;
-                if args.batch == 0 {
-                    return fail("--batch must be at least 1");
-                }
-            }
-            "--breakdown" => args.breakdown = true,
-            "--stats" => args.stats = true,
-            "--progress" => args.progress = true,
-            "--metrics" => args.metrics = true,
-            "--evict" => {
-                let v = f.value("--evict")?;
-                args.evict = Some(
-                    v.parse()
-                        .map_err(|_| ArgError(format!("bad --evict `{v}`")))?,
-                );
-            }
-            "--shutdown" => args.shutdown = true,
-            other => return fail(format!("unknown flag `{other}`")),
-        }
-        f.index += 1;
-    }
-    if args.network.is_none()
-        && !args.stats
-        && !args.progress
-        && !args.metrics
-        && args.evict.is_none()
-        && !args.shutdown
-    {
-        return fail(
-            "cbrand-client needs --network/--spec, --stats, --progress, --metrics, --evict, or --shutdown",
-        );
-    }
-    Ok(args)
-}
-
-fn parse_fleet(tokens: &[String]) -> Result<FleetArgs, ArgError> {
-    let mut shards: Vec<String> = Vec::new();
-    let mut seed = 0u64;
-    let mut network = None;
-    let mut policy = Policy::Adaptive {
-        improved_inter: true,
-    };
-    let mut pe = PeConfig::new(16, 16);
-    let mut mhz = 1000u64;
-    let mut workload = Workload::ConvAndPool;
-    let mut batch = 1usize;
-    let mut jobs = 0usize;
-    let mut breakdown = false;
-
-    let mut f = Flags { tokens, index: 0 };
-    while f.index < tokens.len() {
-        match tokens[f.index].as_str() {
-            "--shards" => {
-                shards = f
-                    .value("--shards")?
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_owned)
-                    .collect();
-            }
-            "--seed" => {
-                let v = f.value("--seed")?;
-                seed = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad --seed `{v}`")))?;
-            }
-            "--network" => network = Some(NetworkRef::Zoo(f.value("--network")?.to_owned())),
-            "--spec" => network = Some(NetworkRef::SpecFile(f.value("--spec")?.to_owned())),
-            "--policy" => policy = parse_policy(f.value("--policy")?)?,
-            "--pe" => pe = parse_pe(f.value("--pe")?)?,
-            "--mhz" => {
-                let v = f.value("--mhz")?;
-                mhz = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad --mhz `{v}`")))?;
-            }
-            "--workload" => workload = parse_workload(f.value("--workload")?)?,
-            "--batch" => {
-                let v = f.value("--batch")?;
-                batch = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad --batch `{v}`")))?;
-                if batch == 0 {
-                    return fail("--batch must be at least 1");
-                }
-            }
-            "--jobs" => {
-                let v = f.value("--jobs")?;
-                jobs = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad --jobs `{v}`")))?;
-                if jobs == 0 {
-                    return fail("--jobs must be at least 1");
-                }
-            }
-            "--breakdown" => breakdown = true,
-            other => return fail(format!("unknown flag `{other}`")),
-        }
-        f.index += 1;
-    }
-    // An empty shard list is legal here: execution falls back to the
-    // CBRAIN_SHARDS environment variable (and errors there if it is
-    // empty too), so the flag can beat the environment.
-    let network =
-        network.ok_or_else(|| ArgError("fleet-client needs --network or --spec".into()))?;
-    Ok(FleetArgs {
-        shards,
-        seed,
+fn shape(flags: &Flags) -> Result<Shape, ArgError> {
+    let network = flags
+        .last(&["--network", "--spec"])
+        .map(|(flag, value)| match flag {
+            "--network" => NetworkRef::Zoo(value.to_owned()),
+            _ => NetworkRef::SpecFile(value.to_owned()),
+        });
+    Ok(Shape {
         network,
-        policy,
-        pe,
-        mhz,
-        workload,
-        batch,
-        jobs,
-        breakdown,
+        policy: flags
+            .read("--policy", parse_policy)?
+            .unwrap_or(Policy::Adaptive {
+                improved_inter: true,
+            }),
+        pe: flags
+            .read("--pe", parse_pe)?
+            .unwrap_or(PeConfig::new(16, 16)),
+        mhz: flags.parsed("--mhz")?.unwrap_or(1000),
+        workload: flags
+            .read("--workload", parse_workload)?
+            .unwrap_or(Workload::ConvAndPool),
+        batch: flags.count("--batch")?.unwrap_or(1),
     })
+}
+
+/// The flags of each subcommand, `SHAPE`'s included, or `None` for an
+/// unknown subcommand. `spec-check` takes its file as the one token
+/// before its (no) flags.
+fn table(sub: &str) -> Option<Vec<FlagSpec>> {
+    let own: &[FlagSpec] = match sub {
+        "run" => &[
+            ("--jobs", Some("N")),
+            ("--breakdown", None),
+            ("--cache", Some("MODE")),
+            ("--journal", Some("PATH")),
+            ("--resume", None),
+        ],
+        "schedule" => return Some(SHAPE[..4].to_vec()),
+        "scheme" => {
+            return Some(vec![
+                ("--din", Some("N")),
+                ("--k", Some("K")),
+                ("--s", Some("S")),
+                ("--pe", Some("TinxTout")),
+            ])
+        }
+        "cbrand-client" => &[
+            ("--connect", Some("HOST:PORT")),
+            ("--breakdown", None),
+            ("--stats", None),
+            ("--progress", None),
+            ("--metrics", None),
+            ("--evict", Some("N")),
+            ("--shutdown", None),
+        ],
+        "fleet-client" => &[
+            ("--shards", Some("LIST")),
+            ("--seed", Some("N")),
+            ("--jobs", Some("N")),
+            ("--breakdown", None),
+        ],
+        "spec-check" | "zoo" | "help" | "--help" | "-h" => return Some(Vec::new()),
+        _ => return None,
+    };
+    Some([&SHAPE[..], own].concat())
 }
 
 /// Parses a full command line (without the program name).
@@ -472,90 +307,111 @@ pub fn parse(tokens: &[String]) -> Result<Command, ArgError> {
     let Some(sub) = tokens.first() else {
         return Ok(Command::Help);
     };
-    match sub.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "run" => {
-            let (network, policy, config, workload, batch, jobs, breakdown, cache, journal, resume) =
-                parse_common(&tokens[1..], |_| true)?;
-            let network =
-                network.ok_or_else(|| ArgError("run needs --network or --spec".into()))?;
-            Ok(Command::Run(RunArgs {
-                network,
-                policy,
-                config,
-                workload,
-                batch,
-                jobs,
-                breakdown,
-                cache,
-                journal,
-                resume,
-            }))
-        }
-        "zoo" => Ok(Command::Zoo),
-        "cbrand-client" => Ok(Command::Client(parse_client(&tokens[1..])?)),
-        "fleet-client" => Ok(Command::FleetClient(parse_fleet(&tokens[1..])?)),
-        "schedule" => {
-            let (network, policy, config, ..) = parse_common(&tokens[1..], |flag| {
-                matches!(flag, "--network" | "--spec" | "--policy" | "--pe")
-            })?;
-            let network =
-                network.ok_or_else(|| ArgError("schedule needs --network or --spec".into()))?;
-            Ok(Command::Schedule(ScheduleArgs {
-                network,
-                policy,
-                config,
-            }))
-        }
-        "scheme" => {
-            let mut din = None;
-            let mut k = None;
-            let mut s_ = None;
-            let mut pe = PeConfig::new(16, 16);
-            let rest = &tokens[1..];
-            let mut f = Flags {
-                tokens: rest,
-                index: 0,
-            };
-            while f.index < rest.len() {
-                match rest[f.index].as_str() {
-                    "--din" => {
-                        din = Some(
-                            f.value("--din")?
-                                .parse()
-                                .map_err(|_| ArgError("bad --din".into()))?,
-                        )
-                    }
-                    "--k" => {
-                        k = Some(
-                            f.value("--k")?
-                                .parse()
-                                .map_err(|_| ArgError("bad --k".into()))?,
-                        )
-                    }
-                    "--s" => {
-                        s_ = Some(
-                            f.value("--s")?
-                                .parse()
-                                .map_err(|_| ArgError("bad --s".into()))?,
-                        )
-                    }
-                    "--pe" => pe = parse_pe(f.value("--pe")?)?,
-                    other => return fail(format!("unknown flag `{other}`")),
-                }
-                f.index += 1;
-            }
-            match (din, k, s_) {
-                (Some(din), Some(k), Some(s)) => Ok(Command::Scheme(SchemeArgs { din, k, s, pe })),
-                _ => fail("scheme needs --din, --k and --s"),
-            }
-        }
-        "spec-check" => match tokens.get(1) {
-            Some(path) => Ok(Command::SpecCheck { path: path.clone() }),
-            None => fail("spec-check needs a file path"),
-        },
-        other => fail(format!("unknown command `{other}` (try `cbrain help`)")),
+    let table = table(sub)
+        .ok_or_else(|| ArgError(format!("unknown command `{sub}` (try `cbrain help`)")))?;
+    let mut rest = &tokens[1..];
+    let mut path = String::new();
+    if sub == "spec-check" {
+        path = rest
+            .first()
+            .ok_or_else(|| ArgError("spec-check needs a file path".into()))?
+            .clone();
+        rest = &rest[1..];
     }
+    let flags = Flags::parse(rest, &table)?;
+    let shape = shape(&flags)?;
+    let jobs = flags.count("--jobs")?.unwrap_or(0); // 0 = auto-detect at execution time
+    let breakdown = flags.switch("--breakdown");
+    let needs_network = |name: &str| {
+        shape
+            .network
+            .clone()
+            .ok_or_else(|| ArgError(format!("{name} needs --network or --spec")))
+    };
+    Ok(match sub.as_str() {
+        "run" => Command::Run(RunArgs {
+            network: needs_network("run")?,
+            policy: shape.policy,
+            config: AcceleratorConfig::with_pe(shape.pe).at_mhz(shape.mhz),
+            workload: shape.workload,
+            batch: shape.batch,
+            jobs,
+            breakdown,
+            cache: flags.value("--cache").map(str::to_owned),
+            journal: flags.value("--journal").map(str::to_owned),
+            resume: flags.switch("--resume"),
+        }),
+        "schedule" => Command::Schedule(ScheduleArgs {
+            network: needs_network("schedule")?,
+            policy: shape.policy,
+            config: AcceleratorConfig::with_pe(shape.pe).at_mhz(shape.mhz),
+        }),
+        "scheme" => {
+            let (Some(din), Some(k), Some(s)) = (
+                flags.parsed("--din")?,
+                flags.parsed("--k")?,
+                flags.parsed("--s")?,
+            ) else {
+                return fail("scheme needs --din, --k and --s");
+            };
+            Command::Scheme(SchemeArgs {
+                din,
+                k,
+                s,
+                pe: shape.pe,
+            })
+        }
+        "cbrand-client" => {
+            let args = ClientArgs {
+                connect: flags
+                    .value("--connect")
+                    .unwrap_or("127.0.0.1:7227")
+                    .to_owned(),
+                network: shape.network,
+                policy: shape.policy,
+                pe: shape.pe,
+                mhz: shape.mhz,
+                workload: shape.workload,
+                batch: shape.batch,
+                breakdown,
+                stats: flags.switch("--stats"),
+                progress: flags.switch("--progress"),
+                metrics: flags.switch("--metrics"),
+                evict: flags.parsed("--evict")?,
+                shutdown: flags.switch("--shutdown"),
+            };
+            if args.network.is_none()
+                && !args.stats
+                && !args.progress
+                && !args.metrics
+                && args.evict.is_none()
+                && !args.shutdown
+            {
+                return fail(
+                    "cbrand-client needs --network/--spec, --stats, --progress, --metrics, --evict, or --shutdown",
+                );
+            }
+            Command::Client(args)
+        }
+        // An empty shard list is legal here: execution falls back to the
+        // CBRAIN_SHARDS environment variable (and errors there if it is
+        // empty too), so the flag can beat the environment.
+        "fleet-client" => Command::FleetClient(FleetArgs {
+            shards: flags.value("--shards").map(shard_list).unwrap_or_default(),
+            seed: flags.parsed("--seed")?.unwrap_or(0),
+            network: needs_network("fleet-client")?,
+            policy: shape.policy,
+            pe: shape.pe,
+            mhz: shape.mhz,
+            workload: shape.workload,
+            batch: shape.batch,
+            jobs,
+            breakdown,
+        }),
+        "spec-check" => Command::SpecCheck { path },
+        "zoo" => Command::Zoo,
+        _ => Command::Help,
+    })
 }
 
 /// The help text.
@@ -878,6 +734,73 @@ mod tests {
                 parse(&toks(&format!("schedule --network alexnet {extra}"))).expect_err(extra);
             assert_eq!(err.0, format!("unknown flag `{flag}`"));
         }
+    }
+
+    #[test]
+    fn help_lists_exactly_the_flags_each_subcommand_accepts() {
+        let usage = HELP.split("USAGE:\n").nth(1).unwrap();
+        let usage = usage.split("\n\n").next().unwrap();
+        let mut listed: Vec<(&str, Vec<&str>)> = Vec::new();
+        for line in usage.lines() {
+            let mut words = line.split_whitespace();
+            if line.starts_with("  cbrain ") {
+                words.next();
+                listed.push((words.next().unwrap(), Vec::new()));
+            }
+            let flags = &mut listed.last_mut().unwrap().1;
+            for word in words.map(|w| w.trim_start_matches('[')) {
+                if word.starts_with("--") {
+                    let end = word
+                        .find(|c: char| !c.is_ascii_lowercase() && c != '-')
+                        .unwrap_or(word.len());
+                    flags.push(&word[..end]);
+                }
+            }
+        }
+        let subs: Vec<&str> = listed.iter().map(|(sub, _)| *sub).collect();
+        assert_eq!(
+            subs,
+            [
+                "run",
+                "schedule",
+                "scheme",
+                "spec-check",
+                "zoo",
+                "cbrand-client",
+                "fleet-client",
+                "help"
+            ]
+        );
+        for (sub, mut flags) in listed {
+            let mut accepted: Vec<&str> = table(sub).unwrap().iter().map(|(n, _)| *n).collect();
+            flags.sort_unstable();
+            accepted.sort_unstable();
+            assert_eq!(flags, accepted, "`cbrain {sub}`");
+        }
+    }
+
+    #[test]
+    fn every_subcommand_rejects_a_misspelt_flag() {
+        for sub in [
+            "run",
+            "schedule",
+            "scheme",
+            "zoo",
+            "cbrand-client",
+            "fleet-client",
+            "help",
+        ] {
+            for tail in ["--jbos 2", "--jbos"] {
+                let err = parse(&toks(&format!("{sub} --network vgg {tail}")))
+                    .or_else(|_| parse(&toks(&format!("{sub} {tail}"))))
+                    .expect_err(sub);
+                assert_eq!(err.0, "unknown flag `--jbos`", "`cbrain {sub} {tail}`");
+            }
+        }
+        let err = parse(&toks("spec-check f.spec --jbos 2")).unwrap_err();
+        assert_eq!(err.0, "unknown flag `--jbos`");
+        let err = parse(&toks("run --network vgg --batch")).unwrap_err();
+        assert_eq!(err.0, "--batch needs a value");
     }
 
     #[test]

@@ -5,8 +5,7 @@ use cbrain_cli::commands;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let tokens: Vec<String> = std::env::args().skip(1).collect();
-    let command = match args::parse(&tokens) {
+    let command = match cbrain::config::process_args().and_then(|tokens| args::parse(&tokens)) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}");

@@ -84,3 +84,19 @@ fn spec_check_on_shipped_spec() {
     assert!(stdout.contains("ok"));
     assert!(stdout.contains("nin"));
 }
+
+#[cfg(unix)]
+#[test]
+fn a_non_utf8_argument_is_a_usage_error_not_a_panic() {
+    use std::ffi::OsStr;
+    use std::os::unix::ffi::OsStrExt;
+    let out = Command::new(env!("CARGO_BIN_EXE_cbrain"))
+        .args([OsStr::new("run"), OsStr::from_bytes(b"--net\xffwork")])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(stderr.contains("is not UTF-8"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -1,6 +1,7 @@
-//! The one place `CBRAIN_*` environment variables are read.
+//! The one place `CBRAIN_*` environment variables are read, and the one
+//! parser every binary's command line goes through.
 //!
-//! Eleven knobs configure the workspace from the environment. Each has a
+//! Nine knobs configure the workspace from the environment. Each has a
 //! single documented precedence: **CLI flag > environment > default**.
 //! Call sites never touch [`std::env::var`] for these directly — they go
 //! through [`EnvConfig`], which captures the raw environment once and
@@ -15,8 +16,6 @@
 //! | `CBRAIN_SHARDS`       | [`shards`]                                | default fleet shard list, `HOST:PORT,...`      |
 //! | `CBRAIN_JOURNAL`      | [`journal_file`]                          | default run-journal path for sweeps            |
 //! | `CBRAIN_RESUME`       | [`resume`]                                | `1`/`true`/`on` resumes from the journal       |
-//! | `CBRAIN_FORCE_SCALAR` | [`force_scalar`]                          | `1`/`true`/`on` pins the scalar SIMD fallback  |
-//! | `CBRAIN_TELEMETRY`    | [`telemetry_enabled`]                     | `off`/`0`/`false`/`no` disables span timing    |
 //! | `CBRAIN_METRICS_ADDR` | [`metrics_addr`]                          | default `cbrand --metrics-addr` listen address |
 //! | `CBRAIN_MAX_CONNS`    | [`max_conns`]                             | default `cbrand --max-connections` accept cap  |
 //!
@@ -27,8 +26,6 @@
 //! [`shards`]: EnvConfig::shards
 //! [`journal_file`]: EnvConfig::journal_file
 //! [`resume`]: EnvConfig::resume
-//! [`force_scalar`]: EnvConfig::force_scalar
-//! [`telemetry_enabled`]: EnvConfig::telemetry_enabled
 //! [`metrics_addr`]: EnvConfig::metrics_addr
 //! [`max_conns`]: EnvConfig::max_conns
 //!
@@ -36,16 +33,35 @@
 //! environment, [`EnvConfig::from_lookup`] builds one from any closure so
 //! tests never have to mutate process-global state.
 //!
-//! Two documented exceptions to "call sites go through `EnvConfig`":
-//! `CBRAIN_FORCE_SCALAR` is *acted on* inside `cbrain_simd` (re-exported
-//! as [`cbrain_model::simd`]) and `CBRAIN_TELEMETRY` inside
-//! `cbrain_telemetry` (re-exported as [`crate::telemetry`]) — both crates
-//! sit below this one in the dependency graph and therefore cannot see
-//! [`EnvConfig`]. Each reads its variable once, at first use, with
-//! exactly the truth-parsing rules the matching accessor here documents
-//! ([`EnvConfig::force_scalar`] / [`EnvConfig::telemetry_enabled`]); the
-//! accessors exist so operator tooling reports the knobs alongside the
-//! other eight.
+//! Two more variables are read below this crate, by the crates that act
+//! on them: `CBRAIN_FORCE_SCALAR` inside `cbrain_simd` (re-exported as
+//! [`cbrain_model::simd`]) and `CBRAIN_TELEMETRY` inside
+//! `cbrain_telemetry` (re-exported as [`crate::telemetry`]). Both sit
+//! below this crate in the dependency graph, so they cannot see
+//! [`EnvConfig`]; each documents its own parsing rule.
+//!
+//! ## The flag grammar
+//!
+//! A binary names the flags it accepts in a table of [`FlagSpec`]s and
+//! hands its arguments to [`Flags::parse`]. The grammar has one form:
+//! `--flag VALUE` for a flag with a value placeholder, `--flag` alone for
+//! a bare switch. Any other token is ``unknown flag `X` ``, and a flag
+//! whose value is missing is ``X needs a value``. The typed reads on
+//! [`Flags`] own the remaining messages (``bad --X `v` ``, ``--X must be
+//! at least 1``), so every binary words its usage errors alike. A flag
+//! given twice keeps its last value.
+//!
+//! ```
+//! use cbrain::config::{FlagSpec, Flags};
+//!
+//! const TABLE: &[FlagSpec] = &[("--jobs", Some("N")), ("--json", None)];
+//! let args: Vec<String> = ["--jobs", "3", "--json"].map(String::from).to_vec();
+//! let flags = Flags::parse(&args, TABLE).unwrap();
+//! assert_eq!(flags.jobs().unwrap(), 3);
+//! assert!(flags.switch("--json"));
+//! let typo: Vec<String> = ["--jbos", "3"].map(String::from).to_vec();
+//! assert_eq!(Flags::parse(&typo, TABLE).unwrap_err().to_string(), "unknown flag `--jbos`");
+//! ```
 
 use std::path::PathBuf;
 
@@ -77,17 +93,6 @@ pub const ENV_JOURNAL: &str = "CBRAIN_JOURNAL";
 /// found in the journal are replayed instead of re-simulated.
 pub const ENV_RESUME: &str = "CBRAIN_RESUME";
 
-/// Pins every SIMD kernel to its scalar fallback (see
-/// [`cbrain_model::simd`]). The differential-test escape hatch: results
-/// must be bit-identical either way, so flipping this only changes speed.
-pub const ENV_FORCE_SCALAR: &str = cbrain_model::simd::ENV_FORCE_SCALAR;
-
-/// The telemetry kill switch (see [`crate::telemetry`]): `off`, `0`,
-/// `false` or `no` disables span/histogram timing; anything else —
-/// including unset — leaves it on. Counters and gauges keep counting
-/// either way because the `stats`/`progress` wire responses read them.
-pub const ENV_TELEMETRY: &str = cbrain_telemetry::ENV_TELEMETRY;
-
 /// Default listen address for `cbrand --metrics-addr` (Prometheus
 /// text-format exposition over `GET /metrics`). The flag always beats
 /// this; unset or blank means "no exposition listener".
@@ -114,8 +119,6 @@ pub struct EnvConfig {
     shards: Option<String>,
     journal: Option<String>,
     resume: Option<String>,
-    force_scalar: Option<String>,
-    telemetry: Option<String>,
     metrics_addr: Option<String>,
     max_conns: Option<String>,
     xdg_cache_home: Option<String>,
@@ -141,8 +144,6 @@ impl EnvConfig {
             shards: lookup(ENV_SHARDS),
             journal: lookup(ENV_JOURNAL),
             resume: lookup(ENV_RESUME),
-            force_scalar: lookup(ENV_FORCE_SCALAR),
-            telemetry: lookup(ENV_TELEMETRY),
             metrics_addr: lookup(ENV_METRICS_ADDR),
             max_conns: lookup(ENV_MAX_CONNS),
             xdg_cache_home: lookup("XDG_CACHE_HOME"),
@@ -214,19 +215,7 @@ impl EnvConfig {
     /// non-empty segment.
     #[must_use]
     pub fn shards(&self) -> Option<Vec<String>> {
-        let list: Vec<String> = self
-            .shards
-            .as_deref()?
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(str::to_owned)
-            .collect();
-        if list.is_empty() {
-            None
-        } else {
-            Some(list)
-        }
+        Some(shard_list(self.shards.as_deref()?)).filter(|list| !list.is_empty())
     }
 
     /// The default journal file, or `None` when the variable is unset or
@@ -257,42 +246,6 @@ impl EnvConfig {
         )
     }
 
-    /// Whether the environment pins SIMD kernels to the scalar fallback.
-    /// Same truth rules as [`EnvConfig::resume`]: `1`, `true` or `on`
-    /// (case-insensitive); anything else leaves SIMD dispatch on.
-    ///
-    /// Reporting-only here — the dispatch decision itself is made (with
-    /// identical parsing) inside `cbrain_simd`, the one crate allowed to
-    /// read this variable directly (see the module docs).
-    #[must_use]
-    pub fn force_scalar(&self) -> bool {
-        matches!(
-            self.force_scalar
-                .as_deref()
-                .map(str::trim)
-                .map(str::to_ascii_lowercase)
-                .as_deref(),
-            Some("1") | Some("true") | Some("on")
-        )
-    }
-
-    /// Whether span/histogram timing is enabled. `off`, `0`, `false` or
-    /// `no` (case-insensitive, trimmed) disable it; anything else —
-    /// including unset — enables it, because telemetry is designed to be
-    /// on by default and byte-invisible to reports.
-    ///
-    /// Reporting-only here — the gate itself is read (with identical
-    /// parsing, via [`cbrain_telemetry::value_means_off`]) inside
-    /// `cbrain_telemetry`, the second crate allowed to read its variable
-    /// directly (see the module docs).
-    #[must_use]
-    pub fn telemetry_enabled(&self) -> bool {
-        match self.telemetry.as_deref() {
-            Some(v) => !cbrain_telemetry::value_means_off(v),
-            None => true,
-        }
-    }
-
     /// The default metrics listen address (`HOST:PORT`), or `None` when
     /// the variable is unset or blank. A flag (`--metrics-addr`) always
     /// beats this.
@@ -317,6 +270,195 @@ impl EnvConfig {
     }
 }
 
+/// Splits a `HOST:PORT,HOST:PORT,...` shard list on commas, dropping
+/// blank segments. `CBRAIN_SHARDS` and every `--shards` flag read
+/// through this.
+#[must_use]
+pub fn shard_list(raw: &str) -> Vec<String> {
+    raw.split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(str::to_owned)
+        .collect()
+}
+
+/// One flag a binary accepts: its name and, for a flag that takes a
+/// value, the value's placeholder in usage text (`None` marks a bare
+/// switch).
+pub type FlagSpec = (&'static str, Option<&'static str>);
+
+/// A usage error: an unknown flag, a missing value, or a value its flag
+/// cannot take. The message is user-facing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlagError(pub String);
+
+impl std::fmt::Display for FlagError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for FlagError {}
+
+/// A command line parsed against a [`FlagSpec`] table (see the module
+/// docs for the grammar).
+#[derive(Debug, Clone)]
+pub struct Flags {
+    /// Every flag given, in command-line order, with its value (`None`
+    /// for a switch).
+    given: Vec<(&'static str, Option<String>)>,
+}
+
+impl Flags {
+    /// Parses `tokens` (the arguments after the program or subcommand
+    /// name) against `table`.
+    ///
+    /// # Errors
+    ///
+    /// ``unknown flag `X` `` for the first token that is not a flag in
+    /// `table`, or ``X needs a value`` when a flag that takes a value
+    /// ends the line.
+    pub fn parse(tokens: &[String], table: &[FlagSpec]) -> Result<Self, FlagError> {
+        let mut given = Vec::new();
+        let mut tokens = tokens.iter();
+        while let Some(token) = tokens.next() {
+            let Some(&(name, placeholder)) = table.iter().find(|(name, _)| name == token) else {
+                return Err(FlagError(format!("unknown flag `{token}`")));
+            };
+            let value = match placeholder {
+                Some(_) => Some(
+                    tokens
+                        .next()
+                        .ok_or_else(|| FlagError(format!("{name} needs a value")))?
+                        .clone(),
+                ),
+                None => None,
+            };
+            given.push((name, value));
+        }
+        Ok(Self { given })
+    }
+
+    /// Whether the switch (or flag) `name` was given.
+    #[must_use]
+    pub fn switch(&self, name: &str) -> bool {
+        self.given.iter().any(|(given, _)| *given == name)
+    }
+
+    /// The last of `names` given with a value, and that value. Flags
+    /// that set the same thing (`--network` and `--spec`) read through
+    /// this so the later one wins.
+    #[must_use]
+    pub fn last(&self, names: &[&str]) -> Option<(&'static str, &str)> {
+        self.given.iter().rev().find_map(|(name, value)| {
+            Some((*name, value.as_deref()?)).filter(|_| names.contains(name))
+        })
+    }
+
+    /// The value `name` was last given.
+    #[must_use]
+    pub fn value(&self, name: &str) -> Option<&str> {
+        self.last(&[name]).map(|(_, value)| value)
+    }
+
+    /// `name`'s value through `read`, which words its own errors.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `read` returns.
+    pub fn read<T>(
+        &self,
+        name: &str,
+        read: impl FnOnce(&str) -> Result<T, FlagError>,
+    ) -> Result<Option<T>, FlagError> {
+        self.value(name).map(read).transpose()
+    }
+
+    /// `name`'s value parsed as a `T`.
+    ///
+    /// # Errors
+    ///
+    /// ``bad NAME `v` `` when the value does not parse.
+    pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, FlagError> {
+        self.read(name, |v| {
+            v.parse()
+                .map_err(|_| FlagError(format!("bad {name} `{v}`")))
+        })
+    }
+
+    /// `name`'s value as a count of at least 1.
+    ///
+    /// # Errors
+    ///
+    /// ``bad NAME `v` `` for a non-number, ``NAME must be at least 1``
+    /// for zero.
+    pub fn count(&self, name: &str) -> Result<Option<usize>, FlagError> {
+        match self.parsed(name)? {
+            Some(0) => Err(FlagError(format!("{name} must be at least 1"))),
+            n => Ok(n),
+        }
+    }
+
+    /// `--jobs N` (N ≥ 1), or every core when the flag is absent.
+    ///
+    /// # Errors
+    ///
+    /// As [`Flags::count`].
+    pub fn jobs(&self) -> Result<usize, FlagError> {
+        Ok(self.count("--jobs")?.unwrap_or_else(crate::available_jobs))
+    }
+}
+
+/// The one-line usage of a binary whose flags are all optional, built
+/// from its table so the two cannot drift: `usage: BIN [--jobs N]`.
+#[must_use]
+pub fn usage_line(bin: &str, table: &[FlagSpec]) -> String {
+    let mut line = format!("usage: {bin}");
+    for (name, placeholder) in table {
+        match placeholder {
+            Some(p) => line.push_str(&format!(" [{name} {p}]")),
+            None => line.push_str(&format!(" [{name}]")),
+        }
+    }
+    line
+}
+
+/// This process's arguments after the program name.
+///
+/// # Errors
+///
+/// A usage error naming the first argument that is not UTF-8, where
+/// [`std::env::args`] would panic.
+pub fn process_args() -> Result<Vec<String>, FlagError> {
+    std::env::args_os()
+        .skip(1)
+        .map(|arg| {
+            arg.into_string().map_err(|arg| {
+                FlagError(format!("argument `{}` is not UTF-8", arg.to_string_lossy()))
+            })
+        })
+        .collect()
+}
+
+/// Parses this process's arguments against `table` and reads them with
+/// `read`. On a usage error it prints `error: …` and `usage` to stderr
+/// and exits with status 1, before the binary does any work.
+pub fn args_or_exit<T>(
+    usage: &str,
+    table: &[FlagSpec],
+    read: impl FnOnce(&Flags) -> Result<T, FlagError>,
+) -> T {
+    let parsed = process_args().and_then(|tokens| Flags::parse(&tokens, table));
+    match parsed.and_then(|flags| read(&flags)) {
+        Ok(value) => value,
+        Err(e) => {
+            eprintln!("error: {e}");
+            eprintln!("{usage}");
+            std::process::exit(1)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,6 +471,153 @@ mod tests {
             .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
             .collect();
         EnvConfig::from_lookup(|key| map.get(key).cloned())
+    }
+
+    fn tokens(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    const TABLE: &[FlagSpec] = &[
+        ("--jobs", Some("N")),
+        ("--network", Some("NAME")),
+        ("--spec", Some("FILE")),
+        ("--breakdown", None),
+    ];
+
+    #[test]
+    fn flags_parse_values_switches_and_keep_the_last_repeat() {
+        let flags = Flags::parse(
+            &tokens("--jobs 2 --breakdown --network a --jobs 3 --spec b"),
+            TABLE,
+        )
+        .unwrap();
+        assert!(flags.switch("--breakdown"));
+        assert_eq!(flags.jobs(), Ok(3));
+        assert_eq!(flags.value("--network"), Some("a"));
+        assert_eq!(flags.last(&["--network", "--spec"]), Some(("--spec", "b")));
+        assert_eq!(flags.value("--missing"), None);
+        let flags = Flags::parse(&[], TABLE).unwrap();
+        assert!(!flags.switch("--breakdown"));
+        assert_eq!(flags.jobs(), Ok(crate::available_jobs()));
+    }
+
+    #[test]
+    fn flag_errors_name_the_offending_token() {
+        let err = |line: &str| Flags::parse(&tokens(line), TABLE).unwrap_err().0;
+        assert_eq!(err("--jbos 2"), "unknown flag `--jbos`");
+        assert_eq!(err("--jobs=2"), "unknown flag `--jobs=2`");
+        assert_eq!(err("-j 2"), "unknown flag `-j`");
+        assert_eq!(err("--breakdown extra"), "unknown flag `extra`");
+        assert_eq!(err("--breakdown --jobs"), "--jobs needs a value");
+    }
+
+    #[test]
+    fn typed_reads_own_their_messages() {
+        let read = |line: &str| Flags::parse(&tokens(line), TABLE).unwrap();
+        assert_eq!(
+            read("--jobs 0").jobs().unwrap_err().0,
+            "--jobs must be at least 1"
+        );
+        assert_eq!(read("--jobs x").jobs().unwrap_err().0, "bad --jobs `x`");
+        assert_eq!(
+            read("--jobs -1").count("--jobs").unwrap_err().0,
+            "bad --jobs `-1`"
+        );
+        assert_eq!(read("--jobs 7").parsed::<u16>("--jobs"), Ok(Some(7)));
+        assert_eq!(read("").parsed::<u16>("--jobs"), Ok(None));
+    }
+
+    #[test]
+    fn usage_line_lists_exactly_the_table() {
+        assert_eq!(
+            usage_line("exp", TABLE),
+            "usage: exp [--jobs N] [--network NAME] [--spec FILE] [--breakdown]"
+        );
+        assert_eq!(usage_line("gen_specs", &[]), "usage: gen_specs");
+    }
+
+    /// The parser's reference model: walk the tokens, and stop at the
+    /// first one that is not a flag of `TABLE` or that needs a value the
+    /// line does not have. On success, each flag given and its last
+    /// value (`None` for a switch).
+    fn model(tokens: &[String]) -> Result<HashMap<&'static str, Option<String>>, String> {
+        let mut given = HashMap::new();
+        let mut i = 0;
+        while i < tokens.len() {
+            let Some(&(name, placeholder)) = TABLE.iter().find(|(n, _)| *n == tokens[i]) else {
+                return Err(format!("unknown flag `{}`", tokens[i]));
+            };
+            let value = match placeholder {
+                Some(_) => {
+                    i += 1;
+                    let value = tokens.get(i).ok_or(format!("{name} needs a value"))?;
+                    Some(value.clone())
+                }
+                None => None,
+            };
+            given.insert(name, value);
+            i += 1;
+        }
+        Ok(given)
+    }
+
+    #[test]
+    fn fuzzed_flag_lines_parse_exactly_as_the_model_says() {
+        // Accepted names, near misses of them, the `--` separator, empty
+        // strings and plain values, in random mixes.
+        const VOCABULARY: &[&str] = &[
+            "--jobs",
+            "--network",
+            "--spec",
+            "--breakdown",
+            "--jbos",
+            "--job",
+            "--jobs=2",
+            "-jobs",
+            "--JOBS",
+            "--breakdown ",
+            "-j",
+            "--",
+            "",
+            "-",
+            "2",
+            "0",
+            "x",
+            "alexnet",
+            "--network=vgg",
+            "\u{0}",
+            "é",
+        ];
+        let mut rng = cbrain_model::rng::XorShift64::seed_from_u64(0x00f1_a65e);
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..20_000 {
+            let len = rng.range_usize(0, 8);
+            let line: Vec<String> = (0..len)
+                .map(|_| VOCABULARY[rng.below(VOCABULARY.len() as u64) as usize].to_owned())
+                .collect();
+            let parsed = std::panic::catch_unwind(|| Flags::parse(&line, TABLE))
+                .unwrap_or_else(|_| panic!("the parser panicked on {line:?}"));
+            match (parsed, model(&line)) {
+                (Ok(flags), Ok(given)) => {
+                    accepted += 1;
+                    for &(name, _) in TABLE {
+                        assert_eq!(flags.switch(name), given.contains_key(name), "{line:?}");
+                        let want = given.get(name).and_then(Option::as_deref);
+                        assert_eq!(flags.value(name), want, "{line:?}");
+                    }
+                }
+                (Err(e), Err(want)) => {
+                    rejected += 1;
+                    assert_eq!(e.0, want, "{line:?}");
+                }
+                (got, want) => panic!("{line:?}: parser {got:?}, model {want:?}"),
+            }
+        }
+        // Both outcomes must be well exercised for the check to mean much.
+        assert!(
+            accepted > 1_000 && rejected > 1_000,
+            "{accepted} / {rejected}"
+        );
     }
 
     #[test]
@@ -413,45 +702,6 @@ mod tests {
             assert!(!config(&[(ENV_RESUME, no)]).resume(), "{no:?}");
         }
         assert!(!config(&[]).resume());
-    }
-
-    #[test]
-    fn force_scalar_accepts_only_explicit_truths() {
-        for yes in ["1", "true", "on", " TRUE ", "On"] {
-            assert!(config(&[(ENV_FORCE_SCALAR, yes)]).force_scalar(), "{yes:?}");
-        }
-        for no in ["", "0", "false", "off", "yes", "scalar"] {
-            assert!(!config(&[(ENV_FORCE_SCALAR, no)]).force_scalar(), "{no:?}");
-        }
-        assert!(!config(&[]).force_scalar());
-    }
-
-    #[test]
-    fn force_scalar_name_matches_the_simd_crate() {
-        // The dispatch-time read lives in cbrain_simd; the two constants
-        // must never drift apart.
-        assert_eq!(ENV_FORCE_SCALAR, "CBRAIN_FORCE_SCALAR");
-    }
-
-    #[test]
-    fn telemetry_defaults_on_and_disables_only_on_explicit_off() {
-        assert!(config(&[]).telemetry_enabled(), "unset means on");
-        for off in ["off", "OFF", " 0 ", "false", "no"] {
-            assert!(
-                !config(&[(ENV_TELEMETRY, off)]).telemetry_enabled(),
-                "{off:?}"
-            );
-        }
-        for on in ["on", "1", "true", "", "yes", "typo"] {
-            assert!(config(&[(ENV_TELEMETRY, on)]).telemetry_enabled(), "{on:?}");
-        }
-    }
-
-    #[test]
-    fn telemetry_name_matches_the_telemetry_crate() {
-        // The gate-time read lives in cbrain_telemetry; the two constants
-        // must never drift apart.
-        assert_eq!(ENV_TELEMETRY, "CBRAIN_TELEMETRY");
     }
 
     #[test]

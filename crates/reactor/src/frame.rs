@@ -24,10 +24,8 @@ pub enum FrameError {
 impl fmt::Display for FrameError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::TooLong { limit } => {
-                write!(f, "request line exceeds {limit} bytes without a newline")
-            }
-            Self::Utf8 => write!(f, "request line is not valid UTF-8"),
+            Self::TooLong { limit } => write!(f, "line exceeds {limit} bytes without a newline"),
+            Self::Utf8 => write!(f, "line is not valid UTF-8"),
         }
     }
 }
@@ -40,6 +38,10 @@ impl std::error::Error for FrameError {}
 pub struct FrameDecoder {
     buf: Vec<u8>,
     pos: usize,
+    /// Bytes past `pos` already searched and found free of a newline,
+    /// so a long line arriving in many fragments is scanned once, not
+    /// once per fragment.
+    scanned: usize,
     max_line: usize,
 }
 
@@ -50,6 +52,7 @@ impl FrameDecoder {
         Self {
             buf: Vec::new(),
             pos: 0,
+            scanned: 0,
             max_line,
         }
     }
@@ -76,7 +79,7 @@ impl FrameDecoder {
     /// Whether a complete (newline-terminated) line is waiting.
     #[must_use]
     pub fn has_complete_line(&self) -> bool {
-        self.buf[self.pos..].contains(&b'\n')
+        self.buf[self.pos + self.scanned..].contains(&b'\n')
     }
 
     /// The next complete line, without its terminator. `Ok(None)` means
@@ -89,7 +92,9 @@ impl FrameDecoder {
     /// [`FrameError::TooLong`] when the unterminated tail exceeds the
     /// cap, [`FrameError::Utf8`] when a complete line is not UTF-8.
     pub fn next_line(&mut self) -> Result<Option<String>, FrameError> {
-        let Some(rel) = self.buf[self.pos..].iter().position(|&b| b == b'\n') else {
+        let unscanned = &self.buf[self.pos + self.scanned..];
+        let Some(rel) = unscanned.iter().position(|&b| b == b'\n') else {
+            self.scanned = self.buffered();
             if self.buffered() > self.max_line {
                 return Err(FrameError::TooLong {
                     limit: self.max_line,
@@ -97,6 +102,8 @@ impl FrameDecoder {
             }
             return Ok(None);
         };
+        let rel = self.scanned + rel;
+        self.scanned = 0;
         if rel > self.max_line {
             return Err(FrameError::TooLong {
                 limit: self.max_line,

@@ -3,7 +3,7 @@
 //! ```text
 //! cbrand [--host HOST] [--port PORT] [--jobs N] [--cache auto|off|PATH]
 //!        [--workers N] [--queue-depth N] [--metrics-addr ADDR]
-//!        [--max-connections N]
+//!        [--max-connections N] [--help]
 //! ```
 //!
 //! Prints `cbrand listening on HOST:PORT` on stdout once bound (scripts
@@ -14,7 +14,8 @@
 //! `cbrand metrics listening on HOST:PORT` — again parseable when the
 //! requested port was 0.
 
-use cbrain_serve::daemon::{resolve_max_connections, resolve_metrics_addr, Daemon, DaemonOptions};
+use cbrain::config::{args_or_exit, EnvConfig, FlagError, FlagSpec, Flags};
+use cbrain_serve::daemon::{Daemon, DaemonOptions};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -23,10 +24,14 @@ const HELP: &str = "cbrand - C-Brain serving daemon
 USAGE:
     cbrand [OPTIONS]
 
+Each option is `--flag VALUE` or a bare switch; anything else is a
+usage error (exit 1).
+
 OPTIONS:
     --host HOST     Bind address (default 127.0.0.1)
     --port PORT     TCP port; 0 picks an ephemeral port (default 7227)
-    --jobs N        Pool workers per compile batch; 0 = all cores (default 0)
+    --jobs N        Pool workers per compile batch, N >= 1
+                    (default: all cores)
     --cache MODE    auto (default): the resolved user cache file
                     off:            no persistence
                     PATH:           an explicit cache file
@@ -47,113 +52,61 @@ OPTIONS:
     --help          Show this help
 ";
 
-struct Args {
-    host: String,
-    port: u16,
-    jobs: usize,
-    cache: String,
-    workers: usize,
-    queue_depth: usize,
-    metrics_addr: Option<String>,
-    max_connections: Option<usize>,
-}
+const FLAGS: &[FlagSpec] = &[
+    ("--host", Some("HOST")),
+    ("--port", Some("PORT")),
+    ("--jobs", Some("N")),
+    ("--cache", Some("MODE")),
+    ("--workers", Some("N")),
+    ("--queue-depth", Some("N")),
+    ("--metrics-addr", Some("ADDR")),
+    ("--max-connections", Some("N")),
+    ("--help", None),
+];
 
-fn parse_args() -> Result<Option<Args>, String> {
-    let mut args = Args {
-        host: "127.0.0.1".to_owned(),
-        port: 7227,
-        jobs: 0,
-        cache: "auto".to_owned(),
-        workers: 0,
-        queue_depth: 0,
-        metrics_addr: None,
-        max_connections: None,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
-        if flag == "--help" || flag == "-h" {
-            return Ok(None);
-        }
-        let value = argv
-            .get(i + 1)
-            .ok_or_else(|| format!("missing value for `{flag}`"))?;
-        match flag {
-            "--host" => args.host = value.clone(),
-            "--port" => {
-                args.port = value.parse().map_err(|_| format!("bad port `{value}`"))?;
-            }
-            "--jobs" => {
-                args.jobs = value
-                    .parse()
-                    .map_err(|_| format!("bad job count `{value}`"))?;
-            }
-            "--cache" => args.cache = value.clone(),
-            "--workers" => {
-                args.workers = value
-                    .parse()
-                    .map_err(|_| format!("bad worker count `{value}`"))?;
-            }
-            "--queue-depth" => {
-                args.queue_depth = value
-                    .parse()
-                    .map_err(|_| format!("bad queue depth `{value}`"))?;
-            }
-            "--metrics-addr" => args.metrics_addr = Some(value.clone()),
-            "--max-connections" => {
-                args.max_connections = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad connection cap `{value}`"))?,
-                );
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-        i += 2;
+/// The bind address and daemon options the flags select (`None` for
+/// `--help`). The metrics address and connection cap fall back to their
+/// environment variables: flag beats environment, environment beats
+/// the default.
+fn args(flags: &Flags, env: &EnvConfig) -> Result<Option<(String, DaemonOptions)>, FlagError> {
+    if flags.switch("--help") {
+        return Ok(None);
     }
-    Ok(Some(args))
+    let host = flags.value("--host").unwrap_or("127.0.0.1");
+    let port: u16 = flags.parsed("--port")?.unwrap_or(7227);
+    let opts = DaemonOptions {
+        jobs: flags.jobs()?,
+        cache_path: cache_path(flags.value("--cache").unwrap_or("auto"), env),
+        workers: flags.parsed("--workers")?.unwrap_or(0),
+        queue_depth: flags.parsed("--queue-depth")?.unwrap_or(0),
+        busy_retry_ms: 0,
+        metrics_addr: flags
+            .value("--metrics-addr")
+            .map(str::to_owned)
+            .or_else(|| env.metrics_addr()),
+        max_connections: flags
+            .parsed("--max-connections")?
+            .or_else(|| env.max_conns())
+            .unwrap_or(0),
+    };
+    Ok(Some((format!("{host}:{port}"), opts)))
 }
 
-fn cache_path(mode: &str) -> Option<PathBuf> {
+fn cache_path(mode: &str, env: &EnvConfig) -> Option<PathBuf> {
     match mode {
         "off" => None,
-        "auto" => cbrain::config::EnvConfig::load().cache_file(),
+        "auto" => env.cache_file(),
         path => Some(PathBuf::from(path)),
     }
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            print!("{HELP}");
-            return ExitCode::SUCCESS;
-        }
-        Err(message) => {
-            eprintln!("cbrand: {message}");
-            eprintln!("run `cbrand --help` for usage");
-            return ExitCode::FAILURE;
-        }
+    let Some((addr, opts)) = args_or_exit(HELP, FLAGS, |flags| args(flags, &EnvConfig::load()))
+    else {
+        print!("{HELP}");
+        return ExitCode::SUCCESS;
     };
-    let jobs = if args.jobs == 0 {
-        cbrain::available_jobs()
-    } else {
-        args.jobs
-    };
-    let opts = DaemonOptions {
-        jobs,
-        cache_path: cache_path(&args.cache),
-        workers: args.workers,
-        queue_depth: args.queue_depth,
-        busy_retry_ms: 0,
-        metrics_addr: resolve_metrics_addr(args.metrics_addr, &cbrain::config::EnvConfig::load()),
-        max_connections: resolve_max_connections(
-            args.max_connections,
-            &cbrain::config::EnvConfig::load(),
-        ),
-    };
-    let daemon = match Daemon::bind(&format!("{}:{}", args.host, args.port), opts) {
+    let daemon = match Daemon::bind(&addr, opts) {
         Ok(daemon) => daemon,
         Err(e) => {
             eprintln!("cbrand: bind failed: {e}");
@@ -177,5 +130,58 @@ fn main() -> ExitCode {
             eprintln!("cbrand: serve failed: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn help_lists_exactly_the_flags_the_parser_accepts() {
+        let listed: Vec<&str> = HELP
+            .lines()
+            .filter_map(|line| line.strip_prefix("    --"))
+            .map(|rest| &rest[..rest.find(' ').unwrap_or(rest.len())])
+            .collect();
+        let accepted: Vec<&str> = FLAGS.iter().map(|(name, _)| &name[2..]).collect();
+        assert_eq!(listed, accepted);
+    }
+
+    fn read(line: &str, env: &EnvConfig) -> Result<Option<(String, DaemonOptions)>, FlagError> {
+        let tokens: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        args(&Flags::parse(&tokens, FLAGS)?, env)
+    }
+
+    #[test]
+    fn flags_beat_the_environment() {
+        let env = EnvConfig::from_lookup(|key| match key {
+            cbrain::config::ENV_METRICS_ADDR => Some("127.0.0.1:9300".into()),
+            cbrain::config::ENV_MAX_CONNS => Some("40".into()),
+            _ => None,
+        });
+        let (_, opts) = read("", &env).unwrap().unwrap();
+        assert_eq!(opts.metrics_addr.as_deref(), Some("127.0.0.1:9300"));
+        assert_eq!(opts.max_connections, 40);
+        let line = "--metrics-addr 127.0.0.1:0 --max-connections 7 --port 0 --jobs 2";
+        let (addr, opts) = read(line, &env).unwrap().unwrap();
+        assert_eq!(addr, "127.0.0.1:0");
+        assert_eq!(opts.metrics_addr.as_deref(), Some("127.0.0.1:0"));
+        assert_eq!(opts.max_connections, 7);
+        assert_eq!(opts.jobs, 2);
+        let (addr, opts) = read("--cache off", &EnvConfig::default()).unwrap().unwrap();
+        assert_eq!(addr, "127.0.0.1:7227");
+        assert_eq!((opts.metrics_addr, opts.max_connections), (None, 0));
+        assert!(read("--help --port 0", &env).unwrap().is_none());
+    }
+
+    #[test]
+    fn usage_errors_name_the_flag() {
+        let err = |line: &str| read(line, &EnvConfig::default()).unwrap_err().0;
+        assert_eq!(err("--jbos 2"), "unknown flag `--jbos`");
+        assert_eq!(err("--port"), "--port needs a value");
+        assert_eq!(err("--port 70000"), "bad --port `70000`");
+        assert_eq!(err("--jobs 0"), "--jobs must be at least 1");
+        assert_eq!(err("-h"), "unknown flag `-h`");
     }
 }

@@ -12,12 +12,17 @@
 //! layer events, so rendering it through
 //! [`cbrain::report::render_run_report`] yields output byte-identical to
 //! a single-process `cbrain run` of the same request.
+//!
+//! Events are framed by the same [`FrameDecoder`] the daemon reads
+//! requests with, under the same [`MAX_LINE`] cap, so a peer that never
+//! sends a newline costs the client at most that much memory.
 
-use crate::wire::{Event, Request, RunRequest, WireError, PROTOCOL_VERSION};
+use crate::wire::{Event, Request, RunRequest, WireError, MAX_LINE, PROTOCOL_VERSION};
 use cbrain::{LayerReport, NetworkReport, RunOptions};
+use cbrain_reactor::{FrameDecoder, FrameError};
 use cbrain_sim::Stats;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -28,6 +33,9 @@ pub enum ClientError {
     Io(io::Error),
     /// The daemon sent a line the protocol does not recognize.
     Wire(WireError),
+    /// The daemon sent a line longer than [`MAX_LINE`], or one that is
+    /// not UTF-8.
+    Frame(FrameError),
     /// The daemon reported a request failure.
     Remote(String),
     /// The stream violated the protocol (e.g. totals mismatch, missing
@@ -50,6 +58,7 @@ impl fmt::Display for ClientError {
         match self {
             ClientError::Io(e) => write!(f, "connection error: {e}"),
             ClientError::Wire(e) => write!(f, "{e}"),
+            ClientError::Frame(e) => write!(f, "daemon event {e}"),
             ClientError::Remote(m) => write!(f, "daemon error: {m}"),
             ClientError::Protocol(m) => write!(f, "protocol violation: {m}"),
             ClientError::Busy {
@@ -80,8 +89,9 @@ impl From<WireError> for ClientError {
 /// A connection to a `cbrand` daemon.
 #[derive(Debug)]
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    stream: TcpStream,
+    /// Frames the daemon's events, at most [`MAX_LINE`] bytes a line.
+    events: FrameDecoder,
     /// Monotonic request-id counter for framed submissions.
     next_id: u64,
 }
@@ -95,13 +105,32 @@ impl Client {
         ClientBuilder::new(addr)
     }
 
-    fn from_stream(writer: TcpStream) -> io::Result<Self> {
-        let reader = BufReader::new(writer.try_clone()?);
-        Ok(Self {
-            reader,
-            writer,
+    fn from_stream(stream: TcpStream) -> Self {
+        Self {
+            stream,
+            events: FrameDecoder::new(MAX_LINE),
             next_id: 0,
-        })
+        }
+    }
+
+    /// The next event line, reading from the socket until one is whole.
+    fn next_line(&mut self) -> Result<String, ClientError> {
+        loop {
+            if let Some(line) = self.events.next_line().map_err(ClientError::Frame)? {
+                return Ok(line);
+            }
+            let mut chunk = [0u8; 16 * 1024];
+            match self.stream.read(&mut chunk) {
+                Ok(0) => {
+                    return Err(ClientError::Protocol(
+                        "connection closed before a terminal event".into(),
+                    ))
+                }
+                Ok(n) => self.events.push(&chunk[..n]),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
     }
 
     /// Performs the `hello` version exchange, returning the daemon's
@@ -158,20 +187,14 @@ impl Client {
         // segments, Nagle holds the second until the first is acked.
         let mut frame = request.encode_framed(Some(id));
         frame.push('\n');
-        self.writer.write_all(frame.as_bytes())?;
-        self.writer.flush()?;
-        let mut line = String::new();
+        self.stream.write_all(frame.as_bytes())?;
+        self.stream.flush()?;
         loop {
-            line.clear();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(ClientError::Protocol(
-                    "connection closed before a terminal event".into(),
-                ));
-            }
+            let line = self.next_line()?;
             if line.trim().is_empty() {
                 continue;
             }
-            let (event, echoed) = Event::decode_framed(line.trim_end_matches(['\r', '\n']))?;
+            let (event, echoed) = Event::decode_framed(&line)?;
             if echoed.is_some_and(|e| e != id) {
                 return Err(ClientError::Protocol(format!(
                     "event answers request {:?}, expected {id}",
@@ -402,7 +425,7 @@ impl ClientBuilder {
         // Requests are small request/response exchanges: sending each
         // at once beats waiting on the peer's delayed ACK.
         stream.set_nodelay(true)?;
-        let mut client = Client::from_stream(stream)?;
+        let mut client = Client::from_stream(stream);
         if self.handshake {
             let caps = client.hello()?;
             for want in &self.expect_caps {
@@ -445,5 +468,44 @@ fn assemble_report(
         energy,
         cache_hits: hits,
         cache_misses: misses,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpListener;
+
+    #[test]
+    fn an_endless_event_line_fails_at_the_cap_before_the_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        // A hostile daemon: it answers `hello` with the cap plus 1 MiB
+        // and no newline, then holds the socket open until the client
+        // hangs up.
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            reader.read_line(&mut String::new()).expect("hello");
+            let _ = (&stream).write_all(&vec![b'x'; MAX_LINE + (1 << 20)]);
+            let _ = reader.read(&mut [0u8; 1]);
+        });
+        let timeout = Duration::from_secs(10);
+        let start = Instant::now();
+        let err = Client::builder(&addr)
+            .io_timeout(timeout)
+            .connect()
+            .expect_err("an endless line is an error");
+        assert!(start.elapsed() < timeout, "waited {:?}", start.elapsed());
+        assert!(
+            matches!(
+                err,
+                ClientError::Frame(FrameError::TooLong { limit: MAX_LINE })
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains(&MAX_LINE.to_string()), "{err}");
+        peer.join().expect("peer");
     }
 }

@@ -39,7 +39,8 @@
 use crate::batch::CompileBatcher;
 use crate::json::{self, Value};
 use crate::wire::{
-    CompileItem, Event, NetworkSource, Request, RunRequest, PROTOCOL_MINOR, PROTOCOL_VERSION,
+    CompileItem, Event, NetworkSource, Request, RunRequest, MAX_LINE, PROTOCOL_MINOR,
+    PROTOCOL_VERSION,
 };
 use cbrain::forward::{forward, NetworkWeights};
 use cbrain::persist;
@@ -47,9 +48,7 @@ use cbrain::telemetry::{
     self, http::MetricsServer, Counter, Gauge, Histogram, MetricKind, Registry, Sample,
     SampleValue, Span, DURATION_BUCKETS,
 };
-use cbrain::{
-    compile_cache_entry, CompileBackend as _, CompiledLayerCache, EnvConfig, RunOptions, Runner,
-};
+use cbrain::{compile_cache_entry, CompileBackend as _, CompiledLayerCache, RunOptions, Runner};
 use cbrain_model::{spec, zoo, Layer, Network, Tensor3};
 use cbrain_reactor::{Connection, Interest, Phase, Poller, WakeHandle, Waker};
 use std::collections::{HashMap, VecDeque};
@@ -85,11 +84,6 @@ const ACCEPT_BACKOFF_BASE_MS: u64 = 5;
 
 /// Accept-pause ceiling between failed `accept` calls.
 const ACCEPT_BACKOFF_MAX_MS: u64 = 500;
-
-/// Hard cap on one NDJSON request line. Far above any real request
-/// (even a thousand-layer `compile_keys` batch), far below a
-/// memory-exhaustion write.
-const MAX_REQUEST_LINE: usize = 16 << 20;
 
 /// Per-connection read budget per reactor iteration, so one firehose
 /// peer cannot starve the rest of the loop.
@@ -129,30 +123,14 @@ pub struct DaemonOptions {
     pub busy_retry_ms: u64,
     /// Bind address for the Prometheus text-format exposition listener
     /// (`GET /metrics` over HTTP/1.0). `None` disables the listener.
-    /// Resolve flag > `CBRAIN_METRICS_ADDR` > none with
-    /// [`resolve_metrics_addr`].
+    /// `cbrand` fills it from `--metrics-addr`, else
+    /// `CBRAIN_METRICS_ADDR`.
     pub metrics_addr: Option<String>,
     /// Hard cap on concurrently open connections; arrivals past it are
     /// answered with `busy` instead of queueing in the kernel backlog.
-    /// `0` means no cap. Resolve flag > `CBRAIN_MAX_CONNS` > none with
-    /// [`resolve_max_connections`].
+    /// `0` means no cap. `cbrand` fills it from `--max-connections`,
+    /// else `CBRAIN_MAX_CONNS`.
     pub max_connections: usize,
-}
-
-/// Resolves the effective metrics listen address with the standard
-/// flag > environment > default precedence (the default being "no
-/// exposition listener").
-#[must_use]
-pub fn resolve_metrics_addr(flag: Option<String>, env: &EnvConfig) -> Option<String> {
-    flag.or_else(|| env.metrics_addr())
-}
-
-/// Resolves the effective connection cap with the standard flag >
-/// environment > default precedence (the default being "no cap",
-/// expressed as `0`).
-#[must_use]
-pub fn resolve_max_connections(flag: Option<usize>, env: &EnvConfig) -> usize {
-    flag.or_else(|| env.max_conns()).unwrap_or(0)
 }
 
 /// One parsed compute request waiting for (or holding) a pool worker.
@@ -1391,7 +1369,7 @@ impl Reactor<'_> {
                     // each waits on the client's delayed ACK. A socket
                     // that refuses it is served anyway, only slower.
                     let _ = stream.set_nodelay(true);
-                    if let Ok(io) = Connection::new(stream, MAX_REQUEST_LINE) {
+                    if let Ok(io) = Connection::new(stream, MAX_LINE) {
                         self.state.admission.accepted.inc();
                         let token = self.next_token;
                         self.next_token += 1;
@@ -1443,7 +1421,7 @@ impl Reactor<'_> {
                 .min(MAX_RETRY_HINT_MS),
             queue_depth: depth,
         };
-        if let Ok(mut io) = Connection::new(stream, MAX_REQUEST_LINE) {
+        if let Ok(mut io) = Connection::new(stream, MAX_LINE) {
             io.queue(busy.encode().as_bytes());
             io.queue(b"\n");
             let mut conn = ConnState::fresh(io);

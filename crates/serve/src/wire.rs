@@ -35,6 +35,13 @@ pub const PROTOCOL_VERSION: u32 = 4;
 /// connection over a minor skew.
 pub const PROTOCOL_MINOR: u32 = 0;
 
+/// Hard cap on one NDJSON line in either direction: the daemon frames
+/// requests and the client frames events through a
+/// [`cbrain_reactor::FrameDecoder`] with this cap. Far above any real
+/// line (even a thousand-layer `compile_keys` batch, whose entries
+/// stream one per line), far below a memory-exhaustion write.
+pub const MAX_LINE: usize = 16 << 20;
+
 /// Error from decoding a request or event line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError(pub String);

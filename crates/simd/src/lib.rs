@@ -61,8 +61,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Environment variable that pins the scalar fallback when set to `1`,
-/// `true` or `on` (case-insensitive). Read once, at first dispatch; the
-/// typed accessor lives in `cbrain::config::EnvConfig::force_scalar`.
+/// `true` or `on` (case-insensitive). Read once, at first dispatch, here
+/// and nowhere else: this crate sits below `cbrain::config`.
 pub const ENV_FORCE_SCALAR: &str = "CBRAIN_FORCE_SCALAR";
 
 /// Number of vertical f32 accumulator lanes every [`dot`] backend uses.

@@ -35,8 +35,7 @@
 //! backed by them, so switching telemetry off must not zero the protocol.
 //! This is the second environment variable consumed below `cbrain::config`
 //! (the first is `CBRAIN_FORCE_SCALAR` in `cbrain-simd`, for the same
-//! dependency-order reason); `EnvConfig::telemetry_enabled` mirrors the
-//! exact parsing rule documented here.
+//! dependency-order reason), and this crate is the only reader of it.
 //!
 //! ## Example
 //!
@@ -77,9 +76,7 @@ pub const ENV_TELEMETRY: &str = "CBRAIN_TELEMETRY";
 static ENABLED: AtomicU8 = AtomicU8::new(0);
 
 /// True when the given `CBRAIN_TELEMETRY` value means "disabled".
-///
-/// Public so `cbrain::config::EnvConfig` can mirror the exact rule.
-pub fn value_means_off(v: &str) -> bool {
+fn value_means_off(v: &str) -> bool {
     matches!(
         v.trim().to_ascii_lowercase().as_str(),
         "off" | "0" | "false" | "no"

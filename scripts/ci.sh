@@ -82,6 +82,44 @@ if [[ $quick -eq 0 ]]; then
 fi
 
 if [[ $quick -eq 0 ]]; then
+    echo "==> flag smoke: every binary and cbrain subcommand rejects a misspelt --jobs"
+    # One flag grammar (cbrain::config::Flags): an unknown flag is a usage
+    # error, exit 1, with nothing on stdout, ``unknown flag `X` `` on
+    # stderr and no panic, before any work starts. Each runs from a temp
+    # dir, so a binary that wrongly went ahead (gen_specs writes specs/)
+    # cannot touch the checkout.
+    flag_dir="$(mktemp -d)"
+    trap 'rm -rf "$flag_dir"' EXIT
+    flag_bin="$PWD/target/release"
+    flag_runs=(cbrand)
+    for f in crates/bench/src/bin/*.rs; do flag_runs+=("$(basename "$f" .rs)"); done
+    # spec-check takes its file first; the file need not exist, because
+    # the flags are refused before it is read.
+    for sub in run schedule scheme "spec-check x.spec" zoo cbrand-client fleet-client help; do
+        flag_runs+=("cbrain $sub")
+    done
+    echo "    ${#flag_runs[@]} invocations per form"
+    flag_fail=0
+    for form in "--jbos 2" "--jbos"; do
+        for run in "${flag_runs[@]}"; do
+            read -r -a flag_cmd <<<"$run $form"
+            flag_code=0
+            (cd "$flag_dir" && "$flag_bin/${flag_cmd[0]}" "${flag_cmd[@]:1}" >out.txt 2>err.txt) || flag_code=$?
+            if [[ $flag_code -ne 1 || -s "$flag_dir/out.txt" ]] \
+                || ! grep -qF 'unknown flag `--jbos`' "$flag_dir/err.txt" \
+                || grep -q 'panicked' "$flag_dir/err.txt"; then
+                echo "error: \`$run $form\` exited $flag_code; stdout $(wc -c <"$flag_dir/out.txt") bytes; stderr:" >&2
+                head -n 3 "$flag_dir/err.txt" >&2
+                flag_fail=1
+            fi
+        done
+    done
+    [[ $flag_fail -eq 0 ]] || exit 1
+    trap - EXIT
+    rm -rf "$flag_dir"
+fi
+
+if [[ $quick -eq 0 ]]; then
     echo "==> cbrand smoke: client report must match cbrain run byte-for-byte"
     smoke_dir="$(mktemp -d)"
     daemon_out="$smoke_dir/daemon.out"

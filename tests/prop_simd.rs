@@ -607,17 +607,6 @@ fn machine_stats_identical_scalar_vs_simd_and_traced_vs_untraced() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn force_scalar_env_knob_is_exposed_through_env_config() {
-    // The typed accessor and the dispatch-time read must agree on the
-    // variable name and truth values.
-    assert_eq!(cbrain::config::ENV_FORCE_SCALAR, simd::ENV_FORCE_SCALAR);
-    let cfg = cbrain::config::EnvConfig::from_lookup(|k| {
-        (k == simd::ENV_FORCE_SCALAR).then(|| "on".to_owned())
-    });
-    assert!(cfg.force_scalar());
-}
-
-#[test]
 fn active_backend_reports_a_name() {
     // Sanity: whatever hardware CI runs on, dispatch resolves somewhere.
     let name = simd::Backend::active().name();
