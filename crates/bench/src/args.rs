@@ -7,7 +7,7 @@
 use cbrain::config::{args_or_exit, usage_line, FlagError, FlagSpec, Flags};
 
 /// The one flag of most `exp_*` binaries.
-const JOBS: &[FlagSpec] = &[("--jobs", Some("N"))];
+pub const JOBS: &[FlagSpec] = &[("--jobs", Some("N"))];
 
 /// Parses this process's arguments against `table` and reads them with
 /// `read`, or exits 1 with `bin`'s usage line.

@@ -6,10 +6,14 @@
 //!
 //! The calibration is a wall-clock measurement and therefore varies
 //! run-to-run; set `CBRAIN_MAC_RATE` (MACs/s, e.g. `5.7e8`) to pin it
-//! for reproducible output (determinism checks, CI diffs).
+//! for reproducible output (determinism checks, CI diffs). A pin that is
+//! not a positive number is a usage error: exit 1 before any work.
 
 fn main() {
-    let jobs = cbrain_bench::args::jobs_from_args(env!("CARGO_BIN_NAME"));
+    let (jobs, mac_rate) =
+        cbrain_bench::args::from_args(env!("CARGO_BIN_NAME"), cbrain_bench::args::JOBS, |flags| {
+            Ok((flags.jobs()?, cbrain::EnvConfig::load().mac_rate()?))
+        });
     let _cache = cbrain_bench::cache::init_for_binary();
-    print!("{}", cbrain_bench::drivers::table4_report(jobs));
+    print!("{}", cbrain_bench::drivers::table4_report(jobs, mac_rate));
 }

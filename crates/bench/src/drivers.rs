@@ -300,17 +300,10 @@ pub fn fig9_report(jobs: usize) -> String {
 }
 
 /// Table 4 — CPU baseline vs the adaptive accelerator. Calibrates the
-/// host MAC rate unless `CBRAIN_MAC_RATE` pins it (determinism checks,
-/// CI diffs).
-///
-/// # Panics
-///
-/// Panics if `CBRAIN_MAC_RATE` is set to a non-positive or non-numeric
-/// value — a silently ignored pin would un-pin CI.
-pub fn table4_report(jobs: usize) -> String {
-    let rate = cbrain::config::EnvConfig::load()
-        .mac_rate()
-        .unwrap_or_else(cbrain_baselines::cpu::calibrate_mac_rate);
+/// host MAC rate unless `mac_rate` pins it (`CBRAIN_MAC_RATE`, read by
+/// the binary before any experiment runs; determinism checks, CI diffs).
+pub fn table4_report(jobs: usize, mac_rate: Option<f64>) -> String {
+    let rate = mac_rate.unwrap_or_else(cbrain_baselines::cpu::calibrate_mac_rate);
     let mut out = String::new();
     writeln!(
         out,
@@ -580,7 +573,11 @@ pub fn ablations_report(jobs: usize) -> String {
 /// Every experiment in paper order, as `(name, report)` thunks —
 /// exactly the sequence the old `exp_all` spawned as child processes.
 #[allow(clippy::type_complexity)]
-pub fn all_reports(jobs: usize) -> Vec<(&'static str, Box<dyn Fn() -> String + Send>)> {
+pub fn all_reports(
+    jobs: usize,
+    mac_rate: Option<f64>,
+) -> Vec<(&'static str, Box<dyn Fn() -> String + Send>)> {
+    let table4 = move || table4_report(jobs, mac_rate);
     vec![
         ("exp_table2", Box::new(table2_report)),
         ("exp_table3", Box::new(table3_report)),
@@ -588,7 +585,7 @@ pub fn all_reports(jobs: usize) -> Vec<(&'static str, Box<dyn Fn() -> String + S
         ("exp_fig7", Box::new(move || fig7_report(jobs))),
         ("exp_fig8", Box::new(move || fig8_report(jobs))),
         ("exp_fig9", Box::new(move || fig9_report(jobs))),
-        ("exp_table4", Box::new(move || table4_report(jobs))),
+        ("exp_table4", Box::new(table4)),
         ("exp_table5", Box::new(move || table5_report(jobs))),
         ("exp_fig10", Box::new(move || fig10_report(jobs))),
         ("exp_sweep", Box::new(move || sweep_report(jobs))),

@@ -115,12 +115,6 @@ pub struct RunArgs {
     /// file; `Some(path)` an explicit file; `Some("off")` is explicit
     /// no-persistence.
     pub cache: Option<String>,
-    /// Run-journal file: each completed run is appended as a journal
-    /// cell (`None` = no journal; falls back to `CBRAIN_JOURNAL`).
-    pub journal: Option<String>,
-    /// Replay the journaled cell instead of re-simulating when the same
-    /// run is already recorded (falls back to `CBRAIN_RESUME`).
-    pub resume: bool,
 }
 
 /// Arguments of `cbrain schedule`.
@@ -264,8 +258,6 @@ fn table(sub: &str) -> Option<Vec<FlagSpec>> {
             ("--jobs", Some("N")),
             ("--breakdown", None),
             ("--cache", Some("MODE")),
-            ("--journal", Some("PATH")),
-            ("--resume", None),
         ],
         "schedule" => return Some(SHAPE[..4].to_vec()),
         "scheme" => {
@@ -338,8 +330,6 @@ pub fn parse(tokens: &[String]) -> Result<Command, ArgError> {
             jobs,
             breakdown,
             cache: flags.value("--cache").map(str::to_owned),
-            journal: flags.value("--journal").map(str::to_owned),
-            resume: flags.switch("--resume"),
         }),
         "schedule" => Command::Schedule(ScheduleArgs {
             network: needs_network("schedule")?,
@@ -423,7 +413,6 @@ USAGE:
                   [--policy inter|intra|partition|inter-improved|adpa-1|adpa-2|oracle|oracle-pruned]
                   [--pe TinxTout] [--mhz N] [--workload conv1|conv|conv+pool|full]
                   [--batch N] [--jobs N] [--breakdown] [--cache auto|off|PATH]
-                  [--journal PATH] [--resume]
   cbrain schedule --network <name> | --spec <file> [--policy ...] [--pe TinxTout]
   cbrain scheme   --din N --k K --s S [--pe TinxTout]
   cbrain spec-check <file>
@@ -439,10 +428,7 @@ USAGE:
   cbrain help
 
 `run --cache` persists compiled layers across invocations (auto = the
-user cache file, also honoured by the cbrand daemon). `run --journal`
-appends the finished report to a durable run journal (CBRAIN_JOURNAL
-sets a default path); with `--resume`, a run already recorded there is
-replayed byte-identically instead of re-simulated. `cbrand-client`
+user cache file, also honoured by the cbrand daemon). `cbrand-client`
 submits the run to a cbrand daemon instead of simulating in-process;
 the printed report is byte-identical to the equivalent `cbrain run`.
 `cbrand-client --evict N` asks the daemon to drop least-recently-used
@@ -585,23 +571,6 @@ mod tests {
             panic!("run expected")
         };
         assert_eq!(args.cache.as_deref(), Some("/tmp/c.bin"));
-    }
-
-    #[test]
-    fn journal_and_resume_flags() {
-        let Command::Run(args) = parse(&toks("run --network vgg")).unwrap() else {
-            panic!("run expected")
-        };
-        assert_eq!(args.journal, None);
-        assert!(!args.resume);
-        let Command::Run(args) =
-            parse(&toks("run --network vgg --journal /tmp/j.bin --resume")).unwrap()
-        else {
-            panic!("run expected")
-        };
-        assert_eq!(args.journal.as_deref(), Some("/tmp/j.bin"));
-        assert!(args.resume);
-        assert!(parse(&toks("run --network vgg --journal")).is_err());
     }
 
     #[test]
@@ -801,6 +770,8 @@ mod tests {
         assert_eq!(err.0, "unknown flag `--jbos`");
         let err = parse(&toks("run --network vgg --batch")).unwrap_err();
         assert_eq!(err.0, "--batch needs a value");
+        let err = parse(&toks("run --network nin --journal x")).unwrap_err();
+        assert_eq!(err.0, "unknown flag `--journal`");
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! logic is unit-testable; `main` only prints.
 
 use crate::args::{ClientArgs, FleetArgs, NetworkRef, RunArgs, ScheduleArgs, SchemeArgs};
-use cbrain::journal::{self, Journal};
 use cbrain::partition_math::{partition, unroll_duplication};
 use cbrain::persist;
 use cbrain::report::{render_run_report, render_table};
@@ -75,38 +74,18 @@ fn cache_file(mode: Option<&str>) -> Option<PathBuf> {
     }
 }
 
-/// The journal cell identity of a `cbrain run` invocation: everything
-/// that shapes the rendered report. Two invocations with the same cell
-/// name print byte-identical reports, so the journaled output can stand
-/// in for a fresh simulation.
-fn run_cell_name(args: &RunArgs, net: &Network) -> String {
-    format!(
-        "run net={} policy={} pe={} mhz={} workload={} batch={} breakdown={}",
-        net.name(),
-        args.policy,
-        args.config.pe,
-        args.config.freq_mhz,
-        args.workload,
-        args.batch,
-        args.breakdown,
-    )
-}
-
 /// `cbrain run`.
 ///
 /// Without `--cache` the run is self-contained (fresh in-memory cache).
 /// With it, compiled layers are loaded from / saved to the cache file,
 /// so a repeated run reports hits on every previously compiled layer.
-/// With `--journal` the finished report is appended to a run journal;
-/// with `--resume`, a journaled run is replayed verbatim with no
-/// simulation at all. Persistence and journal notices go to stderr;
-/// stdout carries only the report.
+/// Persistence notices go to stderr; stdout carries only the report.
 ///
 /// # Errors
 ///
-/// Propagates network-resolution and simulation errors. Cache-file and
-/// journal problems are downgraded to stderr warnings — a stale or
-/// corrupt file must never fail a run.
+/// Propagates network-resolution and simulation errors. Cache-file
+/// problems are downgraded to stderr warnings — a stale or corrupt file
+/// must never fail a run.
 pub fn run(args: &RunArgs) -> Result<String, CommandError> {
     let net = resolve_network(&args.network)?;
     let jobs = if args.jobs == 0 {
@@ -114,25 +93,6 @@ pub fn run(args: &RunArgs) -> Result<String, CommandError> {
     } else {
         args.jobs
     };
-    // Flag beats environment; environment beats nothing.
-    let env = cbrain::config::EnvConfig::load();
-    let journal_path = args
-        .journal
-        .clone()
-        .or_else(|| env.journal_file().map(|p| p.display().to_string()));
-    let resume = args.resume || env.resume();
-    let mut journal = journal_path.map(|path| {
-        let (j, note) = Journal::open_or_fresh(path);
-        eprintln!("{note}");
-        j
-    });
-    let cell_name = run_cell_name(args, &net);
-    if resume {
-        if let Some(cell) = journal.as_ref().and_then(|j| j.replayable(&cell_name)) {
-            eprintln!("journal: `{cell_name}` already complete; replaying recorded output");
-            return Ok(cell.output.clone());
-        }
-    }
     let runner = Runner::with_options(
         args.config,
         RunOptions {
@@ -155,20 +115,7 @@ pub fn run(args: &RunArgs) -> Result<String, CommandError> {
             Err(e) => eprintln!("cache: save to {} failed: {e}", path.display()),
         }
     }
-    let out = render_run_report(&report, args.breakdown);
-    if let Some(j) = journal.as_mut() {
-        let cell = journal::Cell {
-            name: cell_name.clone(),
-            digest: journal::digest(&out),
-            provenance: format!("local;jobs={jobs}"),
-            output: out.clone(),
-        };
-        match j.append(cell) {
-            Ok(()) => eprintln!("journal: recorded `{cell_name}` in {}", j.path().display()),
-            Err(e) => eprintln!("journal: append failed: {e}"),
-        }
-    }
-    Ok(out)
+    Ok(render_run_report(&report, args.breakdown))
 }
 
 /// `cbrain cbrand-client`: submit a run to a `cbrand` daemon and print
@@ -592,40 +539,6 @@ mod tests {
         };
         let out = run(&args).unwrap();
         assert!(out.contains("cycles/image"));
-    }
-
-    #[test]
-    fn run_journal_resume_replays_byte_identically() {
-        let dir = std::env::temp_dir().join(format!("cbrain_cli_journal_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run-journal.bin");
-        std::fs::remove_file(&path).ok();
-        let argv = format!(
-            "run --network alexnet --workload conv1 --journal {}",
-            path.display()
-        );
-        let Command::Run(args) = parse(&toks(&argv)).unwrap() else {
-            panic!("run expected")
-        };
-        let fresh = run(&args).unwrap();
-        assert!(path.exists(), "journal file must be created");
-
-        // Resume replays the recorded report without re-simulating.
-        let Command::Run(args) = parse(&toks(&format!("{argv} --resume"))).unwrap() else {
-            panic!("run expected")
-        };
-        assert_eq!(run(&args).unwrap(), fresh);
-
-        // A different cell (other workload) is not falsely replayed.
-        let Command::Run(args) = parse(&toks(&format!(
-            "run --network alexnet --workload conv --journal {} --resume",
-            path.display()
-        )))
-        .unwrap() else {
-            panic!("run expected")
-        };
-        assert_ne!(run(&args).unwrap(), fresh);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The one place `CBRAIN_*` environment variables are read, and the one
 //! parser every binary's command line goes through.
 //!
-//! Nine knobs configure the workspace from the environment. Each has a
+//! Seven knobs configure the workspace from the environment. Each has a
 //! single documented precedence: **CLI flag > environment > default**.
 //! Call sites never touch [`std::env::var`] for these directly — they go
 //! through [`EnvConfig`], which captures the raw environment once and
@@ -14,8 +14,6 @@
 //! | `CBRAIN_CACHE_MAX`    | [`cache_max`]                             | bounds persisted cache entries (LRU-evicted)   |
 //! | `CBRAIN_MAC_RATE`     | [`mac_rate`]                              | pins the CPU MAC-rate calibration (Table 4)    |
 //! | `CBRAIN_SHARDS`       | [`shards`]                                | default fleet shard list, `HOST:PORT,...`      |
-//! | `CBRAIN_JOURNAL`      | [`journal_file`]                          | default run-journal path for sweeps            |
-//! | `CBRAIN_RESUME`       | [`resume`]                                | `1`/`true`/`on` resumes from the journal       |
 //! | `CBRAIN_METRICS_ADDR` | [`metrics_addr`]                          | default `cbrand --metrics-addr` listen address |
 //! | `CBRAIN_MAX_CONNS`    | [`max_conns`]                             | default `cbrand --max-connections` accept cap  |
 //!
@@ -24,8 +22,6 @@
 //! [`cache_max`]: EnvConfig::cache_max
 //! [`mac_rate`]: EnvConfig::mac_rate
 //! [`shards`]: EnvConfig::shards
-//! [`journal_file`]: EnvConfig::journal_file
-//! [`resume`]: EnvConfig::resume
 //! [`metrics_addr`]: EnvConfig::metrics_addr
 //! [`max_conns`]: EnvConfig::max_conns
 //!
@@ -85,14 +81,6 @@ pub const ENV_MAC_RATE: &str = "CBRAIN_MAC_RATE";
 /// `exp_all --shards` and `cbrain fleet-client` when no flag is given.
 pub const ENV_SHARDS: &str = "CBRAIN_SHARDS";
 
-/// Default run-journal path for `exp_all` and `cbrain run` when no
-/// `--journal` flag is given (see [`crate::journal`]).
-pub const ENV_JOURNAL: &str = "CBRAIN_JOURNAL";
-
-/// Enables `--resume` semantics from the environment: completed cells
-/// found in the journal are replayed instead of re-simulated.
-pub const ENV_RESUME: &str = "CBRAIN_RESUME";
-
 /// Default listen address for `cbrand --metrics-addr` (Prometheus
 /// text-format exposition over `GET /metrics`). The flag always beats
 /// this; unset or blank means "no exposition listener".
@@ -117,8 +105,6 @@ pub struct EnvConfig {
     cache_max: Option<String>,
     mac_rate: Option<String>,
     shards: Option<String>,
-    journal: Option<String>,
-    resume: Option<String>,
     metrics_addr: Option<String>,
     max_conns: Option<String>,
     xdg_cache_home: Option<String>,
@@ -142,8 +128,6 @@ impl EnvConfig {
             cache_max: lookup(ENV_CACHE_MAX),
             mac_rate: lookup(ENV_MAC_RATE),
             shards: lookup(ENV_SHARDS),
-            journal: lookup(ENV_JOURNAL),
-            resume: lookup(ENV_RESUME),
             metrics_addr: lookup(ENV_METRICS_ADDR),
             max_conns: lookup(ENV_MAX_CONNS),
             xdg_cache_home: lookup("XDG_CACHE_HOME"),
@@ -193,21 +177,26 @@ impl EnvConfig {
 
     /// The pinned MAC rate in MACs/second, or `None` to calibrate live.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the variable is set but not a positive finite number:
-    /// a typo'd pin would otherwise silently un-pin Table 4 and break
-    /// byte-identity diffs, which is exactly what the pin exists for.
-    #[must_use]
-    pub fn mac_rate(&self) -> Option<f64> {
-        let raw = self.mac_rate.as_deref()?;
-        let rate = raw
-            .trim()
+    /// A usage error naming the variable and its value when it is set
+    /// but not a positive finite number: a typo'd pin would otherwise
+    /// silently un-pin Table 4 and break byte-identity diffs, which is
+    /// exactly what the pin exists for.
+    pub fn mac_rate(&self) -> Result<Option<f64>, FlagError> {
+        let Some(raw) = self.mac_rate.as_deref() else {
+            return Ok(None);
+        };
+        raw.trim()
             .parse::<f64>()
             .ok()
             .filter(|r| r.is_finite() && *r > 0.0)
-            .unwrap_or_else(|| panic!("{ENV_MAC_RATE} must be a positive number, got `{raw}`"));
-        Some(rate)
+            .map(Some)
+            .ok_or_else(|| {
+                FlagError(format!(
+                    "{ENV_MAC_RATE} must be a positive number, got `{raw}`"
+                ))
+            })
     }
 
     /// The default shard list, split on commas with empty segments
@@ -216,34 +205,6 @@ impl EnvConfig {
     #[must_use]
     pub fn shards(&self) -> Option<Vec<String>> {
         Some(shard_list(self.shards.as_deref()?)).filter(|list| !list.is_empty())
-    }
-
-    /// The default journal file, or `None` when the variable is unset or
-    /// blank. A flag (`--journal`) always beats this.
-    #[must_use]
-    pub fn journal_file(&self) -> Option<PathBuf> {
-        self.journal
-            .as_deref()
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(PathBuf::from)
-    }
-
-    /// Whether the environment requests resume-from-journal. `1`, `true`
-    /// or `on` (case-insensitive) enable it; anything else — including
-    /// unset, empty and typos — leaves resume off, because a silently
-    /// mis-enabled resume would skip simulation the operator expected to
-    /// run.
-    #[must_use]
-    pub fn resume(&self) -> bool {
-        matches!(
-            self.resume
-                .as_deref()
-                .map(str::trim)
-                .map(str::to_ascii_lowercase)
-                .as_deref(),
-            Some("1") | Some("true") | Some("on")
-        )
     }
 
     /// The default metrics listen address (`HOST:PORT`), or `None` when
@@ -287,8 +248,9 @@ pub fn shard_list(raw: &str) -> Vec<String> {
 /// switch).
 pub type FlagSpec = (&'static str, Option<&'static str>);
 
-/// A usage error: an unknown flag, a missing value, or a value its flag
-/// cannot take. The message is user-facing.
+/// A usage error: an unknown flag, a missing value, a value its flag
+/// cannot take, or a `CBRAIN_*` value the binary cannot take. The
+/// message is user-facing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlagError(pub String);
 
@@ -667,41 +629,29 @@ mod tests {
 
     #[test]
     fn mac_rate_parses_or_is_absent() {
-        assert_eq!(config(&[(ENV_MAC_RATE, "5.7e8")]).mac_rate(), Some(5.7e8));
-        assert_eq!(config(&[]).mac_rate(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "CBRAIN_MAC_RATE must be a positive number")]
-    fn mac_rate_rejects_garbage() {
-        let _ = config(&[(ENV_MAC_RATE, "fast")]).mac_rate();
-    }
-
-    #[test]
-    #[should_panic(expected = "CBRAIN_MAC_RATE must be a positive number")]
-    fn mac_rate_rejects_nonpositive() {
-        let _ = config(&[(ENV_MAC_RATE, "-1.0")]).mac_rate();
-    }
-
-    #[test]
-    fn journal_path_ignores_blank_values() {
         assert_eq!(
-            config(&[(ENV_JOURNAL, " /tmp/j.bin ")]).journal_file(),
-            Some(PathBuf::from("/tmp/j.bin"))
+            config(&[(ENV_MAC_RATE, "5.7e8")]).mac_rate(),
+            Ok(Some(5.7e8))
         );
-        assert_eq!(config(&[(ENV_JOURNAL, "  ")]).journal_file(), None);
-        assert_eq!(config(&[]).journal_file(), None);
+        assert_eq!(config(&[]).mac_rate(), Ok(None));
     }
 
     #[test]
-    fn resume_accepts_only_explicit_truths() {
-        for yes in ["1", "true", "on", " TRUE ", "On"] {
-            assert!(config(&[(ENV_RESUME, yes)]).resume(), "{yes:?}");
+    fn mac_rate_rejects_garbage() {
+        assert_eq!(
+            config(&[(ENV_MAC_RATE, "fast")]).mac_rate().unwrap_err().0,
+            "CBRAIN_MAC_RATE must be a positive number, got `fast`"
+        );
+    }
+
+    #[test]
+    fn mac_rate_rejects_nonpositive() {
+        for bad in ["-1.0", "0", "inf", "NaN", ""] {
+            assert_eq!(
+                config(&[(ENV_MAC_RATE, bad)]).mac_rate().unwrap_err().0,
+                format!("CBRAIN_MAC_RATE must be a positive number, got `{bad}`")
+            );
         }
-        for no in ["", "0", "false", "off", "yes", "resume"] {
-            assert!(!config(&[(ENV_RESUME, no)]).resume(), "{no:?}");
-        }
-        assert!(!config(&[]).resume());
     }
 
     #[test]

@@ -48,12 +48,10 @@ pub mod config;
 mod error;
 pub mod forward;
 pub mod functional;
-pub mod journal;
 pub mod partition_math;
 pub mod persist;
 pub mod pool;
 pub mod quantized;
-mod record;
 pub mod report;
 mod runner;
 pub mod schedule;
@@ -62,7 +60,6 @@ pub use adaptive::{select_scheme, ParsePolicyError, Policy};
 pub use cache::{CachedLayer, CompiledLayerCache, LayerKey};
 pub use config::EnvConfig;
 pub use error::RunError;
-pub use journal::Journal;
 pub use pool::{available_jobs, parallel_map, try_parallel_map};
 pub use runner::{
     compile_cache_entry, CompileBackend, LayerReport, NetworkReport, ParseWorkloadError,

@@ -6,9 +6,8 @@
 //! all share one warm store under `~/.cache/cbrain` (overridable, see
 //! [`resolved_cache_file`]).
 //!
-//! The file is a record file (`record.rs`, the layout the run journal
-//! shares) holding exactly one frame, in an in-tree binary serialization
-//! (the workspace builds offline with no serde):
+//! The file is a header and one checksummed payload, in an in-tree
+//! binary serialization (the workspace builds offline with no serde):
 //!
 //! ```text
 //! magic   b"CBLC"          4 bytes
@@ -20,9 +19,10 @@
 //!
 //! An entry is the key's 160 packed bytes ([`key_bytes`]), then the
 //! program as `(repeat, tile)` runs, the scheme, both layouts, the tile
-//! plan and the stats: nothing the key does not determine. Entries are
-//! sorted by key bytes. A file of any other version is a cold start,
-//! replaced by the next save.
+//! plan and the stats: nothing the key does not determine. Integers are
+//! little-endian; tags and bools are one byte. Entries are sorted by key
+//! bytes. A file of any other version is a cold start, replaced by the
+//! next save.
 //!
 //! Failure modes are deliberately split:
 //!
@@ -30,28 +30,24 @@
 //! * **version mismatch** — an old/newer writer; the reader falls back to
 //!   a cold cache ([`LoadOutcome::VersionMismatch`]) rather than guessing
 //!   at a foreign layout;
-//! * **truncation / corruption** — the file is shorter than the header
-//!   and one frame, magic, length or checksum disagree, or the payload
-//!   fails to decode; the file is *rejected* with
-//!   [`PersistError::Corrupt`] so the caller can surface it (silently
-//!   reusing a damaged cache could poison every later report).
+//! * **truncation / corruption** — the file is shorter than the header,
+//!   magic, length or checksum disagree, or the payload fails to decode;
+//!   the file is *rejected* with [`PersistError::Corrupt`] so the caller
+//!   can surface it (silently reusing a damaged cache could poison every
+//!   later report). Every read is bounds-checked and every count is
+//!   checked against the bytes left, so no input panics the decoder or
+//!   sizes an allocation past its own length.
 //!
 //! Saves are atomic: the file is written to a `.tmp` sibling and renamed
 //! over the destination, so a crash mid-write never leaves a torn file at
 //! the published path.
 
 use crate::cache::{CachedLayer, CompiledLayerCache, LayerKey};
-use crate::record::{
-    self, corrupt, fnv1a, put_bool, put_u32, put_u64, put_u8, put_usize, Cursor, Decoded, Frame,
-    FRAME_LEN, HEADER_LEN,
-};
 use cbrain_compiler::{CompiledLayer, DataLayout, Scheme, TilePlan};
 use cbrain_sim::{BufferTraffic, MacroOp, RunProgram, Stats, Tile};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
-
-pub use crate::record::fnv1a as fnv1a64;
 
 /// File magic: "C-Brain Layer Cache".
 pub const MAGIC: [u8; 4] = *b"CBLC";
@@ -61,6 +57,10 @@ pub const FORMAT_VERSION: u32 = 3;
 
 /// File name used inside the resolved cache directory.
 pub const CACHE_FILE_NAME: &str = "compiled-layers.bin";
+
+/// Byte length of the header: magic, version, payload length and
+/// checksum.
+const HEADER_LEN: usize = 24;
 
 /// Error from saving or loading a cache file.
 #[derive(Debug)]
@@ -97,9 +97,133 @@ impl From<io::Error> for PersistError {
     }
 }
 
-impl From<record::Corrupt> for PersistError {
-    fn from(c: record::Corrupt) -> Self {
-        PersistError::Corrupt(c.0)
+/// A decode result.
+type Decoded<T> = Result<T, PersistError>;
+
+/// Fails with [`PersistError::Corrupt`] for `why`.
+fn corrupt<T>(why: impl Into<String>) -> Decoded<T> {
+    Err(PersistError::Corrupt(why.into()))
+}
+
+/// FNV-1a 64-bit over arbitrary bytes: the file checksum, and the
+/// stable hash the fleet ring and the report digests use. Stable across
+/// platforms and versions of this crate.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+// ---------------------------------------------------------------------
+// Writers and the decode cursor.
+// ---------------------------------------------------------------------
+
+fn put_u8(out: &mut Vec<u8>, v: u8) {
+    out.push(v);
+}
+
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_usize(out: &mut Vec<u8>, v: usize) {
+    put_u64(out, v as u64);
+}
+
+fn put_bool(out: &mut Vec<u8>, v: bool) {
+    put_u8(out, u8::from(v));
+}
+
+/// Decodes `bytes` with `get`, which must consume all of them; `what`
+/// names the last thing decoded in the trailing-bytes error.
+fn decode_exact<'a, T>(
+    bytes: &'a [u8],
+    what: &str,
+    get: impl FnOnce(&mut Cursor<'a>) -> Decoded<T>,
+) -> Decoded<T> {
+    let mut c = Cursor { buf: bytes, pos: 0 };
+    let value = get(&mut c)?;
+    match c.remaining() {
+        0 => Ok(value),
+        n => corrupt(format!("{n} trailing bytes after {what}")),
+    }
+}
+
+/// Decode cursor. Every read is bounds-checked, and a length from the
+/// input moves the position only through checked arithmetic: running
+/// off the end is [`PersistError::Corrupt`], never a panic or a wrapped
+/// index.
+struct Cursor<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// Bytes not yet read.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    fn take(&mut self, n: usize) -> Decoded<&'a [u8]> {
+        let Some(end) = self.pos.checked_add(n).filter(|&end| end <= self.buf.len()) else {
+            return corrupt(format!(
+                "payload truncated at byte {} (wanted {n} more)",
+                self.pos
+            ));
+        };
+        let s = &self.buf[self.pos..end];
+        self.pos = end;
+        Ok(s)
+    }
+
+    fn array<const N: usize>(&mut self) -> Decoded<[u8; N]> {
+        let mut a = [0; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
+
+    fn u8(&mut self) -> Decoded<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u32(&mut self) -> Decoded<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Decoded<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    fn usize(&mut self) -> Decoded<usize> {
+        let v = self.u64()?;
+        usize::try_from(v).or_else(|_| corrupt(format!("value {v} exceeds usize")))
+    }
+
+    /// An element count, rejected unless the bytes left can hold that
+    /// many elements of at least `min_len` bytes each. A forged count
+    /// therefore never sizes an allocation or a loop past the input.
+    fn count(&mut self, min_len: usize) -> Decoded<usize> {
+        let n = self.u64()?;
+        let left = self.remaining();
+        match usize::try_from(n) {
+            Ok(n) if n.checked_mul(min_len).is_some_and(|len| len <= left) => Ok(n),
+            _ => corrupt(format!("count {n} does not fit in the {left} bytes left")),
+        }
+    }
+
+    fn bool(&mut self) -> Decoded<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => corrupt(format!("invalid bool byte {b:#x}")),
+        }
     }
 }
 
@@ -442,7 +566,7 @@ pub fn key_bytes(key: &LayerKey) -> Vec<u8> {
 /// A key's stable 64-bit identity: [`fnv1a64`] over [`key_bytes`]. The
 /// fleet ring hashes this onto shards.
 pub fn key_hash(key: &LayerKey) -> u64 {
-    fnv1a(&key.packed())
+    fnv1a64(&key.packed())
 }
 
 /// Decodes a [`LayerKey`] written by [`key_bytes`].
@@ -452,7 +576,7 @@ pub fn key_hash(key: &LayerKey) -> u64 {
 /// Returns [`PersistError::Corrupt`] on truncated, trailing or
 /// non-canonical bytes.
 pub fn decode_key_bytes(bytes: &[u8]) -> Result<LayerKey, PersistError> {
-    Ok(record::decode_exact(bytes, "the key", get_key)?)
+    decode_exact(bytes, "the key", get_key)
 }
 
 /// The canonical binary encoding of one `(key, entry)` pair — exactly
@@ -471,7 +595,7 @@ pub fn entry_bytes(key: &LayerKey, value: &CachedLayer) -> Vec<u8> {
 /// Returns [`PersistError::Corrupt`] on truncated or invalid bytes,
 /// including trailing garbage.
 pub fn decode_entry_bytes(bytes: &[u8]) -> Result<(LayerKey, CachedLayer), PersistError> {
-    Ok(record::decode_exact(bytes, "the entry", get_entry)?)
+    decode_exact(bytes, "the entry", get_entry)
 }
 
 /// The entry bound `CBRAIN_CACHE_MAX` selects, if any. Delegates to
@@ -493,13 +617,16 @@ pub fn cache_max_from_env() -> Option<usize> {
 fn encode(cache: &CompiledLayerCache) -> Vec<u8> {
     let mut snapshot = cache.snapshot();
     snapshot.sort_by_cached_key(|(key, _)| key.packed());
-    let mut file = record::header(MAGIC, FORMAT_VERSION);
-    record::put_frame(&mut file, |payload| {
-        put_usize(payload, snapshot.len());
-        for (key, value) in &snapshot {
-            put_entry(payload, key, value);
-        }
-    });
+    let mut payload = Vec::new();
+    put_usize(&mut payload, snapshot.len());
+    for (key, value) in &snapshot {
+        put_entry(&mut payload, key, value);
+    }
+    let mut file = MAGIC.to_vec();
+    put_u32(&mut file, FORMAT_VERSION);
+    put_usize(&mut file, payload.len());
+    put_u64(&mut file, fnv1a64(&payload));
+    file.extend_from_slice(&payload);
     file
 }
 
@@ -537,7 +664,12 @@ pub fn save_with_max(
     }
     let bytes = encode(cache);
     let entries = cache.len();
-    record::write_atomic(path, &bytes)?;
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::create_dir_all(parent)?;
+    }
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, &bytes)?;
+    std::fs::rename(&tmp, path)?;
     let reg = cbrain_telemetry::Registry::global();
     reg.counter(
         "persist_saves_total",
@@ -564,21 +696,36 @@ pub fn save_with_max(
 /// version but fails validation (truncation, checksum mismatch, bad
 /// tags, trailing bytes), and [`PersistError::Io`] on read failures.
 pub fn load_into(cache: &CompiledLayerCache, path: &Path) -> Result<LoadOutcome, PersistError> {
-    let Some(bytes) = record::read(path)? else {
-        return Ok(LoadOutcome::Missing);
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(LoadOutcome::Missing),
+        Err(e) => return Err(e.into()),
     };
-    if bytes.len() < HEADER_LEN + FRAME_LEN {
-        return corrupt(format!("file is {} bytes, header needs 24", bytes.len()));
-    }
-    if let Some(found) = record::foreign_version(&bytes, MAGIC, FORMAT_VERSION)? {
-        return Ok(LoadOutcome::VersionMismatch { found });
-    }
-    let payload = match record::read_frame(&bytes, HEADER_LEN) {
-        Frame::Whole { payload, end } if end == bytes.len() => payload,
-        Frame::Damaged => return corrupt("checksum mismatch"),
-        _ => return corrupt("the bytes after the header are not exactly one frame"),
+    let Some((header, payload)) = bytes.split_first_chunk::<HEADER_LEN>() else {
+        return corrupt(format!(
+            "file is {} bytes, header needs {HEADER_LEN}",
+            bytes.len()
+        ));
     };
-    let decoded = record::decode_exact(payload, "the last entry", |c| {
+    let (magic, version, length, check) = decode_exact(header, "the header", |c| {
+        Ok((c.array::<4>()?, c.u32()?, c.u64()?, c.u64()?))
+    })?;
+    if magic != MAGIC {
+        return corrupt("bad magic");
+    }
+    if version != FORMAT_VERSION {
+        return Ok(LoadOutcome::VersionMismatch { found: version });
+    }
+    if length != payload.len() as u64 {
+        return corrupt(format!(
+            "the header announces {length} payload bytes, the file holds {}",
+            payload.len()
+        ));
+    }
+    if fnv1a64(payload) != check {
+        return corrupt("checksum mismatch");
+    }
+    let decoded = decode_exact(payload, "the last entry", |c| {
         let count = c.count(MIN_ENTRY_LEN)?;
         let mut decoded = Vec::with_capacity(count);
         for _ in 0..count {
@@ -602,8 +749,7 @@ pub fn load_into(cache: &CompiledLayerCache, path: &Path) -> Result<LoadOutcome,
 }
 
 /// [`load_into`] for a caller that carries on cold whatever it finds:
-/// returns a one-line note for the operator (stderr, never stdout), as
-/// [`crate::journal::Journal::open_or_fresh`] does for the journal.
+/// returns a one-line note for the operator (stderr, never stdout).
 pub fn load_or_cold(cache: &CompiledLayerCache, path: &Path) -> String {
     let shown = path.display();
     match load_into(cache, path) {
@@ -765,7 +911,7 @@ mod tests {
         bad.push(0xAB);
         let plen = (bad.len() - 24) as u64;
         bad[8..16].copy_from_slice(&plen.to_le_bytes());
-        let ck = fnv1a(&bad[24..]);
+        let ck = fnv1a64(&bad[24..]);
         bad[16..24].copy_from_slice(&ck.to_le_bytes());
         std::fs::write(&path, &bad).unwrap();
         let res = load_into(&CompiledLayerCache::new(), &path);

@@ -57,12 +57,6 @@ impl Ring {
         &self.shards
     }
 
-    /// The routing seed the ring was built with. Peers (and journal
-    /// provenance records) identify a fleet layout by shard list + seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Number of shards on the ring.
     pub fn len(&self) -> usize {
         self.shards.len()

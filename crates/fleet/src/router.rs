@@ -144,20 +144,6 @@ impl FleetRouter {
         &self.metrics
     }
 
-    /// A stable provenance string for run journals: the shard ring
-    /// (addresses in ring order) and the routing seed. Two runs with the
-    /// same provenance scatter every key to the same owner, so a
-    /// journaled cell's record names the fleet layout that produced it.
-    /// Deliberately excludes live health — a failover changes *where* a
-    /// key compiled, never *what* it compiled to.
-    pub fn provenance(&self) -> String {
-        format!(
-            "shards={};seed={}",
-            self.ring.shards().join(","),
-            self.ring.seed()
-        )
-    }
-
     /// Probes every shard (`hello` + `stats` ping), updating the health
     /// flags, and returns each shard's outcome: its cached-entry count,
     /// or the failure that marked it down. A `busy` answer is proof of

@@ -383,7 +383,7 @@ struct ServerState {
     /// This daemon's own registry: per-daemon so multiple in-process
     /// daemons (tests, tools) keep exact, independent counts. The
     /// exposition merges it with [`Registry::global`], which collects
-    /// the core-layer metrics (journal, persist).
+    /// the core-layer metrics (persist, the fleet router).
     registry: Arc<Registry>,
     request_seconds: HashMap<&'static str, Arc<Histogram>>,
     conns_open: Arc<Gauge>,
@@ -399,8 +399,8 @@ impl ServerState {
 
 /// One full metrics snapshot: computed gauges (queue depth, cache
 /// occupancy — state that lives outside the registry), this daemon's
-/// registry, and the process-global registry (core-layer journal and
-/// persistence counters). Earlier sets win on name collisions and the
+/// registry, and the process-global registry (core-layer persistence
+/// and fleet counters). Earlier sets win on name collisions and the
 /// merge sorts by name, so two scrapes of an idle daemon are
 /// byte-identical.
 fn metrics_samples(state: &ServerState) -> Vec<Sample> {

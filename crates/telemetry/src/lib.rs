@@ -464,7 +464,7 @@ impl Registry {
     }
 
     /// The process-wide registry used by call sites below the daemon
-    /// (journal, persist) that have no registry handy.
+    /// (persist, the fleet router) that have no registry handy.
     pub fn global() -> &'static Registry {
         static GLOBAL: OnceLock<Registry> = OnceLock::new();
         GLOBAL.get_or_init(Registry::new)

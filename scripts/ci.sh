@@ -82,7 +82,7 @@ if [[ $quick -eq 0 ]]; then
 fi
 
 if [[ $quick -eq 0 ]]; then
-    echo "==> flag smoke: every binary and cbrain subcommand rejects a misspelt --jobs"
+    echo "==> flag smoke: every binary and cbrain subcommand rejects a misspelt --jobs, the exp_* a bad CBRAIN_MAC_RATE"
     # One flag grammar (cbrain::config::Flags): an unknown flag is a usage
     # error, exit 1, with nothing on stdout, ``unknown flag `X` `` on
     # stderr and no panic, before any work starts. Each runs from a temp
@@ -113,6 +113,19 @@ if [[ $quick -eq 0 ]]; then
                 flag_fail=1
             fi
         done
+    done
+    # The MAC-rate pin is read before any experiment runs: a bad one is a
+    # usage error naming the variable, not a panic after half a report.
+    for run in exp_table4 exp_all; do
+        flag_code=0
+        (cd "$flag_dir" && CBRAIN_MAC_RATE=fast CBRAIN_CACHE=off "$flag_bin/$run" >out.txt 2>err.txt) || flag_code=$?
+        if [[ $flag_code -ne 1 || -s "$flag_dir/out.txt" ]] \
+            || ! grep -qF 'CBRAIN_MAC_RATE must be a positive number, got `fast`' "$flag_dir/err.txt" \
+            || grep -q 'panicked' "$flag_dir/err.txt"; then
+            echo "error: \`CBRAIN_MAC_RATE=fast $run\` exited $flag_code; stdout $(wc -c <"$flag_dir/out.txt") bytes; stderr:" >&2
+            head -n 3 "$flag_dir/err.txt" >&2
+            flag_fail=1
+        fi
     done
     [[ $flag_fail -eq 0 ]] || exit 1
     trap - EXIT
@@ -444,7 +457,7 @@ if [[ $quick -eq 0 ]]; then
 fi
 
 if [[ $quick -eq 0 ]]; then
-    echo "==> fleet smoke: 3-shard report must match cbrain run, before and after a SIGKILL"
+    echo "==> fleet smoke: 3-shard reports must match cbrain run and exp_all, before and after a SIGKILL"
     fleet_dir="$(mktemp -d)"
     pids=()
     addrs=()
@@ -471,6 +484,19 @@ if [[ $quick -eq 0 ]]; then
         --spec specs/alexnet.spec >"$fleet_dir/fleet_alexnet.txt" 2>/dev/null
     if ! diff -u "$fleet_dir/direct_alexnet.txt" "$fleet_dir/fleet_alexnet.txt"; then
         echo "error: 3-shard fleet report differs from cbrain run" >&2
+        exit 1
+    fi
+
+    # The whole experiment suite with its compile misses scattered over
+    # the fleet must print a plain exp_all's bytes. Byte-identity across
+    # processes needs the live-calibrated MAC rate pinned (Table 4) and
+    # the persisted cache off.
+    exp_env=(env CBRAIN_MAC_RATE=5.7e8 CBRAIN_CACHE=off)
+    "${exp_env[@]}" ./target/release/exp_all --jobs 2 >"$fleet_dir/exp_direct.txt" 2>/dev/null
+    "${exp_env[@]}" ./target/release/exp_all --jobs 2 --shards "$shards" \
+        >"$fleet_dir/exp_fleet.txt" 2>/dev/null
+    if ! diff -u "$fleet_dir/exp_direct.txt" "$fleet_dir/exp_fleet.txt"; then
+        echo "error: exp_all --shards differs from a plain exp_all" >&2
         exit 1
     fi
 
@@ -503,77 +529,6 @@ if [[ $quick -eq 0 ]]; then
     done
     trap - EXIT
     rm -rf "$fleet_dir"
-fi
-
-if [[ $quick -eq 0 ]]; then
-    echo "==> resume smoke: SIGKILLed exp_all --journal resumed with --resume must be byte-identical"
-    res_dir="$(mktemp -d)"
-    trap 'kill "$exp_pid" 2>/dev/null || true; rm -rf "$res_dir"' EXIT
-    # Byte-identity across separate processes needs the live-calibrated
-    # MAC rate pinned (Table 4) and the persisted cache off.
-    res_env=(env CBRAIN_MAC_RATE=5.7e8 CBRAIN_CACHE=off)
-    journal="$res_dir/sweep.journal"
-    "${res_env[@]}" ./target/release/exp_all --jobs 4 >"$res_dir/reference.txt" 2>/dev/null
-
-    # Kill a journaled sweep wherever the timer happens to land — the
-    # resume contract is byte-identity no matter where the kill hits
-    # (before the first cell, mid-sweep, or after the last).
-    "${res_env[@]}" ./target/release/exp_all --jobs 4 --journal "$journal" \
-        >/dev/null 2>"$res_dir/killed.err" &
-    exp_pid=$!
-    for _ in $(seq 1 100); do
-        grep -q "cells complete" "$res_dir/killed.err" 2>/dev/null && break
-        kill -0 "$exp_pid" 2>/dev/null || break
-        sleep 0.05
-    done
-    kill -9 "$exp_pid" 2>/dev/null || true
-    wait "$exp_pid" 2>/dev/null || true
-    "${res_env[@]}" ./target/release/exp_all --jobs 4 --journal "$journal" --resume \
-        >"$res_dir/resumed.txt" 2>/dev/null
-    if ! diff -u "$res_dir/reference.txt" "$res_dir/resumed.txt"; then
-        echo "error: resumed sweep differs from an uninterrupted one" >&2
-        exit 1
-    fi
-
-    # Deterministic torn tail: tear bytes off the now-complete journal
-    # exactly as a SIGKILL mid-append would, then resume under a
-    # different --jobs. The whole journal (bar the torn record) must
-    # replay and the output must still match.
-    truncate -s "$(($(stat -c %s "$journal") - 7))" "$journal"
-    "${res_env[@]}" ./target/release/exp_all --jobs 2 --journal "$journal" --resume \
-        >"$res_dir/torn.txt" 2>"$res_dir/torn.err"
-    grep -q "replaying recorded output" "$res_dir/torn.err" \
-        || { echo "error: torn-tail resume never replayed a journaled cell" >&2; cat "$res_dir/torn.err" >&2; exit 1; }
-    if ! diff -u "$res_dir/reference.txt" "$res_dir/torn.txt"; then
-        echo "error: torn-tail resume differs from an uninterrupted sweep" >&2
-        exit 1
-    fi
-
-    # Fleet-mode resume: tear the journal again and resume through a
-    # single cbrand shard — replayed cells skip the fleet entirely, the
-    # re-simulated one compiles remotely, and the bytes still match.
-    ./target/release/cbrand --port 0 --cache off \
-        >"$res_dir/shard.out" 2>"$res_dir/shard.err" &
-    shard_pid=$!
-    trap 'kill "$shard_pid" 2>/dev/null || true; rm -rf "$res_dir"' EXIT
-    addr=""
-    for _ in $(seq 1 50); do
-        addr="$(sed -n 's/^cbrand listening on //p' "$res_dir/shard.out")"
-        [[ -n "$addr" ]] && break
-        sleep 0.1
-    done
-    [[ -n "$addr" ]] || { echo "error: resume-smoke cbrand never reported its address" >&2; cat "$res_dir/shard.err" >&2; exit 1; }
-    truncate -s "$(($(stat -c %s "$journal") - 7))" "$journal"
-    "${res_env[@]}" ./target/release/exp_all --jobs 4 --shards "$addr" \
-        --journal "$journal" --resume >"$res_dir/fleet.txt" 2>/dev/null
-    if ! diff -u "$res_dir/reference.txt" "$res_dir/fleet.txt"; then
-        echo "error: fleet-mode resume differs from an uninterrupted sweep" >&2
-        exit 1
-    fi
-    ./target/release/cbrain cbrand-client --connect "$addr" --shutdown >/dev/null
-    wait "$shard_pid"
-    trap - EXIT
-    rm -rf "$res_dir"
 fi
 
 echo "==> docs link check: local files referenced from README.md and docs/ must exist"

@@ -200,117 +200,6 @@ fn run_layer_and_network_agree_for_single_layer_workload() {
 }
 
 #[test]
-fn sweep_resume_after_torn_crash_is_byte_identical() {
-    // The journal contract end to end: a sweep killed mid-run — torn
-    // journal tail and all — resumed with the recorded cells replayed
-    // verbatim must produce byte-identical output to an uninterrupted
-    // sweep, without re-simulating what already completed.
-    use cbrain::journal::{digest, Cell, Journal, OpenOutcome};
-    use cbrain::report::render_run_report;
-
-    let dir = std::env::temp_dir().join(format!("cbrain_resume_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("sweep.journal");
-
-    let plan: Vec<(String, &str, Policy)> = ["alexnet", "nin"]
-        .iter()
-        .flat_map(|net| {
-            Policy::PAPER_ARMS
-                .iter()
-                .map(move |&policy| (format!("{net} {}", policy.label()), *net, policy))
-        })
-        .collect();
-    // A fresh runner per cell: the report's cache hit/miss line must
-    // depend only on the cell itself, not on what ran before it, or no
-    // partial re-execution could ever be byte-identical.
-    let run_cell = |net: &str, policy: Policy| {
-        let net = zoo::by_name(net).expect("zoo network");
-        let runner = Runner::new(AcceleratorConfig::paper_16_16());
-        let report = runner.run_network(&net, policy).expect("runs");
-        render_run_report(&report, true)
-    };
-
-    // Reference: an uninterrupted, unjournaled sweep.
-    let reference: String = plan
-        .iter()
-        .map(|(_, net, policy)| run_cell(net, *policy))
-        .collect();
-
-    // First attempt: journal each completed cell, then "crash" — two
-    // cells landed whole, the third was mid-append when the power went.
-    let (mut journal, outcome) = Journal::open(&path).expect("fresh journal");
-    assert!(matches!(outcome, OpenOutcome::Fresh));
-    for (name, net, policy) in plan.iter().take(3) {
-        let output = run_cell(net, *policy);
-        journal
-            .append(Cell {
-                name: name.clone(),
-                digest: digest(&output),
-                provenance: "local;jobs=1".to_owned(),
-                output,
-            })
-            .expect("append");
-    }
-    drop(journal);
-    let torn_len = std::fs::metadata(&path).expect("journal exists").len() - 7;
-    std::fs::OpenOptions::new()
-        .write(true)
-        .open(&path)
-        .expect("reopen journal")
-        .set_len(torn_len)
-        .expect("tear the tail");
-
-    // Resume: the torn record is dropped, the two whole cells replay
-    // verbatim, and only the remaining cells are simulated again.
-    let (mut journal, outcome) = Journal::open(&path).expect("recovered journal");
-    let OpenOutcome::Opened {
-        cells: 2,
-        dropped_bytes,
-    } = outcome
-    else {
-        panic!("expected two recovered cells, got {outcome:?}");
-    };
-    assert!(dropped_bytes > 0, "the torn tail must be counted");
-    let mut resimulated = 0usize;
-    let mut resumed = String::new();
-    for (name, net, policy) in &plan {
-        let output = match journal.replayable(name) {
-            Some(cell) => cell.output.clone(),
-            None => {
-                resimulated += 1;
-                let output = run_cell(net, *policy);
-                journal
-                    .append(Cell {
-                        name: name.clone(),
-                        digest: digest(&output),
-                        provenance: "local;jobs=1".to_owned(),
-                        output: output.clone(),
-                    })
-                    .expect("append");
-                output
-            }
-        };
-        resumed.push_str(&output);
-    }
-    assert_eq!(resumed, reference, "resumed sweep must be byte-identical");
-    assert_eq!(
-        resimulated,
-        plan.len() - 2,
-        "journaled cells must not re-simulate"
-    );
-
-    // A second resume finds every cell journaled and simulates nothing.
-    let (journal, _) = Journal::open(&path).expect("complete journal");
-    let replayed: Option<String> = plan
-        .iter()
-        .map(|(name, _, _)| journal.replayable(name).map(|c| c.output.clone()))
-        .collect();
-    assert_eq!(replayed.as_deref(), Some(reference.as_str()));
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn fc_layers_are_scheme_invariant() {
     // FC layers always compile inter-kernel regardless of policy, so every
     // arm pays the same cost for them.

@@ -1,16 +1,16 @@
-//! The on-disk bytes of the two record files — the compiled-layer cache
-//! file (`CBLC`) and the run journal (`CBJL`) — pinned to literals, plus
-//! the decoders' answers to hostile lengths and counts.
+//! The on-disk bytes of the compiled-layer cache file (`CBLC`) pinned to
+//! literals, plus the decoders' answers to hostile lengths and counts
+//! and to seeded mutations of valid bytes.
 //!
-//! The round-trip tests next to each codec pass as long as writer and
+//! The round-trip tests next to the codec pass as long as writer and
 //! reader agree; the pinned tests here fail as soon as either one drifts
 //! from the published layout.
 
 use cbrain::cache::{CachedLayer, CompiledLayerCache, LayerKey};
 use cbrain::compiler::{CompiledLayer, DataLayout, TilePlan};
-use cbrain::journal::{self, Cell, Journal, JournalError, OpenOutcome};
 use cbrain::persist::{self, LoadOutcome, PersistError};
 use cbrain::{compile_cache_entry, RunOptions, Scheme};
+use cbrain_model::rng::XorShift64;
 use cbrain_model::{
     zoo, ConvParams, EltwiseParams, FcParams, Layer, LayerKind, PoolKind, PoolParams, TensorShape,
 };
@@ -29,8 +29,8 @@ fn u64le(v: u64) -> [u8; 8] {
     v.to_le_bytes()
 }
 
-/// Header and one frame around `payload`, as both record files lay them
-/// out, with a correct checksum.
+/// A cache-file header around `payload`, with a correct length and
+/// checksum.
 fn framed(magic: &[u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
     let mut file = magic.to_vec();
     file.extend_from_slice(&version.to_le_bytes());
@@ -183,58 +183,6 @@ fn cache_file_bytes_are_pinned() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-fn short_cell(name: &str, output: &str) -> Cell {
-    Cell {
-        name: name.to_owned(),
-        digest: journal::digest(output),
-        provenance: "p".to_owned(),
-        output: output.to_owned(),
-    }
-}
-
-#[test]
-fn journal_bytes_are_pinned() {
-    #[rustfmt::skip]
-    const JOURNAL: [u8; 113] = [
-        b'C', b'B', b'J', b'L', 1, 0, 0, 0,              // magic, version 1
-        // record 1: payload length 36, FNV-1a 64 of the payload
-        36, 0, 0, 0, 0, 0, 0, 0,
-        0x05, 0x1d, 0x7e, 0xaf, 0xef, 0x44, 0x41, 0x5e,
-        1, 0, 0, 0, 0, 0, 0, 0, b'a',                    // name "a"
-        0x02, 0x50, 0xba, 0xb4, 0x07, 0xbc, 0xf8, 0x07,  // digest of "1\n"
-        1, 0, 0, 0, 0, 0, 0, 0, b'p',                    // provenance "p"
-        2, 0, 0, 0, 0, 0, 0, 0, b'1', b'\n',             // output "1\n"
-        // record 2: payload length 37, FNV-1a 64 of the payload
-        37, 0, 0, 0, 0, 0, 0, 0,
-        0x88, 0xc9, 0x68, 0x00, 0xc3, 0x90, 0xbc, 0x6a,
-        1, 0, 0, 0, 0, 0, 0, 0, b'b',                    // name "b"
-        0x3d, 0x4c, 0x93, 0x27, 0x18, 0x8e, 0x45, 0x60,  // digest of "22\n"
-        1, 0, 0, 0, 0, 0, 0, 0, b'p',                    // provenance "p"
-        3, 0, 0, 0, 0, 0, 0, 0, b'2', b'2', b'\n',       // output "22\n"
-    ];
-
-    let dir = tmpdir("pin_journal");
-    let path = dir.join("journal.bin");
-    let (mut j, outcome) = Journal::open(&path).expect("open");
-    assert_eq!(outcome, OpenOutcome::Fresh);
-    j.append(short_cell("a", "1\n")).expect("append");
-    j.append(short_cell("b", "22\n")).expect("append");
-    assert_eq!(std::fs::read(&path).expect("read"), JOURNAL);
-
-    // A compacting rewrite lays out the same bytes as the appends did.
-    assert_eq!(j.compact().expect("compact"), 0);
-    assert_eq!(std::fs::read(&path).expect("read"), JOURNAL);
-    let (_, outcome) = Journal::open(&path).expect("reopen");
-    assert_eq!(
-        outcome,
-        OpenOutcome::Opened {
-            cells: 2,
-            dropped_bytes: 0
-        }
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 #[test]
 fn entry_decoder_rejects_a_run_count_past_the_end() {
     // A conv key's 160 bytes, then a program claiming u64::MAX runs: the
@@ -244,18 +192,6 @@ fn entry_decoder_rejects_a_run_count_past_the_end() {
     bytes.extend_from_slice(&u64le(u64::MAX));
     let err = persist::decode_entry_bytes(&bytes).expect_err("hostile length");
     assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
-}
-
-#[test]
-fn journal_rejects_a_checksummed_string_length_past_the_end() {
-    // A complete record with a valid checksum whose name claims u64::MAX
-    // bytes.
-    let dir = tmpdir("hostile_journal");
-    let path = dir.join("journal.bin");
-    std::fs::write(&path, framed(b"CBJL", 1, &u64le(u64::MAX))).expect("write");
-    let err = Journal::open(&path).expect_err("hostile length");
-    assert!(matches!(err, JournalError::Corrupt(_)), "{err}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -545,4 +481,151 @@ fn run_decoder_rejects_non_canonical_runs() {
         let err = persist::decode_entry_bytes(&bad).expect_err(what);
         assert!(matches!(err, PersistError::Corrupt(_)), "{what}: {err}");
     }
+}
+
+/// One seeded mutation of `good`: bit flips, a truncation, bytes spliced
+/// in from `donor` or made up, or a forged u64 word, either at one of
+/// `words` (the length, checksum and count words of the layout) or
+/// anywhere. Returns the mutated bytes and whether a header word was
+/// forged, which a checksum fix-up must then leave alone.
+fn mutate(rng: &mut XorShift64, good: &[u8], donor: &[u8], words: &[usize]) -> (Vec<u8>, bool) {
+    let mut bytes = good.to_vec();
+    let at = |rng: &mut XorShift64, len: usize| rng.range_usize(0, len.saturating_sub(1));
+    match rng.below(4) {
+        0 => {
+            for _ in 0..rng.range_usize(1, 4) {
+                let i = at(rng, bytes.len());
+                bytes[i] ^= 1 << rng.below(8);
+            }
+        }
+        1 => bytes.truncate(rng.range_usize(0, good.len() - 1)),
+        2 => {
+            let start = at(rng, bytes.len());
+            let end = rng.range_usize(start, bytes.len().min(start + 64));
+            let from = at(rng, donor.len());
+            let take = rng.range_usize(0, 64).min(donor.len() - from);
+            let spliced: Vec<u8> = if rng.below(2) == 0 {
+                donor[from..from + take].to_vec()
+            } else {
+                (0..take).map(|_| rng.below(256) as u8).collect()
+            };
+            bytes.splice(start..end, spliced);
+        }
+        _ => {
+            let i = if rng.below(4) == 0 {
+                at(rng, bytes.len() - 8)
+            } else {
+                words[rng.below(words.len() as u64) as usize]
+            };
+            let len = bytes.len() as u64;
+            let forged = [
+                0,
+                1,
+                2,
+                3,
+                len - 1,
+                len,
+                len + 1,
+                1 << 32,
+                u64::MAX,
+                rng.next_u64(),
+            ];
+            let word = forged[rng.below(forged.len() as u64) as usize];
+            bytes[i..i + 8].copy_from_slice(&u64le(word));
+            return (bytes, i < 24 && i + 8 > 8);
+        }
+    }
+    (bytes, false)
+}
+
+#[test]
+fn mutated_cache_files_and_entries_decode_or_fail_typed() {
+    // Seeded mutations of a small saved cache file and of its entry's
+    // bytes. Neither decoder may panic; each must answer `Ok` or
+    // `Corrupt`; a rejected file inserts nothing; and whatever decodes
+    // re-encodes to exactly the bytes it came from, because the decoders
+    // accept only canonical input. A file mutated anywhere but in its
+    // header gets its length and checksum fixed up three times in four,
+    // so most mutations reach the payload decoder.
+    const ROUNDS: usize = 5_000;
+    let (key, entry) = (conv_key(), small_entry());
+    let good_entry = persist::entry_bytes(&key, &entry);
+    let cache = CompiledLayerCache::new();
+    cache.insert(key, entry);
+    let dir = tmpdir("fuzz");
+    let (path, resaved) = (dir.join("mutated.bin"), dir.join("resaved.bin"));
+    persist::save_with_max(&cache, &dir.join("good.bin"), None).expect("save");
+    let good_file = std::fs::read(dir.join("good.bin")).expect("read");
+    // The file's length, checksum and entry count, then the entry's run
+    // count, first repeat and first op count; the entry's own words sit
+    // 32 bytes earlier.
+    let file_words = [8, 16, 24, 192, 200, 224];
+    let entry_words = [160, 168, 192];
+
+    let mut rng = XorShift64::seed_from_u64(0x0cb1_c0de);
+    let (mut loaded, mut rejected, mut decoded, mut refused) = (0, 0, 0, 0);
+    for round in 0..ROUNDS {
+        let (mut bytes, forged_header) = mutate(&mut rng, &good_file, &good_entry, &file_words);
+        if bytes.len() >= 24 && !forged_header && rng.below(4) != 0 {
+            let payload_len = bytes.len() as u64 - 24;
+            let check = persist::fnv1a64(&bytes[24..]);
+            bytes[8..16].copy_from_slice(&u64le(payload_len));
+            bytes[16..24].copy_from_slice(&u64le(check));
+        }
+        std::fs::write(&path, &bytes).expect("write");
+        let restored = CompiledLayerCache::new();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            persist::load_into(&restored, &path)
+        }))
+        .unwrap_or_else(|_| panic!("round {round}: load_into panicked on {bytes:?}"));
+        match outcome {
+            Ok(LoadOutcome::Loaded { entries }) => {
+                loaded += 1;
+                assert!(restored.len() <= entries, "round {round}");
+                assert_eq!(restored.is_empty(), entries == 0, "round {round}");
+                if entries == 1 {
+                    persist::save_with_max(&restored, &resaved, None).expect("resave");
+                    assert!(
+                        std::fs::read(&resaved).expect("read") == bytes,
+                        "round {round}: a loaded file re-saves to other bytes"
+                    );
+                }
+            }
+            Ok(LoadOutcome::VersionMismatch { .. }) => assert!(restored.is_empty()),
+            Err(PersistError::Corrupt(_)) => {
+                rejected += 1;
+                assert!(
+                    restored.is_empty(),
+                    "round {round}: a rejected file inserted"
+                );
+            }
+            other => panic!("round {round}: {other:?}"),
+        }
+
+        let (bytes, _) = mutate(&mut rng, &good_entry, &good_file, &entry_words);
+        let outcome = std::panic::catch_unwind(|| persist::decode_entry_bytes(&bytes))
+            .unwrap_or_else(|_| panic!("round {round}: decode_entry_bytes panicked on {bytes:?}"));
+        match outcome {
+            Ok((key, entry)) => {
+                decoded += 1;
+                assert!(
+                    persist::entry_bytes(&key, &entry) == bytes,
+                    "round {round}: a decoded entry re-encodes to other bytes"
+                );
+            }
+            Err(PersistError::Corrupt(_)) => refused += 1,
+            Err(e) => panic!("round {round}: {e:?}"),
+        }
+    }
+    // Both outcomes of both decoders must be well exercised for the
+    // check to mean much.
+    for (what, n) in [
+        ("loaded", loaded),
+        ("rejected", rejected),
+        ("decoded", decoded),
+        ("refused", refused),
+    ] {
+        assert!(n > ROUNDS / 10, "{what}: {n} of {ROUNDS}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
