@@ -9,29 +9,38 @@
 //!
 //! At unit stride, kernel partitioning degenerates to one pass per kernel
 //! tap, the same add-and-store order improved inter uses, so both run
-//! one shared tap pass ([`simd::tap_pass`]); the unrolled executor runs
-//! its dots eight windows per register ([`simd::dot_windows`]). Both
+//! one shared tap pass ([`simd::tap_pass`]). The unrolled executor copies
+//! each input map's windows tap-major into a scratch, straight from the
+//! map (Eq. 1's unrolling, with no window-major im2col copy between), and
+//! runs their dots a register of windows at a time
+//! ([`simd::dot_windows`], whose runs of fewer than eight taps, such as
+//! a 2x2 kernel's, take a block built for their length). Both kernels
 //! vectorize across independent outputs, so every output keeps the exact
 //! sequence of adds the per-pixel loops below spell out.
+//!
+//! Every executor checks its operands with
+//! [`reference::check_conv_operands`], as the reference does.
 
 use crate::partition_math::partition;
 use cbrain_model::{reference, simd, ConvParams, ConvWeights, ModelError, Tensor3, TensorShape};
 use cbrain_sim::pe::PeArray;
 use cbrain_sim::PeConfig;
 
-/// The output columns `ox` of a unit-stride row pass whose input tap
-/// `ox + kx - pad` lands inside an unpadded row of width `in_w`, together
-/// with the input column the first tap reads: `(lo, hi, x0)` with the
-/// span possibly empty (`lo >= hi`).
+/// The outputs `ox < out_w` of a row (or column) whose input tap
+/// `ox * stride + kx - pad` lands inside an unpadded extent `in_w`,
+/// together with the input index the first one reads: `(lo, hi, x0)`
+/// with the span possibly empty (`lo >= hi`).
 #[inline]
-fn row_span(kx: usize, pad: isize, in_w: usize, out_w: usize) -> (usize, usize, usize) {
-    let lo = (pad - kx as isize).max(0) as usize;
-    let hi = (in_w as isize + pad - kx as isize).clamp(0, out_w as isize) as usize;
-    let x0 = if lo < hi {
-        (lo as isize + kx as isize - pad) as usize
-    } else {
-        0
-    };
+fn row_span(
+    kx: usize,
+    pad: usize,
+    stride: usize,
+    in_w: usize,
+    out_w: usize,
+) -> (usize, usize, usize) {
+    let lo = pad.saturating_sub(kx).div_ceil(stride);
+    let hi = (in_w + pad).saturating_sub(kx).div_ceil(stride).min(out_w);
+    let x0 = if lo < hi { lo * stride + kx - pad } else { 0 };
     (lo, hi, x0)
 }
 
@@ -65,15 +74,12 @@ fn tap_passes(input: &Tensor3, weights: &ConvWeights, params: &ConvParams, out: 
     let (in_shape, out_shape) = (input.shape(), out.shape());
     let (in_per_group, out_per_group) = (params.in_maps_per_group(), params.out_maps_per_group());
     let (in_plane, out_w) = (in_shape.height * in_shape.width, out_shape.width);
-    let pad = params.pad as isize;
     let mut tap_weights = vec![0.0f32; params.out_maps * in_per_group];
     for ky in 0..params.kernel {
         // The output rows whose input row `oy - pad + ky` is in the map.
-        let rows_lo = (pad - ky as isize).clamp(0, out_shape.height as isize) as usize;
-        let rows_hi = (in_shape.height as isize + pad - ky as isize)
-            .clamp(rows_lo as isize, out_shape.height as isize) as usize;
+        let (rows_lo, rows_hi, y0) = row_span(ky, params.pad, 1, in_shape.height, out_shape.height);
         for kx in 0..params.kernel {
-            let (lo, hi, x0) = row_span(kx, pad, in_shape.width, out_w);
+            let (lo, hi, x0) = row_span(kx, params.pad, 1, in_shape.width, out_w);
             let reached = lo < hi && rows_lo < rows_hi;
             let out_data = out.as_mut_slice();
             for (r, row) in out_data.chunks_exact_mut(out_w).enumerate() {
@@ -102,7 +108,6 @@ fn tap_passes(input: &Tensor3, weights: &ConvWeights, params: &ConvParams, out: 
                 xs_map: in_plane,
                 xs_row: in_shape.width,
             };
-            let y0 = (rows_lo as isize - pad + ky as isize) as usize;
             for group in 0..params.groups {
                 let o = group * out_per_group;
                 simd::tap_pass(
@@ -145,8 +150,7 @@ pub fn partition_forward(
     bias: Option<&[f32]>,
     params: &ConvParams,
 ) -> Result<Tensor3, ModelError> {
-    params.validate("<partition>")?;
-    let out_shape = params.output_shape(input.shape())?;
+    let out_shape = reference::check_conv_operands("<partition>", input, weights, bias, params)?;
     let (g, ks) = partition(params.kernel, params.stride);
     // Seed with the bias, then add the g*g partial maps.
     let mut out = bias_seeded(out_shape, bias);
@@ -199,14 +203,16 @@ pub fn partition_forward(
 }
 
 /// Unrolled (im2col) convolution: the intra-kernel scheme's data layout.
-/// Windows are duplicated into contiguous runs (Eq. 1's footprint cost),
-/// then each output pixel is one dot product per input map, added to
-/// the bias in input-map order.
+/// Every window's `k x k` taps form one run (Eq. 1's footprint cost), and
+/// each output pixel is one dot product of its run with the kernel per
+/// input map, added to the bias in input-map order.
 ///
-/// One input map at a time, its window runs are transposed into a
-/// reused tap-major scratch, and every output map of its group takes
-/// one [`simd::dot_windows`] over it: the vector lanes run across
-/// windows, each window's dot keeping [`simd::dot`]'s graph.
+/// One input map at a time, the runs are written tap-major into a reused
+/// `k^2 x windows` scratch, straight from the map: per tap and window
+/// row, a strided copy of the input columns that tap reads. Every output
+/// map of the map's group then takes one [`simd::dot_windows`] over it:
+/// the vector lanes run across windows, each window's dot keeping
+/// [`simd::dot`]'s graph.
 ///
 /// # Errors
 ///
@@ -217,25 +223,34 @@ pub fn unrolled_forward(
     bias: Option<&[f32]>,
     params: &ConvParams,
 ) -> Result<Tensor3, ModelError> {
-    params.validate("<unrolled>")?;
-    let out_shape = params.output_shape(input.shape())?;
-    let (buf, wy, wx) = reference::unroll_windows(input, params.kernel, params.stride, params.pad)?;
-    debug_assert_eq!((wy, wx), (out_shape.height, out_shape.width));
-
-    let k2 = params.kernel * params.kernel;
+    let out_shape = reference::check_conv_operands("<unrolled>", input, weights, bias, params)?;
+    let in_shape = input.shape();
+    let (k, s) = (params.kernel, params.stride);
+    let (out_h, out_w) = (out_shape.height, out_shape.width);
+    let windows = out_h * out_w;
     let in_per_group = params.in_maps_per_group();
     let out_per_group = params.out_maps_per_group();
-    let windows = wy * wx;
 
     let mut out = bias_seeded(out_shape, bias);
-    let mut taps = vec![0.0f32; k2 * windows];
-    for (m, runs) in buf.chunks_exact(windows * k2).enumerate() {
-        // The unrolled window run and the kernel run share the same
-        // (ky, kx) row-major layout; tap t of window w goes to
-        // taps[t * windows + w].
-        for (w, run) in runs.chunks_exact(k2).enumerate() {
-            for (t, &v) in run.iter().enumerate() {
-                taps[t * windows + w] = v;
+    // Tap t = (ky, kx) of window (oy, ox) sits at taps[t * windows + oy *
+    // out_w + ox]. Which taps fall in the padding depends on the geometry
+    // alone, so they keep the zeros they start with and every map writes
+    // the same in-bounds slots.
+    let mut taps = vec![0.0f32; k * k * windows];
+    for m in 0..in_shape.maps {
+        for (t, run) in taps.chunks_exact_mut(windows).enumerate() {
+            let (rows_lo, rows_hi, y0) = row_span(t / k, params.pad, s, in_shape.height, out_h);
+            let (lo, hi, x0) = row_span(t % k, params.pad, s, in_shape.width, out_w);
+            if lo >= hi {
+                continue;
+            }
+            for oy in rows_lo..rows_hi {
+                let xs = input.row(m, y0 + (oy - rows_lo) * s)[x0..]
+                    .iter()
+                    .step_by(s);
+                for (d, &x) in run[oy * out_w + lo..oy * out_w + hi].iter_mut().zip(xs) {
+                    *d = x;
+                }
             }
         }
         let (group, i) = (m / in_per_group, m % in_per_group);
@@ -272,8 +287,7 @@ pub fn inter_forward(
     tin: usize,
 ) -> Result<Tensor3, ModelError> {
     assert!(tin > 0, "tin must be non-zero");
-    params.validate("<inter>")?;
-    let out_shape = params.output_shape(input.shape())?;
+    let out_shape = reference::check_conv_operands("<inter>", input, weights, bias, params)?;
     let in_per_group = params.in_maps_per_group();
     let out_per_group = params.out_maps_per_group();
     let pad = params.pad as isize;
@@ -301,7 +315,7 @@ pub fn inter_forward(
                             let in_row = input.row(in_base + i, y as usize);
                             for kx in 0..params.kernel {
                                 let (lo, hi, x0) =
-                                    row_span(kx, pad, in_shape.width, out_shape.width);
+                                    row_span(kx, params.pad, 1, in_shape.width, out_shape.width);
                                 if lo < hi {
                                     simd::axpy(
                                         &mut acc_row[lo..hi],
@@ -361,8 +375,8 @@ pub fn improved_inter_forward(
     bias: Option<&[f32]>,
     params: &ConvParams,
 ) -> Result<Tensor3, ModelError> {
-    params.validate("<improved-inter>")?;
-    let out_shape = params.output_shape(input.shape())?;
+    let out_shape =
+        reference::check_conv_operands("<improved-inter>", input, weights, bias, params)?;
     let in_per_group = params.in_maps_per_group();
     let out_per_group = params.out_maps_per_group();
     let pad = params.pad as isize;
@@ -424,8 +438,7 @@ pub fn partition_forward_on_pe(
     let (g, ks) = partition(params.kernel, params.stride);
     let window = ks * ks;
     assert!(window <= pe.tin, "sub-window must fit the lane group");
-    params.validate("<partition-pe>")?;
-    let out_shape = params.output_shape(input.shape())?;
+    let out_shape = reference::check_conv_operands("<partition-pe>", input, weights, None, params)?;
     let array = PeArray::new(pe);
     let pack = pe.tin / window;
     let pad = params.pad as isize;
@@ -623,6 +636,43 @@ mod tests {
             TensorShape::new(6, 21, 21),
             improved_inter_forward,
         );
+    }
+
+    #[test]
+    fn executors_reject_operands_like_the_reference() {
+        let short_bias = [0.5f32];
+        for params in [
+            ConvParams::new(3, 4, 3, 1, 1),
+            ConvParams::new(3, 4, 2, 2, 0),
+        ] {
+            let (k, s) = (params.kernel, params.stride);
+            let input = Tensor3::random(TensorShape::new(3, 8, 8), 1);
+            let weights = ConvWeights::random(&params, 2);
+            // Weights of other layers: too few values, and as many values
+            // in another layout.
+            let fewer = ConvWeights::random(&ConvParams::new(3, 2, k, s, 0), 3);
+            let relaid = ConvWeights::random(&ConvParams::new(1, 12, k, s, 0), 4);
+            assert_eq!(relaid.len(), weights.len());
+            for (w, bias) in [
+                (&weights, Some(&short_bias[..])),
+                (&fewer, None),
+                (&relaid, None),
+            ] {
+                let truth = reference::conv_forward(&input, w, bias, &params).unwrap_err();
+                assert!(matches!(truth, ModelError::ShapeMismatch { .. }), "{truth}");
+                for (name, result) in [
+                    ("partition", partition_forward(&input, w, bias, &params)),
+                    ("unrolled", unrolled_forward(&input, w, bias, &params)),
+                    ("inter", inter_forward(&input, w, bias, &params, 2)),
+                    (
+                        "improved-inter",
+                        improved_inter_forward(&input, w, bias, &params),
+                    ),
+                ] {
+                    assert_eq!(result.unwrap_err(), truth, "{name} {params:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -40,14 +40,17 @@
 //!
 //! Saves are atomic: the file is written to a `.tmp` sibling and renamed
 //! over the destination, so a crash mid-write never leaves a torn file at
-//! the published path.
+//! the published path. Each save has its own sibling, named by process id
+//! and a per-process counter, so concurrent savers into one directory,
+//! threads or processes, never rename each other's file away.
 
 use crate::cache::{CachedLayer, CompiledLayerCache, LayerKey};
 use cbrain_compiler::{CompiledLayer, DataLayout, Scheme, TilePlan};
 use cbrain_sim::{BufferTraffic, MacroOp, RunProgram, Stats, Tile};
 use std::fmt;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// File magic: "C-Brain Layer Cache".
 pub const MAGIC: [u8; 4] = *b"CBLC";
@@ -667,9 +670,18 @@ pub fn save_with_max(
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent)?;
     }
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &bytes)?;
-    std::fs::rename(&tmp, path)?;
+    let tmp = temp_sibling(path);
+    let mut file = std::fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(&tmp)?;
+    let written = file.write_all(&bytes);
+    drop(file);
+    if let Err(e) = written.and_then(|()| std::fs::rename(&tmp, path)) {
+        // Best effort: the save already failed with `e`.
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e.into());
+    }
     let reg = cbrain_telemetry::Registry::global();
     reg.counter(
         "persist_saves_total",
@@ -682,6 +694,16 @@ pub fn save_with_max(
     )
     .add(bytes.len() as u64);
     Ok(entries)
+}
+
+/// A temp file beside `path` that no other save uses: `<name>.<pid>.<n>.tmp`,
+/// with `n` counting this process's saves.
+fn temp_sibling(path: &Path) -> PathBuf {
+    static SAVES: AtomicU64 = AtomicU64::new(0);
+    let n = SAVES.fetch_add(1, Ordering::Relaxed);
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(".{}.{n}.tmp", std::process::id()));
+    path.with_file_name(name)
 }
 
 /// Loads a cache file into `cache` (merging with whatever it holds).
@@ -970,6 +992,47 @@ mod tests {
         let restored = CompiledLayerCache::new();
         let outcome = load_into(&restored, &path).unwrap();
         assert_eq!(outcome, LoadOutcome::Loaded { entries: 4 });
+    }
+
+    #[test]
+    fn concurrent_savers_into_one_directory_all_succeed() {
+        let cache = warm_cache();
+        let dir = tmpdir("concurrent");
+        let path = dir.join(CACHE_FILE_NAME);
+        let (threads, rounds) = (4, 30);
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            let savers: Vec<_> = (0..threads)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (0..rounds)
+                            .map(|_| save_with_max(&cache, &path, None))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for saver in savers {
+                for result in saver.join().expect("saver thread panicked") {
+                    assert_eq!(result.expect("every save succeeds"), cache.len());
+                }
+            }
+        });
+        let restored = CompiledLayerCache::new();
+        let outcome = load_into(&restored, &path).unwrap();
+        assert_eq!(
+            outcome,
+            LoadOutcome::Loaded {
+                entries: cache.len()
+            }
+        );
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|name| name.to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

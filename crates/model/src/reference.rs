@@ -4,7 +4,48 @@
 
 use crate::error::ModelError;
 use crate::layer::{ConvParams, EltwiseOp, FcParams, PoolKind, PoolParams};
+use crate::shape::TensorShape;
 use crate::tensor::{ConvWeights, Tensor3};
+
+/// Checks a convolution's operands against `params` and returns its
+/// output shape. [`conv_forward`] and every scheme executor in
+/// `cbrain::functional` start with it, so operands that do not fit the
+/// layer are the same error whichever of them runs.
+///
+/// # Errors
+///
+/// Returns [`ModelError::InvalidLayer`] naming `layer` when `params` do
+/// not validate, [`ModelError::KernelExceedsInput`] when the kernel does
+/// not fit the padded input, and [`ModelError::ShapeMismatch`] when the
+/// input's maps, the weights' `out x in-per-group x k x k` layout or the
+/// bias length differ from what `params` need.
+pub fn check_conv_operands(
+    layer: &str,
+    input: &Tensor3,
+    weights: &ConvWeights,
+    bias: Option<&[f32]>,
+    params: &ConvParams,
+) -> Result<TensorShape, ModelError> {
+    params.validate(layer)?;
+    let out_shape = params.output_shape(input.shape())?;
+    let wanted = [params.out_maps, params.in_maps_per_group(), params.kernel];
+    if weights.dims() != wanted {
+        let layout = |[o, i, k]: [usize; 3]| format!("{o}x{i}x{k}x{k} values");
+        return Err(ModelError::ShapeMismatch {
+            context: "convolution weights".to_owned(),
+            expected: layout(wanted),
+            found: layout(weights.dims()),
+        });
+    }
+    if let Some(b) = bias.filter(|b| b.len() != params.out_maps) {
+        return Err(ModelError::ShapeMismatch {
+            context: "convolution bias".to_owned(),
+            expected: format!("{} values", params.out_maps),
+            found: format!("{} values", b.len()),
+        });
+    }
+    Ok(out_shape)
+}
 
 /// Direct convolution: for every output pixel, slide the `k x k x Din/groups`
 /// kernel across the zero-padded input and accumulate.
@@ -32,25 +73,7 @@ pub fn conv_forward(
     bias: Option<&[f32]>,
     params: &ConvParams,
 ) -> Result<Tensor3, ModelError> {
-    params.validate("<conv>")?;
-    let out_shape = params.output_shape(input.shape())?;
-    if weights.len() != params.weight_count() {
-        return Err(ModelError::ShapeMismatch {
-            context: "convolution weights".to_owned(),
-            expected: format!("{} values", params.weight_count()),
-            found: format!("{} values", weights.len()),
-        });
-    }
-    if let Some(b) = bias {
-        if b.len() != params.out_maps {
-            return Err(ModelError::ShapeMismatch {
-                context: "convolution bias".to_owned(),
-                expected: format!("{} values", params.out_maps),
-                found: format!("{} values", b.len()),
-            });
-        }
-    }
-
+    let out_shape = check_conv_operands("<conv>", input, weights, bias, params)?;
     let mut out = Tensor3::zeros(out_shape);
     let in_per_group = params.in_maps_per_group();
     let out_per_group = params.out_maps_per_group();
@@ -248,6 +271,8 @@ pub fn eltwise_forward(a: &Tensor3, b: &Tensor3, op: EltwiseOp) -> Result<Tensor
 /// `map-major, then window row, then window column, then kernel row-major`.
 ///
 /// The duplication factor of this transform is the paper's Equation 1.
+/// `cbrain::functional::unrolled_forward` writes the same runs tap-major
+/// straight from the input; this window-major form is its tests' oracle.
 ///
 /// # Errors
 ///

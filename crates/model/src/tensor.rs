@@ -305,6 +305,12 @@ impl ConvWeights {
     pub fn kernel(&self) -> usize {
         self.kernel
     }
+
+    /// `[out_maps, in_maps_per_group, kernel]`: the layout of the
+    /// convolution these weights were built for.
+    pub(crate) fn dims(&self) -> [usize; 3] {
+        [self.out_maps, self.in_maps_per_group, self.kernel]
+    }
 }
 
 #[cfg(test)]

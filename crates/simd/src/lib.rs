@@ -560,20 +560,36 @@ mod across {
     /// supported by the running CPU.
     #[inline(always)]
     pub unsafe fn dot_windows<V: Lanes>(dst: &mut [f32], taps: &[f32], weights: &[f32]) {
-        let n = dst.len();
+        match weights.len() {
+            1 => windows::<V, 1>(dst, taps, weights),
+            2 => windows::<V, 2>(dst, taps, weights),
+            3 => windows::<V, 3>(dst, taps, weights),
+            4 => windows::<V, 4>(dst, taps, weights),
+            5 => windows::<V, 5>(dst, taps, weights),
+            6 => windows::<V, 6>(dst, taps, weights),
+            7 => windows::<V, 7>(dst, taps, weights),
+            _ => windows::<V, 0>(dst, taps, weights),
+        }
+    }
+
+    /// [`dot_windows`] over runs of `K` taps, or of `weights.len()` taps
+    /// when `K == 0`. A run of `K < F32_LANES` taps is one zero-padded
+    /// block of [`crate::dot`]'s graph, so fixing `K` at compile time
+    /// leaves no lane test in the window loop and lets the weight
+    /// broadcasts leave it.
+    ///
+    /// # Safety
+    /// As for [`dot_windows`], with `weights.len() == K` when `K > 0`.
+    #[inline(always)]
+    unsafe fn windows<V: Lanes, const K: usize>(dst: &mut [f32], taps: &[f32], weights: &[f32]) {
+        let (n, d, t) = (dst.len(), dst.as_mut_ptr(), taps.as_ptr());
         let mut w = 0;
         while w + V::N <= n {
-            window_block::<V, false>(dst.as_mut_ptr().add(w), taps.as_ptr().add(w), n, weights, 0);
+            window_block::<V, K, false>(d.add(w), t.add(w), n, weights, 0);
             w += V::N;
         }
         if w < n {
-            window_block::<V, true>(
-                dst.as_mut_ptr().add(w),
-                taps.as_ptr().add(w),
-                n,
-                weights,
-                n - w,
-            );
+            window_block::<V, K, true>(d.add(w), t.add(w), n, weights, n - w);
         }
     }
 
@@ -584,14 +600,14 @@ mod across {
     /// `taps + t * stride` must hold a register (or `part` lanes) for
     /// every tap `t`, and `dst` one.
     #[inline(always)]
-    unsafe fn window_block<V: Lanes, const PART: bool>(
+    unsafe fn window_block<V: Lanes, const K: usize, const PART: bool>(
         dst: *mut f32,
         taps: *const f32,
         stride: usize,
         weights: &[f32],
         part: usize,
     ) {
-        let k = weights.len();
+        let k = if K > 0 { K } else { weights.len() };
         let full = k - k % F32_LANES;
         let tap = |t: usize| load::<V, PART>(taps.add(t * stride), part).mul(V::splat(weights[t]));
         let mut acc = [V::zero(); F32_LANES];

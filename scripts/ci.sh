@@ -64,6 +64,15 @@ else
 fi
 
 if [[ $quick -eq 0 ]]; then
+    echo "==> cargo test --release --test prop_simd (scalar vs SIMD bit for bit, release code generation)"
+    # The conformance matrix feeds integer-valued tensors, on which any
+    # summation order is exact. This suite feeds arbitrary floats and
+    # flips the backend itself, so one leg catches a reassociation that
+    # only release code generation makes.
+    cargo test --release --test prop_simd -q
+fi
+
+if [[ $quick -eq 0 ]]; then
     echo "==> perfbench contract tests (every sweep/serve op checked against perfbench/digests.txt)"
     # The benchmark's digests pin the simulated numbers of every design
     # point, so this gates every compiler or simulator change.

@@ -136,9 +136,12 @@ fn dot_f64_bitwise_across_remainder_widths() {
 // Output-parallel kernels: the window-lane dot and the tap pass.
 // ---------------------------------------------------------------------
 
-/// `k * k` for `k` in 1, 2, 3, 11: one partial block, a full block plus
-/// a tail, and fifteen full blocks plus a one-tap tail.
-const TAP_COUNTS: [usize; 4] = [1, 4, 9, 121];
+/// Every run of fewer than eight taps (one zero-padded block, each length
+/// its own block instantiation), one full block, a full block plus a
+/// tail, two full blocks, three plus a one-tap tail, and fifteen plus a
+/// one-tap tail. The squares among them are `k * k` for `k` in 1, 2, 3,
+/// 4, 5 and 11.
+const TAP_COUNTS: [usize; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 25, 121];
 
 #[test]
 fn dot_windows_bitwise_and_equal_to_one_dot_per_window() {
@@ -318,8 +321,9 @@ mod oracle {
 /// Geometries for the output-parallel executors: widths off the pixel
 /// blocks, `Dout` off the map block, grouped and depthwise layers,
 /// `k * k` in 1, 4, 9 and 121, window counts off the 8-window register,
-/// and padding that leaves whole rows, or a whole row span, in the
-/// border.
+/// padding that leaves whole rows, or a whole row span, in the border,
+/// and padded `k == s` layers on odd widths, whose border windows the
+/// unrolled executor fills with zeros.
 fn output_parallel_cases() -> Vec<(ConvParams, TensorShape)> {
     let mut cases = Vec::new();
     for (out_maps, width) in [(1, 7), (5, 15), (6, 16), (7, 17), (9, 31), (3, 33)] {
@@ -347,6 +351,8 @@ fn output_parallel_cases() -> Vec<(ConvParams, TensorShape)> {
         (ConvParams::new(2, 5, 7, 1, 3), TensorShape::new(2, 1, 1)),
         // pad > k: the corner outputs see no input at all.
         (ConvParams::new(2, 5, 2, 1, 3), TensorShape::new(2, 3, 4)),
+        (ConvParams::new(3, 5, 3, 3, 1), TensorShape::new(3, 10, 11)),
+        (ConvParams::new(2, 4, 2, 2, 1), TensorShape::new(2, 7, 9)),
     ]);
     cases
 }
