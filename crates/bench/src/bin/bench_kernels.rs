@@ -1,12 +1,15 @@
 //! Per-kernel SIMD microbenchmark: times every vectorized hot loop twice —
 //! once with SIMD dispatch forced on, once pinned to the scalar fallback —
-//! and reports the per-kernel wall-clock ratio plus a byte-identity check
-//! between the two legs (a digest over the output bit patterns).
+//! and reports the per-kernel wall-clock ratio, a byte-identity check
+//! between the two legs, and each kernel's output digest (FNV-1a over the
+//! output bit patterns, 16 hex digits). The binary exits 1 when the two
+//! legs differ; the digest column compares builds, since a change that
+//! moves both legs alike still changes it.
 //!
 //! On a single-CPU CI container the timings are noise-dominated; the
-//! byte-identity column is the load-bearing output there (see
-//! `EXPERIMENTS.md`). Run `scripts/bench_kernels.sh` on a quiet multi-core
-//! host for meaningful speedups.
+//! byte-identity and digest columns are the load-bearing output there
+//! (see `EXPERIMENTS.md`). Run `scripts/bench_kernels.sh` on a quiet
+//! multi-core host for meaningful speedups.
 //!
 //! ```text
 //! cargo run --release -p cbrain-bench --bin bench_kernels
@@ -18,26 +21,28 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use cbrain::config::FlagSpec;
-use cbrain::functional::{improved_inter_forward, unrolled_forward};
+use cbrain::functional::{improved_inter_forward, partition_forward, unrolled_forward};
 use cbrain::persist::fnv1a64;
 use cbrain_compiler::{compile_conv, Scheme};
 use cbrain_model::rng::XorShift64;
 use cbrain_model::{reference, simd, zoo, ConvParams, ConvWeights, FcParams, Tensor3, TensorShape};
 use cbrain_sim::{AcceleratorConfig, Machine};
 
-/// One benchmarked kernel: median seconds per leg plus the digest check.
+/// One benchmarked kernel: median seconds per leg, the SIMD leg's output
+/// digest, and whether the scalar leg's digest equals it.
 struct Row {
     name: &'static str,
     simd_s: f64,
     scalar_s: f64,
+    digest: u64,
     identical: bool,
 }
 
-/// FNV-1a over the values' bytes — enough to certify the two legs
-/// produced the same bits (elementwise bit-parity is proven by
-/// `tests/prop_simd.rs`; this is the honesty check that the bench ran what
-/// it claims). It runs inside the timed closures, so it reads the slice in
-/// place instead of copying it.
+/// FNV-1a over the values' bytes — enough to certify the two legs, or
+/// two builds on one host, produced the same bits (elementwise bit-parity
+/// is proven by `tests/prop_simd.rs`; this is the honesty check that the
+/// bench ran what it claims). It runs inside the timed closures, so it
+/// reads the slice in place instead of copying it.
 fn digest_f32(values: &[f32]) -> u64 {
     // SAFETY: the pointer and byte length come from a live `&[f32]`, so
     // they are non-null, aligned for `u8` and in bounds for the borrow's
@@ -74,6 +79,7 @@ fn run_pair(name: &'static str, samples: usize, f: &dyn Fn() -> u64) -> Row {
         name,
         simd_s,
         scalar_s,
+        digest: simd_digest,
         identical: simd_digest == scalar_digest,
     }
 }
@@ -113,10 +119,29 @@ fn rows(samples: usize) -> Vec<Row> {
         digest_f32(o.as_slice())
     }));
 
-    // The unit-stride tap pass (improved inter; the stride-1 kernel
+    // The unit-stride executor (improved inter; the stride-1 kernel
     // partition makes the same calls).
     out.push(run_pair("improved_inter_3x3_s1", samples, &|| {
         let o = improved_inter_forward(&in3, &w3, Some(&b3), &p3).unwrap();
+        digest_f32(o.as_slice())
+    }));
+
+    // The same executor on a shallow stem (the `infer` workload's: Din 3
+    // < Tin, so Algorithm 2 picks kernel partition) and on a depthwise
+    // layer, one input map per group.
+    let p5 = ConvParams::new(3, 16, 5, 1, 2);
+    let in5 = random_tensor(TensorShape::new(3, 64, 64), 9);
+    let w5 = ConvWeights::random(&p5, 10);
+    let b5: Vec<f32> = (0..p5.out_maps).map(|o| o as f32 * 0.01).collect();
+    out.push(run_pair("partition_5x5_s1_din3", samples, &|| {
+        let o = partition_forward(&in5, &w5, Some(&b5), &p5).unwrap();
+        digest_f32(o.as_slice())
+    }));
+    let pdw = ConvParams::depthwise(32, 3, 1, 1);
+    let indw = random_tensor(TensorShape::new(32, 32, 32), 11);
+    let wdw = ConvWeights::random(&pdw, 12);
+    out.push(run_pair("depthwise_3x3_s1", samples, &|| {
+        let o = partition_forward(&indw, &wdw, None, &pdw).unwrap();
         digest_f32(o.as_slice())
     }));
 
@@ -183,12 +208,13 @@ fn main() {
         for (i, r) in rows.iter().enumerate() {
             let comma = if i + 1 == rows.len() { "" } else { "," };
             println!(
-                "    \"{}\": {{\"simd_s\": {:.6}, \"scalar_s\": {:.6}, \"speedup\": {:.3}, \"byte_identical\": {}}}{comma}",
+                "    \"{}\": {{\"simd_s\": {:.6}, \"scalar_s\": {:.6}, \"speedup\": {:.3}, \"byte_identical\": {}, \"digest\": \"{:016x}\"}}{comma}",
                 r.name,
                 r.simd_s,
                 r.scalar_s,
                 r.scalar_s / r.simd_s,
-                r.identical
+                r.identical,
+                r.digest
             );
         }
         println!("  }}");
@@ -196,17 +222,18 @@ fn main() {
     } else {
         println!("SIMD kernel microbench — simd backend: {backend}, scalar leg pinned via the CBRAIN_FORCE_SCALAR override");
         println!(
-            "{:<26} {:>12} {:>14} {:>9}   byte-identical",
+            "{:<26} {:>12} {:>14} {:>9}   byte-identical   digest",
             "kernel", "simd median", "scalar median", "speedup"
         );
         for r in &rows {
             println!(
-                "{:<26} {:>10.3}ms {:>12.3}ms {:>8.2}x   {}",
+                "{:<26} {:>10.3}ms {:>12.3}ms {:>8.2}x   {:<14}   {:016x}",
                 r.name,
                 r.simd_s * 1e3,
                 r.scalar_s * 1e3,
                 r.scalar_s / r.simd_s,
-                if r.identical { "yes" } else { "NO" }
+                if r.identical { "yes" } else { "NO" },
+                r.digest
             );
         }
     }

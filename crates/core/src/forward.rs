@@ -34,6 +34,12 @@ pub enum ForwardError {
         /// Shape the layer expects.
         expected: TensorShape,
     },
+    /// The weights hold no values for a parameterized layer of the
+    /// network: they were generated for another network.
+    MissingWeights {
+        /// Name of the layer without weights.
+        layer: String,
+    },
     /// Wrapped model error.
     Model(ModelError),
 }
@@ -49,6 +55,9 @@ impl fmt::Display for ForwardError {
                 f,
                 "network is not sequential at `{layer}`: got {produced}, expected {expected}"
             ),
+            ForwardError::MissingWeights { layer } => {
+                write!(f, "the weights hold no values for layer `{layer}`")
+            }
             ForwardError::Model(e) => write!(f, "{e}"),
         }
     }
@@ -109,19 +118,27 @@ impl NetworkWeights {
         Self { convs, fcs }
     }
 
-    fn conv(&self, name: &str) -> &(String, ConvWeights, Vec<f32>) {
-        self.convs
-            .iter()
-            .find(|(n, _, _)| n == name)
-            .expect("weights generated for this network")
+    fn conv(&self, name: &str) -> Result<(&ConvWeights, &[f32]), ForwardError> {
+        find(&self.convs, name).map(|(w, b)| (w, b.as_slice()))
     }
 
-    fn fc(&self, name: &str) -> &(String, Vec<f32>, Vec<f32>) {
-        self.fcs
-            .iter()
-            .find(|(n, _, _)| n == name)
-            .expect("weights generated for this network")
+    fn fc(&self, name: &str) -> Result<(&[f32], &[f32]), ForwardError> {
+        find(&self.fcs, name).map(|(w, b)| (w.as_slice(), b.as_slice()))
     }
+}
+
+/// The weights and bias stored under layer `name`.
+fn find<'a, W>(
+    layers: &'a [(String, W, Vec<f32>)],
+    name: &str,
+) -> Result<(&'a W, &'a Vec<f32>), ForwardError> {
+    layers
+        .iter()
+        .find(|(n, _, _)| n == name)
+        .map(|(_, w, b)| (w, b))
+        .ok_or_else(|| ForwardError::MissingWeights {
+            layer: name.to_owned(),
+        })
 }
 
 fn scale_conv(w: ConvWeights, p: &cbrain_model::ConvParams, scale: f32) -> ConvWeights {
@@ -169,8 +186,9 @@ fn conv_with_scheme(
 ///
 /// # Errors
 ///
-/// Returns [`ForwardError::NotSequential`] for branchy networks and
-/// propagates model errors.
+/// Returns [`ForwardError::NotSequential`] for branchy networks,
+/// [`ForwardError::MissingWeights`] for weights generated for another
+/// network, and propagates model errors.
 ///
 /// # Examples
 ///
@@ -218,7 +236,7 @@ pub fn forward(
         match &layer.kind {
             LayerKind::Conv(p) => {
                 let scheme = scheme_for(policy, p, cfg);
-                let (_, w, b) = weights.conv(&layer.name);
+                let (w, b) = weights.conv(&layer.name)?;
                 let mut out = conv_with_scheme(&activations, w, b, p, scheme)?;
                 if !is_last {
                     out.relu_in_place();
@@ -247,7 +265,7 @@ pub fn forward(
                     Some(v) => v,
                     None => activations.as_slice().to_vec(),
                 };
-                let (_, w, b) = weights.fc(&layer.name);
+                let (w, b) = weights.fc(&layer.name)?;
                 let mut out = reference::fc_forward(&input_vec, w, Some(b), p)?;
                 if !is_last {
                     cbrain_model::simd::relu(&mut out);
@@ -428,6 +446,62 @@ mod tests {
         let b = forward(&net, &input, &weights, Policy::Fixed(Scheme::Inter), &cfg).unwrap();
         assert!(max_diff(&a.output, &b.output) < 1e-3);
         assert_eq!(a.output.len(), 10);
+    }
+
+    #[test]
+    fn weights_of_another_network_are_an_error_naming_the_layer() {
+        let net = tiny_net();
+        let input = Tensor3::random(net.input(), 3);
+        let cfg = AcceleratorConfig::paper_16_16();
+        let policy = Policy::Adaptive {
+            improved_inter: true,
+        };
+        // Conv weights under other names: the first conv has none.
+        let renamed = NetworkBuilder::new("other", TensorShape::new(3, 24, 24))
+            .conv("stem0", 8, 5, 2, 0)
+            .fully_connected("head", 10)
+            .build()
+            .unwrap();
+        let err = forward(
+            &net,
+            &input,
+            &NetworkWeights::random(&renamed, 1),
+            policy,
+            &cfg,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ForwardError::MissingWeights {
+                layer: "stem".into()
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "the weights hold no values for layer `stem`"
+        );
+        // Every conv present, but no FC weights: the head has none.
+        let headless = NetworkBuilder::new("headless", TensorShape::new(3, 24, 24))
+            .conv("stem", 8, 5, 2, 0)
+            .pool_max("pool", 2, 2)
+            .conv("mid", 16, 3, 1, 1)
+            .conv("deep", 20, 1, 1, 0)
+            .build()
+            .unwrap();
+        let err = forward(
+            &net,
+            &input,
+            &NetworkWeights::random(&headless, 1),
+            policy,
+            &cfg,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ForwardError::MissingWeights {
+                layer: "head".into()
+            }
+        );
     }
 
     #[test]

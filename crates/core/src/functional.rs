@@ -8,15 +8,20 @@
 //! adder-tree datapath the cycle model assumes.
 //!
 //! At unit stride, kernel partitioning degenerates to one pass per kernel
-//! tap, the same add-and-store order improved inter uses, so both run
-//! one shared tap pass ([`simd::tap_pass`]). The unrolled executor copies
-//! each input map's windows tap-major into a scratch, straight from the
-//! map (Eq. 1's unrolling, with no window-major im2col copy between), and
-//! runs their dots a register of windows at a time
-//! ([`simd::dot_windows`], whose runs of fewer than eight taps, such as
-//! a 2x2 kernel's, take a block built for their length). Both kernels
-//! vectorize across independent outputs, so every output keeps the exact
-//! sequence of adds the per-pixel loops below spell out.
+//! tap, the same add-and-store order improved inter uses, so both run one
+//! shared executor ([`simd::conv_rows`]). It keeps each output's order of
+//! adds, not the hardware's loop order: a register block of output maps x
+//! pixels takes every tap in row-major order before it moves on, so the
+//! block stays in L1 instead of the whole output streaming through the
+//! cache once per tap. A tap over the padding adds an exact `+0.0`
+//! partial, whatever its weights. The unrolled executor copies each input
+//! map's windows tap-major into a scratch, straight from the map (Eq. 1's
+//! unrolling, with no window-major im2col copy between), and runs their
+//! dots a register of windows at a time ([`simd::dot_windows`], whose runs
+//! of fewer than eight taps, such as a 2x2 kernel's, take a block built
+//! for their length). Both kernels vectorize across independent outputs,
+//! so every output keeps the exact sequence of adds the per-pixel loops
+//! below spell out.
 //!
 //! Every executor checks its operands with
 //! [`reference::check_conv_operands`], as the reference does.
@@ -56,67 +61,68 @@ fn bias_seeded(out_shape: TensorShape, bias: Option<&[f32]>) -> Tensor3 {
     out
 }
 
-/// Adds a zero partial: not a no-op, since `-0.0 + 0.0` is `+0.0`.
-fn add_zero(row: &mut [f32]) {
-    for v in row {
-        *v += 0.0;
-    }
-}
+/// Scratch budget of [`unit_stride`] in floats (16 KB): a band holds as
+/// many output rows as fit, and at least one.
+const BAND_FLOATS: usize = 4096;
 
 /// The unit-stride executor that [`partition_forward`] (whose `ks == 1`
-/// sub-kernels are single taps) and [`improved_inter_forward`] share:
-/// one pass per kernel tap `(ky, kx)` in row-major order, in which every
-/// output pixel takes one add-and-store of its partial, summed from zero
-/// over the group's input maps in order (a zero partial where the tap
-/// falls in the padding). [`simd::tap_pass`] holds a block of output maps
-/// x pixels of partials in registers across the whole input-map loop.
-fn tap_passes(input: &Tensor3, weights: &ConvWeights, params: &ConvParams, out: &mut Tensor3) {
+/// sub-kernels are single taps) and [`improved_inter_forward`] share.
+/// Every output pixel takes one add-and-store per kernel tap `(ky, kx)`,
+/// in row-major order, of its partial summed from `+0.0` over the group's
+/// input maps in order; a tap over the padding adds an exact `+0.0`,
+/// whatever its weights. [`simd::conv_rows`] runs every tap of a block of
+/// output maps x pixels before it moves on. It reads the weights in place
+/// and, per band of output rows and group, the input rows the band reads
+/// from a reused scratch whose columns outside the input stay zero. A
+/// band holds as many output rows as fit in [`BAND_FLOATS`], and at least
+/// one: 16 rows of a 3-deep 5x5 stem on 64-pixel rows, one row of a
+/// 32-deep 3x3 layer on 32-pixel rows (13 KB), a depthwise group's whole
+/// map.
+fn unit_stride(input: &Tensor3, weights: &ConvWeights, params: &ConvParams, out: &mut Tensor3) {
     let (in_shape, out_shape) = (input.shape(), out.shape());
-    let (in_per_group, out_per_group) = (params.in_maps_per_group(), params.out_maps_per_group());
-    let (in_plane, out_w) = (in_shape.height * in_shape.width, out_shape.width);
-    let mut tap_weights = vec![0.0f32; params.out_maps * in_per_group];
-    for ky in 0..params.kernel {
-        // The output rows whose input row `oy - pad + ky` is in the map.
-        let (rows_lo, rows_hi, y0) = row_span(ky, params.pad, 1, in_shape.height, out_shape.height);
-        for kx in 0..params.kernel {
-            let (lo, hi, x0) = row_span(kx, params.pad, 1, in_shape.width, out_w);
-            let reached = lo < hi && rows_lo < rows_hi;
-            let out_data = out.as_mut_slice();
-            for (r, row) in out_data.chunks_exact_mut(out_w).enumerate() {
-                if reached && (rows_lo..rows_hi).contains(&(r % out_shape.height)) {
-                    add_zero(&mut row[..lo]);
-                    add_zero(&mut row[hi..]);
-                } else {
-                    add_zero(row);
+    let (din, dout) = (params.in_maps_per_group(), params.out_maps_per_group());
+    let (k, pad) = (params.kernel, params.pad);
+    let (out_h, out_w) = (out_shape.height, out_shape.width);
+    // Scratch column `c` of a row holds input column `c - pad`.
+    let cols = out_w + k - 1;
+    let band = (BAND_FLOATS / (din * cols))
+        .saturating_sub(k - 1)
+        .min(out_h)
+        .max(1);
+    let xs_map = (band + k - 1) * cols;
+    let mut scratch = vec![0.0f32; din * xs_map];
+    let group_weights = dout * din * k * k;
+    for oy in (0..out_h).step_by(band) {
+        let rows = band.min(out_h - oy);
+        // Scratch row `j` holds input row `oy + j - pad`.
+        let in_rows =
+            pad.saturating_sub(oy)..(in_shape.height + pad).saturating_sub(oy).min(rows + k - 1);
+        for group in 0..params.groups {
+            for (i, map) in scratch.chunks_exact_mut(xs_map).enumerate() {
+                for j in in_rows.clone() {
+                    map[j * cols + pad..][..in_shape.width]
+                        .copy_from_slice(input.row(group * din + i, oy + j - pad));
                 }
             }
-            if !reached {
-                continue;
-            }
-            for (o, w) in tap_weights.chunks_exact_mut(in_per_group).enumerate() {
-                for (i, w) in w.iter_mut().enumerate() {
-                    *w = weights.at(o, i, ky, kx);
-                }
-            }
-            let geometry = simd::TapGeometry {
-                maps: out_per_group,
-                din: in_per_group,
-                rows: rows_hi - rows_lo,
-                len: hi - lo,
-                dst_map: out_shape.height * out_w,
-                dst_row: out_w,
-                xs_map: in_plane,
-                xs_row: in_shape.width,
-            };
-            for group in 0..params.groups {
-                let o = group * out_per_group;
-                simd::tap_pass(
-                    &mut out_data[(o * out_shape.height + rows_lo) * out_w + lo..],
-                    &tap_weights[o * in_per_group..][..out_per_group * in_per_group],
-                    &input.as_slice()[group * in_per_group * in_plane + y0 * in_shape.width + x0..],
-                    &geometry,
-                );
-            }
+            let o = group * dout;
+            simd::conv_rows(
+                &mut out.as_mut_slice()[(o * out_h + oy) * out_w..],
+                &weights.as_slice()[o * din * k * k..][..group_weights],
+                &scratch,
+                &simd::RowBand {
+                    maps: dout,
+                    din,
+                    k,
+                    rows,
+                    len: out_w,
+                    dst_map: out_h * out_w,
+                    dst_row: out_w,
+                    xs_map,
+                    xs_row: cols,
+                    in_rows: in_rows.clone(),
+                    in_cols: pad..pad + in_shape.width,
+                },
+            );
         }
     }
 }
@@ -125,6 +131,12 @@ fn tap_passes(input: &Tensor3, weights: &ConvWeights, params: &ConvParams, out: 
 /// split into `g x g` sub-kernels of side `ks = s`; each pass produces a
 /// partial output map (`r_{i/G}` in Fig. 5d) which is accumulated into the
 /// final result.
+///
+/// At unit stride the passes are the kernel taps, run by the executor
+/// [`improved_inter_forward`] shares: every output takes its tap partials
+/// in row-major order, and a tap over the padding adds an exact `+0.0`,
+/// whatever its weights: no product of a padded zero reaches an output.
+/// The strided passes multiply the padding's zeros like any input.
 ///
 /// # Errors
 ///
@@ -158,7 +170,7 @@ pub fn partition_forward(
         // Unit stride means ks == 1: every pass slides a single weight,
         // so the passes are exactly the kernel taps (Algorithm 1 line 8
         // is each pass's one add-and-store per pixel).
-        tap_passes(input, weights, params, &mut out);
+        unit_stride(input, weights, params, &mut out);
         return Ok(out);
     }
 
@@ -363,8 +375,11 @@ pub fn inter_forward(
 /// Improved inter-kernel convolution (Sec. 4.2.2): the kernel-position loop
 /// is outermost, so each output element is built from `k*k` partial sums
 /// accumulated in the output buffer ("add-and-store") instead of in the PE
-/// register. At unit stride that is the tap pass [`partition_forward`]
-/// shares.
+/// register. At unit stride that is the executor [`partition_forward`]
+/// shares, which adds the partials of a block of outputs tap by tap
+/// before the next block, and adds an exact `+0.0` for a tap over the
+/// padding, whatever its weights. The strided path multiplies the
+/// padding's zeros like any input.
 ///
 /// # Errors
 ///
@@ -384,7 +399,7 @@ pub fn improved_inter_forward(
     // The "output buffer" of partial sums.
     let mut out = bias_seeded(out_shape, bias);
     if params.stride == 1 {
-        tap_passes(input, weights, params, &mut out);
+        unit_stride(input, weights, params, &mut out);
         return Ok(out);
     }
 

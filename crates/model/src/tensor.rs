@@ -291,6 +291,12 @@ impl ConvWeights {
         &self.data[off..off + self.kernel * self.kernel]
     }
 
+    /// Every weight, laid out `[out_map][in_map][ky][kx]` row-major: the
+    /// order [`ConvWeights::at`] indexes.
+    pub fn as_slice(&self) -> &[f32] {
+        &self.data
+    }
+
     /// Total number of weight values.
     pub fn len(&self) -> usize {
         self.data.len()

@@ -30,10 +30,13 @@
 //!   fallback maintains the same lane array and folds it in the same
 //!   order, and narrower vector units (SSE2/NEON) run two registers side
 //!   by side to preserve the 8-wide (f32) / 4-wide (f64) lane layout;
-//! * output-parallel kernels ([`dot_windows`], [`tap_pass`]) evaluate each
-//!   output's own graph ([`dot`]'s lanes per window; one in-order sum per
-//!   pixel) with the vector lanes across independent outputs, so lane
-//!   width cannot reorder anything either.
+//! * output-parallel kernels ([`dot_windows`], [`conv_rows`]) evaluate
+//!   each output's own graph ([`dot`]'s lanes per window; per pixel, one
+//!   in-order sum over the input maps for each kernel tap, added in tap
+//!   order) with the vector lanes across independent outputs, so lane
+//!   width cannot reorder anything either. [`conv_rows`] masks the lanes
+//!   of a tap over the padding to an exact `+0.0` partial, so no product
+//!   of a padded input reaches an output, whatever the weights.
 //!
 //! IEEE-754 multiplies and adds are exact per lane (no FMA contraction is
 //! used anywhere), so every backend returns bit-identical results on
@@ -57,6 +60,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -291,17 +295,22 @@ pub fn dot_windows(dst: &mut [f32], taps: &[f32], weights: &[f32]) {
     }
 }
 
-/// Shape and element strides of one [`tap_pass`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TapGeometry {
-    /// Output maps in the pass; the weights hold `maps * din` values,
-    /// map-major.
+/// Shape and element strides of one [`conv_rows`] call: `rows` output
+/// rows of `maps` output maps of a unit-stride `k x k` convolution, read
+/// from a scratch of `rows + k - 1` rows of `len + k - 1` columns per
+/// input map.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowBand {
+    /// Output maps in the call; the weights hold `maps * din * k * k`
+    /// values, laid out `[map][input map][ky][kx]`.
     pub maps: usize,
     /// Input maps each partial sums over (at least one).
     pub din: usize,
-    /// Output rows in the pass.
+    /// Kernel side (at least one).
+    pub k: usize,
+    /// Output rows in the call.
     pub rows: usize,
-    /// Pixels per row.
+    /// Pixels per output row.
     pub len: usize,
     /// Stride of `dst` between output maps.
     pub dst_map: usize,
@@ -311,72 +320,89 @@ pub struct TapGeometry {
     pub xs_map: usize,
     /// Stride of `xs` between rows.
     pub xs_row: usize,
+    /// The scratch rows that hold input: tap row `ky` of output row `r`
+    /// reads scratch row `r + ky`.
+    pub in_rows: Range<usize>,
+    /// The scratch columns that hold input: tap column `kx` of pixel `x`
+    /// reads scratch column `x + kx`.
+    pub in_cols: Range<usize>,
 }
 
-impl TapGeometry {
-    /// One past the last element a pass touches in an array with these
-    /// strides (`count` maps), or `None` on overflow.
-    fn extent(&self, count: usize, map_stride: usize, row_stride: usize) -> Option<usize> {
-        (count - 1)
-            .checked_mul(map_stride)?
-            .checked_add((self.rows - 1).checked_mul(row_stride)?)?
-            .checked_add(self.len)
-    }
+/// One past the last element of `count` maps of `rows` rows of `len`
+/// values at these strides, or `None` on overflow.
+fn extent(count: usize, map: usize, rows: usize, row: usize, len: usize) -> Option<usize> {
+    (count - 1)
+        .checked_mul(map)?
+        .checked_add((rows - 1).checked_mul(row)?)?
+        .checked_add(len)
 }
 
-/// One kernel tap of a unit-stride convolution over a block of output
-/// maps, rows and pixels: for every map `m`, row `r` and pixel `x`
+/// A band of output rows of a unit-stride convolution, every kernel tap
+/// at once: for every map `m`, row `r` and pixel `x`
 ///
 /// ```text
-/// p = +0.0
-/// for i in 0..din { p += w[m*din + i] * xs[i*xs_map + r*xs_row + x] }
-/// dst[m*dst_map + r*dst_row + x] += p
+/// acc = dst[m*dst_map + r*dst_row + x]
+/// for ky in 0..k, kx in 0..k:
+///     p = +0.0
+///     if in_rows.contains(r + ky) and in_cols.contains(x + kx):
+///         for i in 0..din:
+///             p += w[((m*din + i)*k + ky)*k + kx] * xs[i*xs_map + (r + ky)*xs_row + x + kx]
+///     acc += p
+/// dst[m*dst_map + r*dst_row + x] = acc
 /// ```
 ///
-/// The partial `p` stays in a register across the whole `din` loop and
-/// is added into `dst` once. Lanes are independent output pixels, so
-/// every backend is bit-identical to the scalar loop. Outputs are
-/// expected not to overlap.
+/// That is Algorithm 1's add-and-store of one partial per tap, in tap
+/// order, with each partial summed from `+0.0` over the input maps in
+/// order. A tap over the padding adds an exact `+0.0` whatever its
+/// weights: the vector backends mask those lanes after the input-map
+/// loop, so what `xs` holds outside `in_rows` x `in_cols` never reaches
+/// an output. A block of output maps x pixels runs every tap before it
+/// moves on, so the output block stays in L1 across the taps. Lanes are
+/// independent output pixels, so every backend is bit-identical to the
+/// scalar loop. Outputs are expected not to overlap.
 ///
 /// # Panics
 ///
-/// Panics if `din` is zero, `w.len() != maps * din`, or a stride reaches
-/// past the end of `dst` or `xs`.
-pub fn tap_pass(dst: &mut [f32], w: &[f32], xs: &[f32], g: &TapGeometry) {
-    assert!(g.din > 0, "tap_pass needs at least one input map");
+/// Panics if `din` or `k` is zero, `w.len() != maps * din * k * k`, or
+/// a stride reaches past the end of `dst` or of the
+/// `(rows + k - 1) x (len + k - 1)` scratch in `xs`.
+pub fn conv_rows(dst: &mut [f32], w: &[f32], xs: &[f32], b: &RowBand) {
+    assert!(b.din > 0, "conv_rows needs at least one input map");
+    assert!(b.k > 0, "conv_rows needs a kernel");
     assert_eq!(
         Some(w.len()),
-        g.maps.checked_mul(g.din),
-        "tap_pass weight count mismatch"
+        b.maps
+            .checked_mul(b.din)
+            .and_then(|n| n.checked_mul(b.k.checked_mul(b.k)?)),
+        "conv_rows weight count mismatch"
     );
-    if g.maps == 0 || g.rows == 0 || g.len == 0 {
+    if b.maps == 0 || b.rows == 0 || b.len == 0 {
         return;
     }
-    let fits = |len: usize, count, map_stride, row_stride| {
-        g.extent(count, map_stride, row_stride)
-            .is_some_and(|end| end <= len)
-    };
+    let xs_end = (b.rows.checked_add(b.k - 1))
+        .zip(b.len.checked_add(b.k - 1))
+        .and_then(|(rows, cols)| extent(b.din, b.xs_map, rows, b.xs_row, cols));
     assert!(
-        fits(dst.len(), g.maps, g.dst_map, g.dst_row),
-        "tap_pass dst too short"
+        extent(b.maps, b.dst_map, b.rows, b.dst_row, b.len).is_some_and(|end| end <= dst.len()),
+        "conv_rows dst too short"
     );
     assert!(
-        fits(xs.len(), g.din, g.xs_map, g.xs_row),
-        "tap_pass xs too short"
+        xs_end.is_some_and(|end| end <= xs.len()),
+        "conv_rows xs too short"
     );
     // SAFETY: the extents checked above bound every index the kernels
     // touch, and each backend arm runs only where `Backend::active` found
     // its instruction set.
     match Backend::active() {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::tap_pass_avx2(dst, w, xs, g) },
+        Backend::Avx2 => unsafe { x86::conv_rows_avx2(dst, w, xs, b) },
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { across::tap_pass::<std::arch::x86_64::__m128>(dst, w, xs, g) },
+        Backend::Sse2 => unsafe { across::conv_rows::<std::arch::x86_64::__m128>(dst, w, xs, b) },
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => unsafe {
-            across::tap_pass::<std::arch::aarch64::float32x4_t>(dst, w, xs, g)
+            across::conv_rows::<std::arch::aarch64::float32x4_t>(dst, w, xs, b)
         },
-        _ => scalar::tap_pass(dst, w, xs, g),
+        _ => scalar::conv_rows(dst, w, xs, b),
     }
 }
 
@@ -384,7 +410,7 @@ pub fn tap_pass(dst: &mut [f32], w: &[f32], xs: &[f32], g: &TapGeometry) {
 /// bit-for-bit. Public (under this module) so benches and tests can time
 /// and compare the fallback explicitly without toggling global state.
 pub mod scalar {
-    use super::{TapGeometry, F32_LANES, F64_LANES};
+    use super::{RowBand, F32_LANES, F64_LANES};
 
     /// Scalar [`crate::axpy`].
     pub fn axpy(dst: &mut [f32], a: f32, xs: &[f32]) {
@@ -449,16 +475,29 @@ pub mod scalar {
         }
     }
 
-    /// Scalar [`crate::tap_pass`].
-    pub fn tap_pass(dst: &mut [f32], w: &[f32], xs: &[f32], g: &TapGeometry) {
-        for r in 0..g.rows {
-            for (m, wm) in w.chunks_exact(g.din).enumerate() {
-                for x in 0..g.len {
-                    let mut p = 0.0f32;
-                    for (i, wi) in wm.iter().enumerate() {
-                        p += wi * xs[i * g.xs_map + r * g.xs_row + x];
+    /// Scalar [`crate::conv_rows`], one tap at a time: per output map,
+    /// row and tap, a partial row summed from `+0.0` over the input maps
+    /// (one [`axpy`] each, over the pixels whose tap reads input) and one
+    /// [`add`] into the output row. Every pixel sees the per-pixel
+    /// sequence of adds the public docs spell out.
+    pub fn conv_rows(dst: &mut [f32], w: &[f32], xs: &[f32], b: &RowBand) {
+        let taps = b.k * b.k;
+        let mut partial = vec![0.0f32; b.len];
+        for (m, wm) in w.chunks_exact(b.din * taps).enumerate() {
+            for r in 0..b.rows {
+                let out = &mut dst[m * b.dst_map + r * b.dst_row..][..b.len];
+                for t in 0..taps {
+                    let (ky, kx) = (t / b.k, t % b.k);
+                    partial.fill(0.0);
+                    if b.in_rows.contains(&(r + ky)) {
+                        let lo = b.in_cols.start.saturating_sub(kx).min(b.len);
+                        let hi = b.in_cols.end.saturating_sub(kx).clamp(lo, b.len);
+                        for (i, wi) in wm[t..].iter().step_by(taps).enumerate() {
+                            let row = &xs[i * b.xs_map + (r + ky) * b.xs_row + kx..];
+                            axpy(&mut partial[lo..hi], *wi, &row[lo..hi]);
+                        }
                     }
-                    dst[m * g.dst_map + r * g.dst_row + x] += p;
+                    add(out, &partial);
                 }
             }
         }
@@ -493,7 +532,8 @@ pub mod scalar {
 /// so every register width evaluates the same per-output graph.
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 mod across {
-    use super::{TapGeometry, F32_LANES};
+    use super::{RowBand, F32_LANES};
+    use std::ops::Range;
 
     /// One backend register of `N` f32 lanes.
     ///
@@ -525,6 +565,19 @@ mod across {
             let mut buf = [0.0f32; 8];
             self.store(buf.as_mut_ptr());
             std::ptr::copy_nonoverlapping(buf.as_ptr(), p, n);
+        }
+
+        /// Lanes `lo..hi` (`lo, hi <= N`), with `+0.0` in the others.
+        #[inline(always)]
+        unsafe fn keep(self, lo: usize, hi: usize) -> Self {
+            let mut buf = [0.0f32; 8];
+            self.store(buf.as_mut_ptr());
+            for (j, v) in buf.iter_mut().enumerate() {
+                if j < lo || j >= hi {
+                    *v = 0.0;
+                }
+            }
+            Self::load(buf.as_ptr())
         }
     }
 
@@ -636,57 +689,69 @@ mod across {
         add_store::<V, PART>(dst, s[0].add(s[2]).add(s[1].add(s[3])), part);
     }
 
-    /// Output maps per register block of [`tap_pass`].
+    /// Output maps per register block of [`conv_rows`].
     const MAP_BLOCK: usize = 4;
 
     /// # Safety
-    /// The geometry must fit `dst` and `xs` and `w.len() == maps * din`
-    /// (checked by [`crate::tap_pass`]), and `V` must be supported by the
-    /// running CPU.
+    /// The band must fit `dst` and `xs` and `w` must hold its weights
+    /// (checked by [`crate::conv_rows`]), and `V` must be supported by
+    /// the running CPU.
     #[inline(always)]
-    pub unsafe fn tap_pass<V: Lanes>(dst: &mut [f32], w: &[f32], xs: &[f32], g: &TapGeometry) {
-        for r in 0..g.rows {
-            let d = dst.as_mut_ptr().add(r * g.dst_row);
-            let x = xs.as_ptr().add(r * g.xs_row);
+    pub unsafe fn conv_rows<V: Lanes>(dst: &mut [f32], w: &[f32], xs: &[f32], b: &RowBand) {
+        let per_map = b.din * b.k * b.k;
+        for r in 0..b.rows {
+            let d = dst.as_mut_ptr().add(r * b.dst_row);
             let mut m = 0;
-            while m + MAP_BLOCK <= g.maps {
-                map_row::<V, MAP_BLOCK>(d.add(m * g.dst_map), w.as_ptr().add(m * g.din), x, g);
+            while m + MAP_BLOCK <= b.maps {
+                let (dm, wm) = (d.add(m * b.dst_map), w.as_ptr().add(m * per_map));
+                map_row::<V, MAP_BLOCK>(dm, wm, xs.as_ptr(), r, b);
                 m += MAP_BLOCK;
             }
-            for m in m..g.maps {
-                map_row::<V, 1>(d.add(m * g.dst_map), w.as_ptr().add(m * g.din), x, g);
+            for m in m..b.maps {
+                let (dm, wm) = (d.add(m * b.dst_map), w.as_ptr().add(m * per_map));
+                map_row::<V, 1>(dm, wm, xs.as_ptr(), r, b);
             }
         }
     }
 
-    /// One row of `MB` output maps, in pixel blocks of two registers,
-    /// then one, then a partial one.
+    /// Row `r` of `MB` output maps, in pixel blocks of two registers
+    /// (four for a single map, such as a depthwise group's, whose
+    /// partials leave the registers for them), then one, then a partial
+    /// one.
     ///
     /// # Safety
-    /// As for [`tap_pass`], for maps `m..m + MB` of row `r`.
+    /// As for [`conv_rows`], for maps `m..m + MB` of row `r`.
     #[inline(always)]
     unsafe fn map_row<V: Lanes, const MB: usize>(
         d: *mut f32,
         w: *const f32,
-        x: *const f32,
-        g: &TapGeometry,
+        xs: *const f32,
+        r: usize,
+        b: &RowBand,
     ) {
         let mut p = 0;
-        while p + 2 * V::N <= g.len {
-            pixel_block::<V, MB, 2, false>(d.add(p), w, x.add(p), g, 0);
+        while MB == 1 && p + 4 * V::N <= b.len {
+            pixel_block::<V, MB, 4, false>(d, w, xs, r, p, b, 0);
+            p += 4 * V::N;
+        }
+        while p + 2 * V::N <= b.len {
+            pixel_block::<V, MB, 2, false>(d, w, xs, r, p, b, 0);
             p += 2 * V::N;
         }
-        if p + V::N <= g.len {
-            pixel_block::<V, MB, 1, false>(d.add(p), w, x.add(p), g, 0);
+        if p + V::N <= b.len {
+            pixel_block::<V, MB, 1, false>(d, w, xs, r, p, b, 0);
             p += V::N;
         }
-        if p < g.len {
-            pixel_block::<V, MB, 1, true>(d.add(p), w, x.add(p), g, g.len - p);
+        if p < b.len {
+            pixel_block::<V, MB, 1, true>(d, w, xs, r, p, b, b.len - p);
         }
     }
 
-    /// `MB` maps × `PV` registers of pixels, their partials held in
-    /// registers across the whole `din` loop.
+    /// `MB` maps x `PV` registers of pixels from pixel `p0` of row `r`,
+    /// every tap in turn: the tap's partials stay in registers across the
+    /// whole `din` loop, lanes over the padding are masked to `+0.0`, and
+    /// the block is added into `dst`, where it stays in L1 until the next
+    /// tap.
     ///
     /// # Safety
     /// As for [`map_row`], for the block's pixels.
@@ -694,24 +759,53 @@ mod across {
     unsafe fn pixel_block<V: Lanes, const MB: usize, const PV: usize, const PART: bool>(
         d: *mut f32,
         w: *const f32,
-        x: *const f32,
-        g: &TapGeometry,
+        xs: *const f32,
+        r: usize,
+        p0: usize,
+        b: &RowBand,
         part: usize,
     ) {
-        let mut acc = [[V::zero(); PV]; MB];
-        for i in 0..g.din {
-            let xi = x.add(i * g.xs_map);
-            let xv: [V; PV] = std::array::from_fn(|v| load::<V, PART>(xi.add(v * V::N), part));
-            for (m, row) in acc.iter_mut().enumerate() {
-                let wv = V::splat(*w.add(m * g.din + i));
-                for (a, xv) in row.iter_mut().zip(&xv) {
-                    *a = a.add(wv.mul(*xv));
+        let (k, taps) = (b.k, b.k * b.k);
+        // Through the taps `kx` in `whole[v]`, every lane of register `v`
+        // reads an input column; the other taps mask their padded lanes.
+        let whole: [Range<usize>; PV] = std::array::from_fn(|v| {
+            let col = p0 + v * V::N;
+            b.in_cols.start.saturating_sub(col)..b.in_cols.end.saturating_sub(col + V::N - 1)
+        });
+        for ky in 0..k {
+            let present = b.in_rows.contains(&(r + ky));
+            let row = xs.add((r + ky) * b.xs_row + p0);
+            for kx in 0..k {
+                let mut acc = [[V::zero(); PV]; MB];
+                if present {
+                    let wt = w.add(ky * k + kx);
+                    for i in 0..b.din {
+                        let xi = row.add(i * b.xs_map + kx);
+                        let xv: [V; PV] =
+                            std::array::from_fn(|v| load::<V, PART>(xi.add(v * V::N), part));
+                        for (m, maps) in acc.iter_mut().enumerate() {
+                            let wv = V::splat(*wt.add((m * b.din + i) * taps));
+                            for (a, xv) in maps.iter_mut().zip(&xv) {
+                                *a = a.add(wv.mul(*xv));
+                            }
+                        }
+                    }
+                    for (v, whole) in whole.iter().enumerate() {
+                        if !whole.contains(&kx) {
+                            let col = p0 + v * V::N + kx;
+                            let lo = b.in_cols.start.saturating_sub(col).min(V::N);
+                            let hi = b.in_cols.end.saturating_sub(col).min(V::N);
+                            for maps in acc.iter_mut() {
+                                maps[v] = maps[v].keep(lo, hi);
+                            }
+                        }
+                    }
                 }
-            }
-        }
-        for (m, row) in acc.iter().enumerate() {
-            for (v, a) in row.iter().enumerate() {
-                add_store::<V, PART>(d.add(m * g.dst_map + v * V::N), *a, part);
+                for (m, maps) in acc.iter().enumerate() {
+                    for (v, a) in maps.iter().enumerate() {
+                        add_store::<V, PART>(d.add(m * b.dst_map + p0 + v * V::N), *a, part);
+                    }
+                }
             }
         }
     }
@@ -724,7 +818,7 @@ mod x86 {
     //! after `is_x86_feature_detected!("avx2")` succeeded.
 
     use super::across::{self, Lanes};
-    use super::{scalar, TapGeometry};
+    use super::{scalar, RowBand};
     use std::arch::x86_64::*;
 
     impl Lanes for __m128 {
@@ -785,21 +879,25 @@ mod x86 {
         }
         #[inline(always)]
         unsafe fn load_part(p: *const f32, n: usize) -> Self {
-            _mm256_maskload_ps(p, part_mask(n))
+            _mm256_maskload_ps(p, lane_mask(0, n))
         }
         #[inline(always)]
         unsafe fn store_part(self, p: *mut f32, n: usize) {
-            _mm256_maskstore_ps(p, part_mask(n), self)
+            _mm256_maskstore_ps(p, lane_mask(0, n), self)
+        }
+        #[inline(always)]
+        unsafe fn keep(self, lo: usize, hi: usize) -> Self {
+            _mm256_and_ps(self, _mm256_castsi256_ps(lane_mask(lo, hi)))
         }
     }
 
-    /// All-ones in the first `n` 32-bit lanes.
+    /// All-ones in 32-bit lanes `lo..hi` (`lo, hi <= 8`), zeros in the
+    /// others.
     #[inline(always)]
-    unsafe fn part_mask(n: usize) -> __m256i {
-        _mm256_cmpgt_epi32(
-            _mm256_set1_epi32(n as i32),
-            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-        )
+    unsafe fn lane_mask(lo: usize, hi: usize) -> __m256i {
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let below = |n: usize| _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), lane);
+        _mm256_andnot_si256(below(lo), below(hi))
     }
 
     /// # Safety
@@ -811,11 +909,11 @@ mod x86 {
     }
 
     /// # Safety
-    /// Caller must have verified AVX2 support and the geometry bounds
-    /// [`crate::tap_pass`] checks.
+    /// Caller must have verified AVX2 support and the band bounds
+    /// [`crate::conv_rows`] checks.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn tap_pass_avx2(dst: &mut [f32], w: &[f32], xs: &[f32], g: &TapGeometry) {
-        across::tap_pass::<__m256>(dst, w, xs, g)
+    pub unsafe fn conv_rows_avx2(dst: &mut [f32], w: &[f32], xs: &[f32], b: &RowBand) {
+        across::conv_rows::<__m256>(dst, w, xs, b)
     }
 
     /// # Safety
@@ -1325,6 +1423,50 @@ mod tests {
     #[should_panic(expected = "dot length mismatch")]
     fn dot_rejects_mismatched_lengths() {
         let _ = dot(&[1.0], &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn conv_rows_rejects_a_band_past_its_buffers() {
+        // Two rows of three pixels through a 3x3 kernel read a scratch
+        // of four rows of five columns.
+        let band = RowBand {
+            maps: 2,
+            din: 1,
+            k: 3,
+            rows: 2,
+            len: 3,
+            dst_map: 6,
+            dst_row: 3,
+            xs_map: 20,
+            xs_row: 5,
+            in_rows: 1..3,
+            in_cols: 1..4,
+        };
+        // The panic message of one call, or `None` if it returned.
+        let run = |dst: usize, w: usize, xs: usize, b: &RowBand| {
+            let b = b.clone();
+            let panic = std::panic::catch_unwind(move || {
+                conv_rows(&mut vec![0.0; dst], &vec![1.0; w], &vec![1.0; xs], &b)
+            })
+            .err()?;
+            Some(match panic.downcast::<String>() {
+                Ok(message) => *message,
+                Err(panic) => panic
+                    .downcast::<&str>()
+                    .map_or(String::new(), |m| m.to_string()),
+            })
+        };
+        assert_eq!(run(12, 18, 20, &band), None);
+        assert!(run(11, 18, 20, &band).is_some_and(|m| m == "conv_rows dst too short"));
+        assert!(run(12, 18, 19, &band).is_some_and(|m| m == "conv_rows xs too short"));
+        assert!(run(12, 9, 20, &band).is_some_and(|m| m.contains("weight count mismatch")));
+        // A row count whose scratch extent overflows.
+        let huge = RowBand {
+            rows: usize::MAX,
+            dst_row: 0,
+            ..band
+        };
+        assert!(run(12, 18, 20, &huge).is_some_and(|m| m == "conv_rows xs too short"));
     }
 
     #[test]

@@ -329,13 +329,10 @@ fn every_zoo_eltwise_cell_is_exact_and_compiles() {
 /// End-to-end: a small residual + depthwise network runs through the
 /// policy-driven forward pass under every arm and agrees with the plain
 /// reference composition.
-#[test]
-fn residual_depthwise_forward_agrees_across_policies() {
-    use cbrain::forward::{forward, NetworkWeights};
-    use cbrain::{Policy, Scheme};
-    use cbrain_model::NetworkBuilder;
-
-    let net = NetworkBuilder::new("res_dw", TensorShape::new(3, 20, 20))
+/// A residual network with a depthwise layer: unit-stride 3x3, 1x1 and
+/// strided convs, two residual adds, average pooling and an FC head.
+fn residual_depthwise_net() -> cbrain_model::Network {
+    let net = cbrain_model::NetworkBuilder::new("res_dw", TensorShape::new(3, 20, 20))
         .conv("stem", 8, 3, 1, 1)
         .conv_dw("dw1", 3, 1, 1)
         .conv("pw1", 8, 1, 1, 0)
@@ -348,7 +345,15 @@ fn residual_depthwise_forward_agrees_across_policies() {
         .build()
         .expect("residual net is consistent");
     net.validate().expect("valid");
+    net
+}
 
+#[test]
+fn residual_depthwise_forward_agrees_across_policies() {
+    use cbrain::forward::{forward, NetworkWeights};
+    use cbrain::{Policy, Scheme};
+
+    let net = residual_depthwise_net();
     let weights = NetworkWeights::random(&net, 99);
     let input = Tensor3::random(net.input(), 7);
     let cfg = AcceleratorConfig::paper_16_16();
@@ -392,4 +397,81 @@ fn residual_depthwise_forward_agrees_across_policies() {
     .expect("runs");
     let by_name: std::collections::HashMap<_, _> = run.schemes.iter().cloned().collect();
     assert_eq!(by_name["dw1"], Some(Scheme::Partition));
+}
+
+/// `forward`'s output bits under every policy arm, pinned across builds
+/// (each constant was taken before the unit-stride executors were last
+/// rewritten). Two networks: [`residual_depthwise_net`], and a 5x5, pad-2
+/// stem on 43-pixel rows ahead of a depthwise layer and a 16-deep 3x3
+/// layer, whose whole last map is the output. The scalar fallback and
+/// every SIMD backend must give the same bits.
+#[test]
+fn forward_output_bits_are_pinned_under_every_policy() {
+    use cbrain::forward::{forward, NetworkWeights};
+    use cbrain::persist::fnv1a64;
+    use cbrain::Policy;
+
+    let stem5 = cbrain_model::NetworkBuilder::new("stem5", TensorShape::new(3, 10, 43))
+        .conv("stem", 16, 5, 1, 2)
+        .conv_dw("dw", 3, 1, 1)
+        .conv("mid", 20, 3, 1, 1)
+        .build()
+        .expect("stem5 net is consistent");
+    let policies = [
+        Policy::Fixed(Scheme::Inter),
+        Policy::Fixed(Scheme::Intra),
+        Policy::Fixed(Scheme::Partition),
+        Policy::Fixed(Scheme::InterImproved),
+        Policy::Adaptive {
+            improved_inter: false,
+        },
+        Policy::Adaptive {
+            improved_inter: true,
+        },
+        Policy::Oracle,
+        Policy::OraclePruned,
+    ];
+    let pinned: [(cbrain_model::Network, [&str; 8]); 2] = [
+        (
+            residual_depthwise_net(),
+            [
+                "2989fccd91b71c13",
+                "ecb855f101b05615",
+                "51dfd5fc9ab6227d",
+                "e22f3b03d12c4130",
+                "51dfd5fc9ab6227d",
+                "51dfd5fc9ab6227d",
+                "51dfd5fc9ab6227d",
+                "51dfd5fc9ab6227d",
+            ],
+        ),
+        (
+            stem5,
+            [
+                "16782163e4c13677",
+                "0e54721d3965ba1d",
+                "08d3d74ba31adbf9",
+                "08d3d74ba31adbf9",
+                "1931b156b59e5558",
+                "08d3d74ba31adbf9",
+                "08d3d74ba31adbf9",
+                "08d3d74ba31adbf9",
+            ],
+        ),
+    ];
+    let cfg = AcceleratorConfig::paper_16_16();
+    for (net, digests) in &pinned {
+        let weights = NetworkWeights::random(net, 99);
+        let input = Tensor3::random(net.input(), 7);
+        for (policy, want) in policies.iter().zip(digests) {
+            let out = forward(net, &input, &weights, *policy, &cfg).expect("runs");
+            let bits: Vec<u8> = out
+                .output
+                .iter()
+                .flat_map(|v| v.to_bits().to_le_bytes())
+                .collect();
+            let got = format!("{:016x}", fnv1a64(&bits));
+            assert_eq!(&got, want, "{} under {policy}", net.name());
+        }
+    }
 }

@@ -173,35 +173,55 @@ fn dot_windows_bitwise_and_equal_to_one_dot_per_window() {
 }
 
 #[test]
-fn tap_pass_bitwise_across_map_and_pixel_remainders() {
+fn conv_rows_bitwise_across_map_pixel_and_kernel_remainders() {
     // Maps around the 4-map block, pixels around the 8- and 16-lane
-    // blocks, rows and maps at padded strides.
+    // blocks, kernels from one tap to 5x5, rows and maps at padded
+    // strides, and input windows that leave rows and columns of the
+    // scratch on either side (none, some or all of a row). What the
+    // scratch holds there is NaN: a lane the kernel fails to mask shows.
     for maps in 1..=9 {
         for len in [1, 3, 7, 8, 9, 15, 16, 17, 31, 33] {
             for din in [1, 3] {
-                let g = simd::TapGeometry {
-                    maps,
-                    din,
-                    rows: 2,
-                    len,
-                    dst_map: 2 * (len + 3),
-                    dst_row: len + 3,
-                    xs_map: 2 * (len + 5) + 1,
-                    xs_row: len + 5,
-                };
-                let seed = (maps * 10_000 + len * 10 + din) as u64;
-                let dst0 = random_f32(maps * g.dst_map, 0x7A9 ^ seed);
-                let xs = random_f32(din * g.xs_map, 0x8A9 ^ seed);
-                let w = random_f32(maps * din, 0x9A9 ^ seed);
-                let (s, v) = with_both_backends(|| {
-                    let mut dst = dst0.clone();
-                    simd::tap_pass(&mut dst, &w, &xs, &g);
-                    (dst, oracle::tap_pass(&dst0, &w, &xs, &g))
-                });
-                let what = format!("tap_pass maps={maps} len={len} din={din}");
-                assert_bits_eq(&s.0, &v.0, &what);
-                assert_bits_eq(&s.0, &s.1, &format!("{what} vs axpy oracle"));
-                assert_bits_eq(&v.0, &v.1, &format!("{what} vs axpy oracle (simd)"));
+                for k in [1, 2, 3, 5] {
+                    let (rows, cols) = (2 + k - 1, len + k - 1);
+                    let b = simd::RowBand {
+                        maps,
+                        din,
+                        k,
+                        rows: 2,
+                        len,
+                        dst_map: 2 * (len + 3),
+                        dst_row: len + 3,
+                        xs_map: rows * (cols + 5) + 1,
+                        xs_row: cols + 5,
+                        in_rows: maps % k..rows - (maps / 2) % k,
+                        in_cols: (maps + len) % k..cols - (len + din) % k,
+                    };
+                    let seed = (maps * 100_000 + len * 100 + din * 10 + k) as u64;
+                    let mut dst0 = random_f32(maps * b.dst_map, 0x7A9 ^ seed);
+                    // A -0.0 output turns +0.0 only if some tap adds its
+                    // partial, a padded tap's +0.0 included.
+                    for d in dst0.iter_mut().step_by(7) {
+                        *d = -0.0;
+                    }
+                    let mut xs = random_f32(din * b.xs_map, 0x8A9 ^ seed);
+                    for (at, x) in xs.iter_mut().enumerate() {
+                        let (row, col) = (at % b.xs_map / b.xs_row, at % b.xs_row);
+                        if !b.in_rows.contains(&row) || !b.in_cols.contains(&col) {
+                            *x = f32::NAN;
+                        }
+                    }
+                    let w = random_f32(maps * din * k * k, 0x9A9 ^ seed);
+                    let (s, v) = with_both_backends(|| {
+                        let mut dst = dst0.clone();
+                        simd::conv_rows(&mut dst, &w, &xs, &b);
+                        (dst, oracle::conv_rows(&dst0, &w, &xs, &b))
+                    });
+                    let what = format!("conv_rows maps={maps} len={len} din={din} k={k}");
+                    assert_bits_eq(&s.0, &v.0, &what);
+                    assert_bits_eq(&s.0, &s.1, &format!("{what} vs per-tap oracle"));
+                    assert_bits_eq(&v.0, &v.1, &format!("{what} vs per-tap oracle (simd)"));
+                }
             }
         }
     }
@@ -215,18 +235,28 @@ mod oracle {
     use cbrain_model::simd;
     use cbrain_model::{reference, ConvParams, ConvWeights, Tensor3};
 
-    /// One tap pass as a zero partial row, one `axpy` per input map and
-    /// one `add_assign` per output row.
-    pub fn tap_pass(dst: &[f32], w: &[f32], xs: &[f32], g: &simd::TapGeometry) -> Vec<f32> {
+    /// [`simd::conv_rows`] one tap at a time: per tap, output map and
+    /// row, a zero partial row, one `axpy` per input map over the pixels
+    /// whose tap reads input, and one `add_assign` of the whole row.
+    pub fn conv_rows(dst: &[f32], w: &[f32], xs: &[f32], b: &simd::RowBand) -> Vec<f32> {
         let mut dst = dst.to_vec();
-        for r in 0..g.rows {
-            for m in 0..g.maps {
-                let mut partial = vec![0.0f32; g.len];
-                for i in 0..g.din {
-                    let row = &xs[i * g.xs_map + r * g.xs_row..][..g.len];
-                    simd::axpy(&mut partial, w[m * g.din + i], row);
+        let taps = b.k * b.k;
+        for t in 0..taps {
+            let (ky, kx) = (t / b.k, t % b.k);
+            let lo = b.in_cols.start.saturating_sub(kx).min(b.len);
+            let hi = b.in_cols.end.saturating_sub(kx).clamp(lo, b.len);
+            for m in 0..b.maps {
+                for r in 0..b.rows {
+                    let mut partial = vec![0.0f32; b.len];
+                    if b.in_rows.contains(&(r + ky)) {
+                        for i in 0..b.din {
+                            let row = &xs[i * b.xs_map + (r + ky) * b.xs_row + kx..];
+                            let wt = w[(m * b.din + i) * taps + t];
+                            simd::axpy(&mut partial[lo..hi], wt, &row[lo..hi]);
+                        }
+                    }
+                    simd::add_assign(&mut dst[m * b.dst_map + r * b.dst_row..][..b.len], &partial);
                 }
-                simd::add_assign(&mut dst[m * g.dst_map + r * g.dst_row..][..g.len], &partial);
             }
         }
         dst
@@ -353,13 +383,64 @@ fn output_parallel_cases() -> Vec<(ConvParams, TensorShape)> {
         (ConvParams::new(2, 5, 2, 1, 3), TensorShape::new(2, 3, 4)),
         (ConvParams::new(3, 5, 3, 3, 1), TensorShape::new(3, 10, 11)),
         (ConvParams::new(2, 4, 2, 2, 1), TensorShape::new(2, 7, 9)),
+        // The `infer` stem's shape on rows off every pixel block, a
+        // depthwise layer on long rows, and an input-map count off the
+        // map block.
+        (ConvParams::new(3, 6, 5, 1, 2), TensorShape::new(3, 6, 37)),
+        (
+            ConvParams::depthwise(5, 3, 1, 1),
+            TensorShape::new(5, 7, 41),
+        ),
+        (ConvParams::new(17, 5, 3, 1, 1), TensorShape::new(17, 4, 19)),
     ]);
     cases
 }
 
+/// Holds the unrolled executor and, at unit stride, the partition and
+/// improved-inter executors to their per-call oracles bit for bit under
+/// both backends, and the unrolled executor's two backends to each other.
+fn check_output_parallel(
+    what: &str,
+    p: &ConvParams,
+    input: &Tensor3,
+    w: &ConvWeights,
+    bias: &[f32],
+) {
+    use cbrain::functional::{improved_inter_forward, partition_forward, unrolled_forward};
+    let what = |name: &str| format!("{name} {what} {p:?} {}", input.shape());
+    let (s, v) = with_both_backends(|| {
+        let unrolled = unrolled_forward(input, w, Some(bias), p).expect("valid");
+        let oracle = oracle::unrolled(input, w, bias, p);
+        let stride1 = (p.stride == 1).then(|| {
+            (
+                partition_forward(input, w, Some(bias), p).expect("valid"),
+                improved_inter_forward(input, w, Some(bias), p).expect("valid"),
+                oracle::stride1(input, w, bias, p),
+            )
+        });
+        (unrolled, oracle, stride1)
+    });
+    for (leg, (unrolled, oracle, stride1)) in [("scalar", &s), ("simd", &v)] {
+        let leg = |name| what(&format!("{name} [{leg}]"));
+        assert_bits_eq(unrolled.as_slice(), oracle.as_slice(), &leg("unrolled"));
+        if let Some((partition, improved, oracle)) = stride1 {
+            assert_bits_eq(partition.as_slice(), oracle.as_slice(), &leg("partition"));
+            assert_bits_eq(
+                improved.as_slice(),
+                oracle.as_slice(),
+                &leg("improved-inter"),
+            );
+        }
+    }
+    assert_bits_eq(
+        s.0.as_slice(),
+        v.0.as_slice(),
+        &what("unrolled scalar vs simd"),
+    );
+}
+
 #[test]
 fn output_parallel_executors_equal_their_per_call_oracles() {
-    use cbrain::functional::{improved_inter_forward, partition_forward, unrolled_forward};
     for (ci, (p, shape)) in output_parallel_cases().into_iter().enumerate() {
         let seed = 0x0A1 + ci as u64 * 7_919;
         let input = Tensor3::random(shape, seed);
@@ -367,36 +448,40 @@ fn output_parallel_executors_equal_their_per_call_oracles() {
         let mut bias = random_f32(p.out_maps, seed ^ 0xB1);
         // A -0.0 bias only survives if every zero partial is still added.
         bias[0] = -0.0;
-        let what = |name: &str| format!("{name} case {ci} {p:?} {shape}");
-        let (s, v) = with_both_backends(|| {
-            let unrolled = unrolled_forward(&input, &weights, Some(&bias), &p).expect("valid");
-            let oracle = oracle::unrolled(&input, &weights, &bias, &p);
-            let stride1 = (p.stride == 1).then(|| {
-                (
-                    partition_forward(&input, &weights, Some(&bias), &p).expect("valid"),
-                    improved_inter_forward(&input, &weights, Some(&bias), &p).expect("valid"),
-                    oracle::stride1(&input, &weights, &bias, &p),
-                )
-            });
-            (unrolled, oracle, stride1)
-        });
-        for (leg, (unrolled, oracle, stride1)) in [("scalar", &s), ("simd", &v)] {
-            let leg = |name| what(&format!("{name} [{leg}]"));
-            assert_bits_eq(unrolled.as_slice(), oracle.as_slice(), &leg("unrolled"));
-            if let Some((partition, improved, oracle)) = stride1 {
-                assert_bits_eq(partition.as_slice(), oracle.as_slice(), &leg("partition"));
-                assert_bits_eq(
-                    improved.as_slice(),
-                    oracle.as_slice(),
-                    &leg("improved-inter"),
-                );
-            }
-        }
-        assert_bits_eq(
-            s.0.as_slice(),
-            v.0.as_slice(),
-            &what("unrolled scalar vs simd"),
-        );
+        check_output_parallel(&format!("case {ci}"), &p, &input, &weights, &bias);
+    }
+}
+
+#[test]
+fn padded_taps_add_an_exact_zero_under_infinite_weights() {
+    use cbrain::functional::{improved_inter_forward, partition_forward};
+    // pad 3 on a 3x3 kernel: the outputs of the border rows and columns
+    // read only padding through some taps, and the corner outputs
+    // through all nine. An infinite weight times a padded zero is NaN, so
+    // only an exact +0.0 partial for those taps matches the oracle, which
+    // never multiplies the padding.
+    let p = ConvParams::new(3, 5, 3, 1, 3);
+    let input = Tensor3::random(TensorShape::new(3, 4, 9), 0x1F);
+    let mut weights = ConvWeights::random(&p, 0x2F);
+    *weights.at_mut(0, 1, 0, 0) = f32::INFINITY;
+    *weights.at_mut(0, 2, 2, 2) = f32::NEG_INFINITY;
+    *weights.at_mut(3, 0, 1, 2) = f32::INFINITY;
+    let mut bias = random_f32(p.out_maps, 0x3F);
+    bias[0] = -0.0;
+    check_output_parallel("infinite weights", &p, &input, &weights, &bias);
+    // The corner output of map 0 is its -0.0 bias plus nine +0.0
+    // partials: +0.0.
+    for (leg, (partition, improved)) in [with_both_backends(|| {
+        (
+            partition_forward(&input, &weights, Some(&bias), &p).expect("valid"),
+            improved_inter_forward(&input, &weights, Some(&bias), &p).expect("valid"),
+        )
+    })]
+    .iter()
+    .flat_map(|(s, v)| [("scalar", s), ("simd", v)])
+    {
+        assert_eq!(partition.at(0, 0, 0).to_bits(), 0, "partition [{leg}]");
+        assert_eq!(improved.at(0, 0, 0).to_bits(), 0, "improved-inter [{leg}]");
     }
 }
 
