@@ -8,12 +8,17 @@
 //! ## Dispatch strategy
 //!
 //! Every public kernel is a safe function that dispatches once per call on
-//! [`Backend::active`]: AVX2 when the CPU reports it at runtime, otherwise
-//! SSE2 (baseline on `x86_64`), NEON on `aarch64` (baseline there), and a
-//! scalar fallback everywhere else. `CBRAIN_FORCE_SCALAR=1` (or a
-//! programmatic [`set_force_scalar`] override, which wins over the
-//! environment) pins the scalar fallback so differential tests can compare
-//! the two paths inside one process.
+//! [`Backend::active`], by default the widest instruction set the CPU
+//! reports at runtime: on `x86_64` AVX-512 when it reports both `avx512f`
+//! and `avx2`, else AVX2, else SSE2 (baseline there); NEON on `aarch64`
+//! (baseline there); a scalar fallback everywhere else. AVX-512 widens only
+//! the kernels whose lanes run across independent outputs ([`conv_rows`],
+//! [`dot_windows`]) to 16 lanes; under it [`axpy`], [`add_assign`],
+//! [`relu`], [`dot`] and [`dot_f64`] run their AVX2 bodies.
+//! `CBRAIN_FORCE_SCALAR=1` pins the scalar fallback. A programmatic
+//! [`set_backend`] pin, which wins over the environment, selects any
+//! backend in [`Backend::available`], so differential tests can compare
+//! every backend the CPU has inside one process.
 //!
 //! ## The bit-exactness contract
 //!
@@ -28,8 +33,9 @@
 //!   *vertical* partial sums ([`F32_LANES`] / [`F64_LANES`]), zero-pad the
 //!   tail block, and fold the partials in one fixed tree order. The scalar
 //!   fallback maintains the same lane array and folds it in the same
-//!   order, and narrower vector units (SSE2/NEON) run two registers side
-//!   by side to preserve the 8-wide (f32) / 4-wide (f64) lane layout;
+//!   order, narrower vector units (SSE2/NEON) run two registers side by
+//!   side to preserve the 8-wide (f32) / 4-wide (f64) lane layout, and
+//!   AVX-512 runs the AVX2 bodies;
 //! * output-parallel kernels ([`dot_windows`], [`conv_rows`]) evaluate
 //!   each output's own graph ([`dot`]'s lanes per window; per pixel, one
 //!   in-order sum over the input maps for each kernel tap, added in tap
@@ -60,6 +66,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -84,56 +91,109 @@ pub enum Backend {
     Sse2,
     /// x86_64 AVX2, selected by runtime feature detection.
     Avx2,
+    /// x86_64 AVX-512F beside AVX2, selected by runtime feature detection:
+    /// 16-lane [`conv_rows`] and [`dot_windows`], the AVX2 bodies of the
+    /// other kernels.
+    Avx512,
     /// aarch64 NEON (baseline on that architecture).
     Neon,
 }
 
+/// Every backend, indexed by `Backend as u8`.
+const BACKENDS: [Backend; 5] = [
+    Backend::Scalar,
+    Backend::Sse2,
+    Backend::Avx2,
+    Backend::Avx512,
+    Backend::Neon,
+];
+
 impl Backend {
-    /// The backend kernels currently dispatch to, honouring
-    /// [`set_force_scalar`] first and `CBRAIN_FORCE_SCALAR` second.
+    /// The backend kernels currently dispatch to: the [`set_backend`] pin
+    /// if there is one, else the scalar fallback under
+    /// `CBRAIN_FORCE_SCALAR`, else the last of [`Backend::available`].
     pub fn active() -> Backend {
-        if scalar_forced() {
-            Backend::Scalar
-        } else {
-            detected()
+        match BACKENDS.get(usize::from(PINNED.load(Ordering::SeqCst))) {
+            Some(&pinned) => pinned,
+            None if env_forced() => Backend::Scalar,
+            None => *Backend::available()
+                .last()
+                .expect("the scalar fallback is always available"),
         }
     }
 
-    /// Short lowercase name (`scalar`, `sse2`, `avx2`, `neon`).
+    /// The backends this CPU runs: the scalar fallback, then each
+    /// instruction set the CPU reports, narrowest first. Detected once per
+    /// process.
+    pub fn available() -> &'static [Backend] {
+        static AVAILABLE: OnceLock<Vec<Backend>> = OnceLock::new();
+        AVAILABLE.get_or_init(|| {
+            #[allow(unused_mut)]
+            let mut found = vec![Backend::Scalar];
+            #[cfg(target_arch = "x86_64")]
+            {
+                found.push(Backend::Sse2);
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    found.push(Backend::Avx2);
+                    if std::arch::is_x86_feature_detected!("avx512f") {
+                        found.push(Backend::Avx512);
+                    }
+                }
+            }
+            #[cfg(target_arch = "aarch64")]
+            found.push(Backend::Neon);
+            found
+        })
+    }
+
+    /// Short lowercase name (`scalar`, `sse2`, `avx2`, `avx512`, `neon`).
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
             Backend::Sse2 => "sse2",
             Backend::Avx2 => "avx2",
+            Backend::Avx512 => "avx512",
             Backend::Neon => "neon",
         }
     }
 }
 
-/// 0 = follow the environment, 1 = force scalar, 2 = force SIMD.
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// `Backend as u8` of the pinned backend, or [`UNPINNED`].
+static PINNED: AtomicU8 = AtomicU8::new(UNPINNED);
 
-/// Programmatic override of the scalar pin: `Some(true)` forces the scalar
-/// fallback, `Some(false)` forces SIMD dispatch (where available), `None`
-/// restores the `CBRAIN_FORCE_SCALAR` environment default. The override is
-/// process-global; differential tests serialize around it.
-pub fn set_force_scalar(force: Option<bool>) {
-    let v = match force {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
+/// No index of [`BACKENDS`]: dispatch follows the environment.
+const UNPINNED: u8 = u8::MAX;
+
+/// Pins every kernel call to `backend`, or with `None` lifts the pin, so
+/// kernels dispatch as [`Backend::active`] describes. The pin wins over
+/// `CBRAIN_FORCE_SCALAR`. It is process-global; differential tests
+/// serialize around it.
+///
+/// # Errors
+///
+/// Refuses a backend that [`Backend::available`] does not list, leaving
+/// the pin as it was, so no kernel runs an instruction set the CPU lacks.
+pub fn set_backend(backend: Option<Backend>) -> Result<(), UnavailableBackend> {
+    let pin = match backend {
+        None => UNPINNED,
+        Some(b) if Backend::available().contains(&b) => b as u8,
+        Some(b) => return Err(UnavailableBackend(b)),
     };
-    OVERRIDE.store(v, Ordering::SeqCst);
+    PINNED.store(pin, Ordering::SeqCst);
+    Ok(())
 }
 
-/// Whether kernels are currently pinned to the scalar fallback.
-pub fn scalar_forced() -> bool {
-    match OVERRIDE.load(Ordering::SeqCst) {
-        1 => true,
-        2 => false,
-        _ => env_forced(),
+/// A backend [`set_backend`] refused because this CPU cannot run it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnavailableBackend(pub Backend);
+
+impl fmt::Display for UnavailableBackend {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "this CPU cannot run the {} backend", self.0.name())
     }
 }
+
+impl std::error::Error for UnavailableBackend {}
 
 fn env_forced() -> bool {
     static ENV: OnceLock<bool> = OnceLock::new();
@@ -147,28 +207,6 @@ fn env_forced() -> bool {
     })
 }
 
-fn detected() -> Backend {
-    static DETECTED: OnceLock<Backend> = OnceLock::new();
-    *DETECTED.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                Backend::Avx2
-            } else {
-                Backend::Sse2
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            Backend::Neon
-        }
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-        {
-            Backend::Scalar
-        }
-    })
-}
-
 /// `dst[i] += a * xs[i]` for every element. Element-wise, so every backend
 /// is bit-identical to the scalar loop.
 ///
@@ -177,9 +215,11 @@ fn detected() -> Backend {
 /// Panics if the slices have different lengths.
 pub fn axpy(dst: &mut [f32], a: f32, xs: &[f32]) {
     assert_eq!(dst.len(), xs.len(), "axpy length mismatch");
+    // SAFETY: here and in every other kernel's dispatch, `Backend::active`
+    // returns only backends the CPU reports, and AVX-512 only beside AVX2.
     match Backend::active() {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::axpy_avx2(dst, a, xs) },
+        Backend::Avx2 | Backend::Avx512 => unsafe { x86::axpy_avx2(dst, a, xs) },
         #[cfg(target_arch = "x86_64")]
         Backend::Sse2 => unsafe { x86::axpy_sse2(dst, a, xs) },
         #[cfg(target_arch = "aarch64")]
@@ -197,7 +237,7 @@ pub fn add_assign(dst: &mut [f32], xs: &[f32]) {
     assert_eq!(dst.len(), xs.len(), "add_assign length mismatch");
     match Backend::active() {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::add_avx2(dst, xs) },
+        Backend::Avx2 | Backend::Avx512 => unsafe { x86::add_avx2(dst, xs) },
         #[cfg(target_arch = "x86_64")]
         Backend::Sse2 => unsafe { x86::add_sse2(dst, xs) },
         #[cfg(target_arch = "aarch64")]
@@ -212,7 +252,7 @@ pub fn add_assign(dst: &mut [f32], xs: &[f32]) {
 pub fn relu(dst: &mut [f32]) {
     match Backend::active() {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::relu_avx2(dst) },
+        Backend::Avx2 | Backend::Avx512 => unsafe { x86::relu_avx2(dst) },
         #[cfg(target_arch = "x86_64")]
         Backend::Sse2 => unsafe { x86::relu_sse2(dst) },
         #[cfg(target_arch = "aarch64")]
@@ -232,7 +272,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
     match Backend::active() {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::dot_avx2(a, b) },
+        Backend::Avx2 | Backend::Avx512 => unsafe { x86::dot_avx2(a, b) },
         #[cfg(target_arch = "x86_64")]
         Backend::Sse2 => unsafe { x86::dot_sse2(a, b) },
         #[cfg(target_arch = "aarch64")]
@@ -252,7 +292,7 @@ pub fn dot_f64(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot_f64 length mismatch");
     match Backend::active() {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::dot_f64_avx2(a, b) },
+        Backend::Avx2 | Backend::Avx512 => unsafe { x86::dot_f64_avx2(a, b) },
         #[cfg(target_arch = "x86_64")]
         Backend::Sse2 => unsafe { x86::dot_f64_sse2(a, b) },
         #[cfg(target_arch = "aarch64")]
@@ -281,6 +321,8 @@ pub fn dot_windows(dst: &mut [f32], taps: &[f32], weights: &[f32]) {
     // touch, and each backend arm runs only where `Backend::active`
     // found its instruction set.
     match Backend::active() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 => unsafe { x86::dot_windows_avx512(dst, taps, weights) },
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { x86::dot_windows_avx2(dst, taps, weights) },
         #[cfg(target_arch = "x86_64")]
@@ -394,6 +436,8 @@ pub fn conv_rows(dst: &mut [f32], w: &[f32], xs: &[f32], b: &RowBand) {
     // touch, and each backend arm runs only where `Backend::active` found
     // its instruction set.
     match Backend::active() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 => unsafe { x86::conv_rows_avx512(dst, w, xs, b) },
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { x86::conv_rows_avx2(dst, w, xs, b) },
         #[cfg(target_arch = "x86_64")]
@@ -535,6 +579,11 @@ mod across {
     use super::{RowBand, F32_LANES};
     use std::ops::Range;
 
+    /// Lanes the default `load_part`, `store_part` and `keep` bodies
+    /// buffer. A register type with more lanes must override all three:
+    /// one that keeps a default fails to build.
+    const BUFFERED: usize = 8;
+
     /// One backend register of `N` f32 lanes.
     ///
     /// # Safety
@@ -554,7 +603,8 @@ mod across {
         /// The first `n < N` lanes from `p`, zeros above.
         #[inline(always)]
         unsafe fn load_part(p: *const f32, n: usize) -> Self {
-            let mut buf = [0.0f32; 8];
+            const { assert!(Self::N <= BUFFERED, "override load_part") };
+            let mut buf = [0.0f32; BUFFERED];
             std::ptr::copy_nonoverlapping(p, buf.as_mut_ptr(), n);
             Self::load(buf.as_ptr())
         }
@@ -562,7 +612,8 @@ mod across {
         /// Stores the first `n < N` lanes to `p`.
         #[inline(always)]
         unsafe fn store_part(self, p: *mut f32, n: usize) {
-            let mut buf = [0.0f32; 8];
+            const { assert!(Self::N <= BUFFERED, "override store_part") };
+            let mut buf = [0.0f32; BUFFERED];
             self.store(buf.as_mut_ptr());
             std::ptr::copy_nonoverlapping(buf.as_ptr(), p, n);
         }
@@ -570,7 +621,8 @@ mod across {
         /// Lanes `lo..hi` (`lo, hi <= N`), with `+0.0` in the others.
         #[inline(always)]
         unsafe fn keep(self, lo: usize, hi: usize) -> Self {
-            let mut buf = [0.0f32; 8];
+            const { assert!(Self::N <= BUFFERED, "override keep") };
+            let mut buf = [0.0f32; BUFFERED];
             self.store(buf.as_mut_ptr());
             for (j, v) in buf.iter_mut().enumerate() {
                 if j < lo || j >= hi {
@@ -815,7 +867,8 @@ mod across {
 mod x86 {
     //! x86_64 backends. SSE2 is baseline for the architecture, so its
     //! functions need no runtime gate; the AVX2 ones are only reached
-    //! after `is_x86_feature_detected!("avx2")` succeeded.
+    //! after `is_x86_feature_detected!("avx2")` succeeded, and the
+    //! AVX-512 ones after `avx512f` was detected beside it.
 
     use super::across::{self, Lanes};
     use super::{scalar, RowBand};
@@ -900,6 +953,54 @@ mod x86 {
         _mm256_andnot_si256(below(lo), below(hi))
     }
 
+    /// Only used inside `#[target_feature(enable = "avx512f")]` functions.
+    /// A partial load or store and `keep` are one masked op each.
+    impl Lanes for __m512 {
+        const N: usize = 16;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm512_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            _mm512_set1_ps(v)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm512_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm512_storeu_ps(p, self)
+        }
+        #[inline(always)]
+        unsafe fn add(self, o: Self) -> Self {
+            _mm512_add_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, o: Self) -> Self {
+            _mm512_mul_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn load_part(p: *const f32, n: usize) -> Self {
+            _mm512_maskz_loadu_ps(lane_bits(0, n), p)
+        }
+        #[inline(always)]
+        unsafe fn store_part(self, p: *mut f32, n: usize) {
+            _mm512_mask_storeu_ps(p, lane_bits(0, n), self)
+        }
+        #[inline(always)]
+        unsafe fn keep(self, lo: usize, hi: usize) -> Self {
+            _mm512_maskz_mov_ps(lane_bits(lo, hi), self)
+        }
+    }
+
+    /// Bits `lo..hi` (`lo, hi <= 16`) set, the others clear.
+    #[inline(always)]
+    fn lane_bits(lo: usize, hi: usize) -> __mmask16 {
+        ((u32::MAX << lo) & !(u32::MAX << hi)) as __mmask16
+    }
+
     /// # Safety
     /// Caller must have verified AVX2 support and the
     /// [`crate::dot_windows`] length contract.
@@ -914,6 +1015,22 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     pub unsafe fn conv_rows_avx2(dst: &mut [f32], w: &[f32], xs: &[f32], b: &RowBand) {
         across::conv_rows::<__m256>(dst, w, xs, b)
+    }
+
+    /// # Safety
+    /// Caller must have verified AVX-512F support and the
+    /// [`crate::dot_windows`] length contract.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn dot_windows_avx512(dst: &mut [f32], taps: &[f32], weights: &[f32]) {
+        across::dot_windows::<__m512>(dst, taps, weights)
+    }
+
+    /// # Safety
+    /// Caller must have verified AVX-512F support and the band bounds
+    /// [`crate::conv_rows`] checks.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn conv_rows_avx512(dst: &mut [f32], w: &[f32], xs: &[f32], b: &RowBand) {
+        across::conv_rows::<__m512>(dst, w, xs, b)
     }
 
     /// # Safety
@@ -1304,6 +1421,7 @@ mod neon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     /// xorshift64* clone (the model crate's PRNG is not a dependency here).
     struct Rng(u64);
@@ -1329,18 +1447,62 @@ mod tests {
         (0..n).map(|_| r.f32()).collect()
     }
 
-    #[test]
-    fn active_backend_is_forceable() {
-        set_force_scalar(Some(true));
-        assert_eq!(Backend::active(), Backend::Scalar);
-        assert!(scalar_forced());
-        set_force_scalar(None);
-        #[cfg(target_arch = "x86_64")]
-        {
-            set_force_scalar(Some(false));
-            assert_ne!(Backend::active(), Backend::Scalar);
-            set_force_scalar(None);
+    /// Serializes the tests that pin a backend: the pin is process-global.
+    static PIN: Mutex<()> = Mutex::new(());
+
+    /// Runs `f` pinned to each available backend in turn, then lifts the
+    /// pin.
+    fn on_every_backend(mut f: impl FnMut(Backend)) {
+        let _pin = PIN.lock().unwrap_or_else(|p| p.into_inner());
+        for &b in Backend::available() {
+            set_backend(Some(b)).expect("an available backend pins");
+            f(b);
         }
+        set_backend(None).expect("lifting the pin always succeeds");
+    }
+
+    #[test]
+    fn pins_every_available_backend_and_refuses_the_others() {
+        let available = Backend::available();
+        assert_eq!(available[0], Backend::Scalar);
+        on_every_backend(|b| assert_eq!(Backend::active(), b));
+        let _pin = PIN.lock().unwrap_or_else(|p| p.into_inner());
+        let before = Backend::active();
+        let missing = BACKENDS
+            .into_iter()
+            .find(|b| !available.contains(b))
+            .expect("no CPU has both the x86 and the aarch64 backends");
+        assert_eq!(set_backend(Some(missing)), Err(UnavailableBackend(missing)));
+        assert_eq!(Backend::active(), before, "a refused pin changes nothing");
+        for (i, b) in BACKENDS.into_iter().enumerate() {
+            assert_eq!(b as usize, i, "BACKENDS is indexed by `Backend as u8`");
+        }
+    }
+
+    #[test]
+    fn unpinned_dispatch_takes_the_widest_instruction_set() {
+        let _pin = PIN.lock().unwrap_or_else(|p| p.into_inner());
+        set_backend(None).expect("lifting the pin always succeeds");
+        #[cfg(target_arch = "x86_64")]
+        let widest = match (
+            std::arch::is_x86_feature_detected!("avx512f"),
+            std::arch::is_x86_feature_detected!("avx2"),
+        ) {
+            (true, true) => Backend::Avx512,
+            (_, true) => Backend::Avx2,
+            _ => Backend::Sse2,
+        };
+        #[cfg(target_arch = "aarch64")]
+        let widest = Backend::Neon;
+        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+        let widest = Backend::Scalar;
+        assert_eq!(Backend::available().last(), Some(&widest));
+        let want = if env_forced() {
+            Backend::Scalar
+        } else {
+            widest
+        };
+        assert_eq!(Backend::active(), want);
     }
 
     #[test]
@@ -1356,67 +1518,75 @@ mod tests {
 
     #[test]
     fn axpy_and_add_match_scalar_bitwise() {
-        for n in 0..=2 * F32_LANES + 1 {
-            let xs = vec_f32(n, 11 + n as u64);
-            let base = vec_f32(n, 101 + n as u64);
-            let mut simd_dst = base.clone();
-            let mut scalar_dst = base.clone();
-            axpy(&mut simd_dst, 0.37, &xs);
-            scalar::axpy(&mut scalar_dst, 0.37, &xs);
-            for (a, b) in simd_dst.iter().zip(&scalar_dst) {
-                assert_eq!(a.to_bits(), b.to_bits(), "axpy n={n}");
+        on_every_backend(|backend| {
+            for n in 0..=2 * F32_LANES + 1 {
+                let xs = vec_f32(n, 11 + n as u64);
+                let base = vec_f32(n, 101 + n as u64);
+                let mut simd_dst = base.clone();
+                let mut scalar_dst = base.clone();
+                axpy(&mut simd_dst, 0.37, &xs);
+                scalar::axpy(&mut scalar_dst, 0.37, &xs);
+                for (a, b) in simd_dst.iter().zip(&scalar_dst) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "axpy n={n} {backend:?}");
+                }
+                let mut simd_dst = base.clone();
+                let mut scalar_dst = base;
+                add_assign(&mut simd_dst, &xs);
+                scalar::add(&mut scalar_dst, &xs);
+                for (a, b) in simd_dst.iter().zip(&scalar_dst) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "add n={n} {backend:?}");
+                }
             }
-            let mut simd_dst = base.clone();
-            let mut scalar_dst = base;
-            add_assign(&mut simd_dst, &xs);
-            scalar::add(&mut scalar_dst, &xs);
-            for (a, b) in simd_dst.iter().zip(&scalar_dst) {
-                assert_eq!(a.to_bits(), b.to_bits(), "add n={n}");
-            }
-        }
+        });
     }
 
     #[test]
     fn dot_matches_scalar_bitwise_across_remainders() {
-        for n in 0..=3 * F32_LANES + 1 {
-            let a = vec_f32(n, 7 + n as u64);
-            let b = vec_f32(n, 77 + n as u64);
-            assert_eq!(
-                dot(&a, &b).to_bits(),
-                scalar::dot(&a, &b).to_bits(),
-                "n={n}"
-            );
-        }
+        on_every_backend(|backend| {
+            for n in 0..=3 * F32_LANES + 1 {
+                let a = vec_f32(n, 7 + n as u64);
+                let b = vec_f32(n, 77 + n as u64);
+                assert_eq!(
+                    dot(&a, &b).to_bits(),
+                    scalar::dot(&a, &b).to_bits(),
+                    "n={n} {backend:?}"
+                );
+            }
+        });
     }
 
     #[test]
     fn dot_f64_matches_scalar_bitwise_across_remainders() {
-        for n in 0..=3 * F64_LANES + 1 {
-            let mut r = Rng(n as u64 + 5);
-            let a: Vec<f64> = (0..n).map(|_| r.f64()).collect();
-            let b: Vec<f64> = (0..n).map(|_| r.f64()).collect();
-            assert_eq!(
-                dot_f64(&a, &b).to_bits(),
-                scalar::dot_f64(&a, &b).to_bits(),
-                "n={n}"
-            );
-        }
+        on_every_backend(|backend| {
+            for n in 0..=3 * F64_LANES + 1 {
+                let mut r = Rng(n as u64 + 5);
+                let a: Vec<f64> = (0..n).map(|_| r.f64()).collect();
+                let b: Vec<f64> = (0..n).map(|_| r.f64()).collect();
+                assert_eq!(
+                    dot_f64(&a, &b).to_bits(),
+                    scalar::dot_f64(&a, &b).to_bits(),
+                    "n={n} {backend:?}"
+                );
+            }
+        });
     }
 
     #[test]
     fn relu_select_semantics() {
-        let mut v = vec![-1.0f32, -0.0, 0.0, 2.5, f32::NAN];
-        relu(&mut v);
-        assert_eq!(v[0].to_bits(), 0.0f32.to_bits());
-        assert_eq!(v[1].to_bits(), 0.0f32.to_bits(), "-0.0 becomes +0.0");
-        assert_eq!(v[2].to_bits(), 0.0f32.to_bits());
-        assert_eq!(v[3], 2.5);
-        assert_eq!(v[4].to_bits(), 0.0f32.to_bits(), "NaN becomes 0.0");
-        let mut s = vec![-1.0f32, -0.0, 0.0, 2.5, f32::NAN];
-        scalar::relu(&mut s);
-        for (a, b) in v.iter().zip(&s) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        on_every_backend(|backend| {
+            let mut v = vec![-1.0f32, -0.0, 0.0, 2.5, f32::NAN];
+            relu(&mut v);
+            assert_eq!(v[0].to_bits(), 0.0f32.to_bits());
+            assert_eq!(v[1].to_bits(), 0.0f32.to_bits(), "-0.0 becomes +0.0");
+            assert_eq!(v[2].to_bits(), 0.0f32.to_bits());
+            assert_eq!(v[3], 2.5);
+            assert_eq!(v[4].to_bits(), 0.0f32.to_bits(), "NaN becomes 0.0");
+            let mut s = vec![-1.0f32, -0.0, 0.0, 2.5, f32::NAN];
+            scalar::relu(&mut s);
+            for (a, b) in v.iter().zip(&s) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{backend:?}");
+            }
+        });
     }
 
     #[test]
@@ -1473,6 +1643,7 @@ mod tests {
     fn backend_names() {
         assert_eq!(Backend::Scalar.name(), "scalar");
         assert_eq!(Backend::Avx2.name(), "avx2");
+        assert_eq!(Backend::Avx512.name(), "avx512");
         assert_eq!(Backend::Sse2.name(), "sse2");
         assert_eq!(Backend::Neon.name(), "neon");
         assert!(!Backend::active().name().is_empty());

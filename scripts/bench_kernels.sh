@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Per-kernel SIMD-vs-scalar microbench.
+# Per-kernel SIMD microbench, one leg per backend the CPU has.
 #
-# Each row prints both legs' median time, whether the two legs produced
-# the same bytes (the binary exits 1 if any did not) and the output
+# Each row prints every leg's median time, the widest leg's speed-up over
+# scalar and over the next narrower leg, whether every leg produced the
+# scalar leg's bytes (the binary exits 1 if any did not) and the output
 # digest. Run it on two builds and compare the digest column to check
 # that a change kept every kernel's output bits. The CI container has a
 # single CPU, so the timings it produces are noise-dominated; run this

@@ -64,11 +64,16 @@ else
 fi
 
 if [[ $quick -eq 0 ]]; then
-    echo "==> cargo test --release --test prop_simd (scalar vs SIMD bit for bit, release code generation)"
+    echo "==> cargo test --release --test prop_simd (scalar vs every available SIMD backend bit for bit, release code generation)"
     # The conformance matrix feeds integer-valued tensors, on which any
     # summation order is exact. This suite feeds arbitrary floats and
-    # flips the backend itself, so one leg catches a reassociation that
-    # only release code generation makes.
+    # pins each backend the runner has in turn (an AVX-512 runner checks
+    # SSE2, AVX2 and AVX-512 against scalar), so one leg catches a
+    # reassociation that only release code generation makes. The line
+    # printed first names the backends, so the log shows what was checked.
+    simd_backends="$(cargo test --release --test prop_simd -q -- --exact active_backend_reports_a_name --nocapture \
+        | grep '^simd backends: ')"
+    echo "    $simd_backends"
     cargo test --release --test prop_simd -q
 fi
 
@@ -80,11 +85,12 @@ if [[ $quick -eq 0 ]]; then
 fi
 
 if [[ $quick -eq 0 ]]; then
-    echo "==> SIMD kernel microbench (byte-identity gate; timings informational on 1-CPU hosts)"
-    # The binary exits non-zero if any kernel's simd and scalar legs
-    # produce different bytes. Its digest column compares one build's
-    # outputs with another's; wall-clock on shared CI is noise (see
-    # EXPERIMENTS.md).
+    echo "==> SIMD kernel microbench (byte-identity gate over every available backend; timings informational on 1-CPU hosts)"
+    # One leg per backend the runner has; the binary exits non-zero if
+    # any kernel's leg produces other bytes than its scalar leg. Its
+    # digest column compares one build's outputs with another's;
+    # wall-clock on shared CI is noise (see EXPERIMENTS.md).
+    echo "    $simd_backends"
     ./target/release/bench_kernels --samples 3
 fi
 

@@ -233,14 +233,14 @@ fn every_paper_network_conv_survives_the_q16_datapath_exactly() {
     );
 }
 
-/// The quantized path is backend-independent: forcing the scalar kernels
-/// and forcing the SIMD kernels produce byte-identical `QuantizedRun`s on
-/// each paper network's first conv. Today only the embedded f32 reference
-/// is vectorized; this cell pins the bit-parity contract for when the
-/// fixed-point datapath itself grows SIMD kernels.
+/// The quantized path is backend-independent: pinning the scalar kernels
+/// and pinning each other backend the CPU has produce byte-identical
+/// `QuantizedRun`s on each paper network's first conv. Today only the
+/// embedded f32 reference is vectorized; this cell pins the bit-parity
+/// contract for when the fixed-point datapath itself grows SIMD kernels.
 #[test]
 fn q16_conv1_is_bit_identical_across_simd_backends() {
-    use cbrain_model::simd;
+    use cbrain_model::simd::{self, Backend};
     for net in zoo::paper_networks() {
         let layer = net.conv1();
         let p = layer.as_conv().expect("conv layer");
@@ -248,26 +248,29 @@ fn q16_conv1_is_bit_identical_across_simd_backends() {
         let input = q16_input(shape, 0xBAC2);
         let weights = q16_weights(p, 0xBAC3);
         let bias = q16_bias(p);
-        let run = |force: bool| {
-            simd::set_force_scalar(Some(force));
+        let run = |backend: Backend| {
+            simd::set_backend(Some(backend)).expect("an available backend pins");
             let out = conv_forward_q16(&input, &weights, Some(&bias), p);
-            simd::set_force_scalar(None);
+            simd::set_backend(None).expect("lifting the pin always succeeds");
             out.expect("conv1 runs")
         };
-        let scalar = run(true);
-        let vector = run(false);
+        let scalar = run(Backend::Scalar);
         let bits = |t: &Tensor3| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&scalar.output),
-            bits(&vector.output),
-            "{}: backends disagree bitwise",
-            net.name()
-        );
-        assert_eq!(
-            scalar.max_abs_error.to_bits(),
-            vector.max_abs_error.to_bits()
-        );
-        assert_eq!(scalar.rms_error.to_bits(), vector.rms_error.to_bits());
+        for &backend in &Backend::available()[1..] {
+            let vector = run(backend);
+            assert_eq!(
+                bits(&scalar.output),
+                bits(&vector.output),
+                "{}: scalar and {} disagree bitwise",
+                net.name(),
+                backend.name()
+            );
+            assert_eq!(
+                scalar.max_abs_error.to_bits(),
+                vector.max_abs_error.to_bits()
+            );
+            assert_eq!(scalar.rms_error.to_bits(), vector.rms_error.to_bits());
+        }
     }
 }
 

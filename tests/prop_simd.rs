@@ -1,18 +1,18 @@
 //! SIMD differential property suite: every kernel in `cbrain_simd`, and
 //! every hot loop rewired onto it, must agree **bit-for-bit** between the
-//! forced-scalar fallback and the runtime-detected SIMD backend — on
-//! *arbitrary* floats, not just the integer-valued tensors the
-//! conformance matrix uses. That is the SIMD layer's contract: both paths
-//! evaluate one canonical expression graph (vertical lanes, zero-padded
-//! tails, fixed fold tree, no FMA), so IEEE-754 makes them identical.
+//! scalar fallback and every SIMD backend the CPU has
+//! (`simd::Backend::available`) — on *arbitrary* floats, not just the
+//! integer-valued tensors the conformance matrix uses. That is the SIMD
+//! layer's contract: every path evaluates one canonical expression graph
+//! (vertical lanes, zero-padded tails, fixed fold tree, no FMA), so
+//! IEEE-754 makes them identical.
 //!
 //! Geometry coverage follows the lane math: widths `0..=2*lanes+1` hit
 //! every remainder class on both sides of a full vector, channel counts
 //! are odd, and depthwise `k == 1` layers get their own cells.
 //!
-//! The force-scalar override is process-global, so every test that flips
-//! it serializes on one mutex and restores the environment default before
-//! releasing it.
+//! The backend pin is process-global, so every test that sets it
+//! serializes on one mutex and lifts the pin before releasing it.
 
 use cbrain_model::rng::XorShift64;
 use cbrain_model::simd;
@@ -21,17 +21,21 @@ use std::sync::Mutex;
 
 static BACKEND_LOCK: Mutex<()> = Mutex::new(());
 
-/// Runs `f` once pinned to the scalar fallback and once with SIMD
-/// dispatch forced on, restoring the environment default afterwards.
-fn with_both_backends<T>(f: impl Fn() -> T) -> (T, T) {
+/// Runs `f` pinned to the scalar fallback, then pinned to each other
+/// backend the CPU has, and lifts the pin. Returns the scalar result and
+/// each other backend's name and result.
+fn with_every_backend<T>(f: impl Fn() -> T) -> (T, Vec<(&'static str, T)>) {
     let _guard = BACKEND_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    simd::set_force_scalar(Some(true));
-    assert_eq!(simd::Backend::active(), simd::Backend::Scalar);
-    let scalar = f();
-    simd::set_force_scalar(Some(false));
-    let vector = f();
-    simd::set_force_scalar(None);
-    (scalar, vector)
+    let mut legs = simd::Backend::available().iter().map(|&backend| {
+        simd::set_backend(Some(backend)).expect("an available backend pins");
+        assert_eq!(simd::Backend::active(), backend);
+        (backend.name(), f())
+    });
+    let (first, scalar) = legs.next().expect("the scalar fallback is available");
+    assert_eq!(first, "scalar");
+    let others = legs.collect();
+    simd::set_backend(None).expect("lifting the pin always succeeds");
+    (scalar, others)
 }
 
 fn assert_bits_eq(scalar: &[f32], vector: &[f32], what: &str) {
@@ -40,7 +44,7 @@ fn assert_bits_eq(scalar: &[f32], vector: &[f32], what: &str) {
         assert_eq!(
             a.to_bits(),
             b.to_bits(),
-            "{what}: bit divergence at {i}: scalar {a} vs simd {b}"
+            "{what}: bit divergence at {i}: {a} vs {b}"
         );
     }
 }
@@ -60,12 +64,14 @@ fn axpy_bitwise_across_remainder_widths() {
         let xs = random_f32(n, 0xA11 + n as u64);
         let base = random_f32(n, 0xB22 + n as u64);
         let a = 0.731f32;
-        let (s, v) = with_both_backends(|| {
+        let (s, legs) = with_every_backend(|| {
             let mut dst = base.clone();
             simd::axpy(&mut dst, a, &xs);
             dst
         });
-        assert_bits_eq(&s, &v, &format!("axpy n={n}"));
+        for (leg, v) in &legs {
+            assert_bits_eq(&s, v, &format!("axpy n={n} [{leg}]"));
+        }
     }
 }
 
@@ -74,12 +80,14 @@ fn add_assign_bitwise_across_remainder_widths() {
     for n in 0..=2 * simd::F32_LANES + 1 {
         let xs = random_f32(n, 0xC33 + n as u64);
         let base = random_f32(n, 0xD44 + n as u64);
-        let (s, v) = with_both_backends(|| {
+        let (s, legs) = with_every_backend(|| {
             let mut dst = base.clone();
             simd::add_assign(&mut dst, &xs);
             dst
         });
-        assert_bits_eq(&s, &v, &format!("add_assign n={n}"));
+        for (leg, v) in &legs {
+            assert_bits_eq(&s, v, &format!("add_assign n={n} [{leg}]"));
+        }
     }
 }
 
@@ -96,13 +104,15 @@ fn relu_bitwise_including_negative_zero_and_nan() {
                 _ => {}
             }
         }
-        let (s, v) = with_both_backends(|| {
+        let (s, legs) = with_every_backend(|| {
             let mut dst = vals.clone();
             simd::relu(&mut dst);
             dst
         });
-        assert_bits_eq(&s, &v, &format!("relu n={n}"));
-        // Canonical select semantics hold in both backends.
+        for (leg, v) in &legs {
+            assert_bits_eq(&s, v, &format!("relu n={n} [{leg}]"));
+        }
+        // Canonical select semantics hold in every backend.
         for x in &s {
             assert!(x.to_bits() == 0 || *x > 0.0);
         }
@@ -114,8 +124,10 @@ fn dot_bitwise_across_remainder_widths() {
     for n in 0..=3 * simd::F32_LANES + 1 {
         let a = random_f32(n, 0xF66 + n as u64);
         let b = random_f32(n, 0x177 + n as u64);
-        let (s, v) = with_both_backends(|| simd::dot(&a, &b));
-        assert_eq!(s.to_bits(), v.to_bits(), "dot n={n}: {s} vs {v}");
+        let (s, legs) = with_every_backend(|| simd::dot(&a, &b));
+        for (leg, v) in legs {
+            assert_eq!(s.to_bits(), v.to_bits(), "dot n={n} [{leg}]: {s} vs {v}");
+        }
     }
 }
 
@@ -127,8 +139,14 @@ fn dot_f64_bitwise_across_remainder_widths() {
         let b: Vec<f64> = (0..n)
             .map(|_| rng.range_f32(-2.0, 2.0) as f64 * 0.37)
             .collect();
-        let (s, v) = with_both_backends(|| simd::dot_f64(&a, &b));
-        assert_eq!(s.to_bits(), v.to_bits(), "dot_f64 n={n}: {s} vs {v}");
+        let (s, legs) = with_every_backend(|| simd::dot_f64(&a, &b));
+        for (leg, v) in legs {
+            assert_eq!(
+                s.to_bits(),
+                v.to_bits(),
+                "dot_f64 n={n} [{leg}]: {s} vs {v}"
+            );
+        }
     }
 }
 
@@ -146,17 +164,20 @@ const TAP_COUNTS: [usize; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 25, 121];
 #[test]
 fn dot_windows_bitwise_and_equal_to_one_dot_per_window() {
     for k2 in TAP_COUNTS {
-        for n in (0..=2 * simd::F32_LANES + 1).chain([37]) {
+        // Every window count up to two 16-lane registers and one more.
+        for n in (0..=2 * 16 + 1).chain([37]) {
             let seed = (k2 * 1000 + n) as u64;
             let taps = random_f32(k2 * n, 0x1D07 ^ seed);
             let weights = random_f32(k2, 0x2D07 ^ seed);
             let base = random_f32(n, 0x3D07 ^ seed);
-            let (s, v) = with_both_backends(|| {
+            let (s, legs) = with_every_backend(|| {
                 let mut dst = base.clone();
                 simd::dot_windows(&mut dst, &taps, &weights);
                 dst
             });
-            assert_bits_eq(&s, &v, &format!("dot_windows k2={k2} n={n}"));
+            for (leg, v) in &legs {
+                assert_bits_eq(&s, v, &format!("dot_windows k2={k2} n={n} [{leg}]"));
+            }
             let per_window: Vec<f32> = (0..n)
                 .map(|w| {
                     let run: Vec<f32> = (0..k2).map(|t| taps[t * n + w]).collect();
@@ -174,13 +195,14 @@ fn dot_windows_bitwise_and_equal_to_one_dot_per_window() {
 
 #[test]
 fn conv_rows_bitwise_across_map_pixel_and_kernel_remainders() {
-    // Maps around the 4-map block, pixels around the 8- and 16-lane
-    // blocks, kernels from one tap to 5x5, rows and maps at padded
-    // strides, and input windows that leave rows and columns of the
-    // scratch on either side (none, some or all of a row). What the
-    // scratch holds there is NaN: a lane the kernel fails to mask shows.
+    // Maps around the 4-map block, pixels around the 8-, 16-, 32- and
+    // 64-pixel blocks (one, two and four registers of 8 or 16 lanes),
+    // kernels from one tap to 5x5, rows and maps at padded strides, and
+    // input windows that leave rows and columns of the scratch on either
+    // side (none, some or all of a row). What the scratch holds there is
+    // NaN: a lane the kernel fails to mask shows.
     for maps in 1..=9 {
-        for len in [1, 3, 7, 8, 9, 15, 16, 17, 31, 33] {
+        for len in [1, 3, 7, 8, 9, 15, 16, 17, 31, 33, 47, 48, 49, 63, 64, 65] {
             for din in [1, 3] {
                 for k in [1, 2, 3, 5] {
                     let (rows, cols) = (2 + k - 1, len + k - 1);
@@ -212,15 +234,17 @@ fn conv_rows_bitwise_across_map_pixel_and_kernel_remainders() {
                         }
                     }
                     let w = random_f32(maps * din * k * k, 0x9A9 ^ seed);
-                    let (s, v) = with_both_backends(|| {
+                    let (s, legs) = with_every_backend(|| {
                         let mut dst = dst0.clone();
                         simd::conv_rows(&mut dst, &w, &xs, &b);
                         (dst, oracle::conv_rows(&dst0, &w, &xs, &b))
                     });
                     let what = format!("conv_rows maps={maps} len={len} din={din} k={k}");
-                    assert_bits_eq(&s.0, &v.0, &what);
                     assert_bits_eq(&s.0, &s.1, &format!("{what} vs per-tap oracle"));
-                    assert_bits_eq(&v.0, &v.1, &format!("{what} vs per-tap oracle (simd)"));
+                    for (leg, v) in &legs {
+                        assert_bits_eq(&s.0, &v.0, &format!("{what} [{leg}]"));
+                        assert_bits_eq(&v.0, &v.1, &format!("{what} vs per-tap oracle [{leg}]"));
+                    }
                 }
             }
         }
@@ -398,7 +422,7 @@ fn output_parallel_cases() -> Vec<(ConvParams, TensorShape)> {
 
 /// Holds the unrolled executor and, at unit stride, the partition and
 /// improved-inter executors to their per-call oracles bit for bit under
-/// both backends, and the unrolled executor's two backends to each other.
+/// every backend, and the unrolled executor's backends to each other.
 fn check_output_parallel(
     what: &str,
     p: &ConvParams,
@@ -408,7 +432,7 @@ fn check_output_parallel(
 ) {
     use cbrain::functional::{improved_inter_forward, partition_forward, unrolled_forward};
     let what = |name: &str| format!("{name} {what} {p:?} {}", input.shape());
-    let (s, v) = with_both_backends(|| {
+    let (s, legs) = with_every_backend(|| {
         let unrolled = unrolled_forward(input, w, Some(bias), p).expect("valid");
         let oracle = oracle::unrolled(input, w, bias, p);
         let stride1 = (p.stride == 1).then(|| {
@@ -420,7 +444,9 @@ fn check_output_parallel(
         });
         (unrolled, oracle, stride1)
     });
-    for (leg, (unrolled, oracle, stride1)) in [("scalar", &s), ("simd", &v)] {
+    for (leg, (unrolled, oracle, stride1)) in
+        legs.iter().map(|(l, v)| (*l, v)).chain([("scalar", &s)])
+    {
         let leg = |name| what(&format!("{name} [{leg}]"));
         assert_bits_eq(unrolled.as_slice(), oracle.as_slice(), &leg("unrolled"));
         if let Some((partition, improved, oracle)) = stride1 {
@@ -432,11 +458,13 @@ fn check_output_parallel(
             );
         }
     }
-    assert_bits_eq(
-        s.0.as_slice(),
-        v.0.as_slice(),
-        &what("unrolled scalar vs simd"),
-    );
+    for (leg, v) in &legs {
+        assert_bits_eq(
+            s.0.as_slice(),
+            v.0.as_slice(),
+            &what(&format!("unrolled scalar vs {leg}")),
+        );
+    }
 }
 
 #[test]
@@ -471,15 +499,13 @@ fn padded_taps_add_an_exact_zero_under_infinite_weights() {
     check_output_parallel("infinite weights", &p, &input, &weights, &bias);
     // The corner output of map 0 is its -0.0 bias plus nine +0.0
     // partials: +0.0.
-    for (leg, (partition, improved)) in [with_both_backends(|| {
+    let (s, legs) = with_every_backend(|| {
         (
             partition_forward(&input, &weights, Some(&bias), &p).expect("valid"),
             improved_inter_forward(&input, &weights, Some(&bias), &p).expect("valid"),
         )
-    })]
-    .iter()
-    .flat_map(|(s, v)| [("scalar", s), ("simd", v)])
-    {
+    });
+    for (leg, (partition, improved)) in legs.iter().map(|(l, v)| (*l, v)).chain([("scalar", &s)]) {
         assert_eq!(partition.at(0, 0, 0).to_bits(), 0, "partition [{leg}]");
         assert_eq!(improved.at(0, 0, 0).to_bits(), 0, "improved-inter [{leg}]");
     }
@@ -529,10 +555,16 @@ fn conv_reference_bitwise_scalar_vs_simd() {
         let weights = ConvWeights::random(&p, seed ^ 0xF1);
         let mut rng = XorShift64::seed_from_u64(seed ^ 0xB1A5);
         let bias: Vec<f32> = (0..p.out_maps).map(|_| rng.range_f32(-1.0, 1.0)).collect();
-        let (s, v) = with_both_backends(|| {
+        let (s, legs) = with_every_backend(|| {
             reference::conv_forward(&input, &weights, Some(&bias), &p).expect("valid case")
         });
-        assert_bits_eq(s.as_slice(), v.as_slice(), &format!("conv case {ci} {p:?}"));
+        for (leg, v) in &legs {
+            assert_bits_eq(
+                s.as_slice(),
+                v.as_slice(),
+                &format!("conv case {ci} {p:?} [{leg}]"),
+            );
+        }
     }
 }
 
@@ -576,12 +608,14 @@ fn scheme_executors_bitwise_scalar_vs_simd() {
             ),
         ];
         for (name, run) in &executors {
-            let (s, v) = with_both_backends(run);
-            assert_bits_eq(
-                s.as_slice(),
-                v.as_slice(),
-                &format!("{name} case {ci} {p:?}"),
-            );
+            let (s, legs) = with_every_backend(run);
+            for (leg, v) in &legs {
+                assert_bits_eq(
+                    s.as_slice(),
+                    v.as_slice(),
+                    &format!("{name} case {ci} {p:?} [{leg}]"),
+                );
+            }
         }
     }
 }
@@ -590,11 +624,13 @@ fn scheme_executors_bitwise_scalar_vs_simd() {
 fn unroll_windows_bitwise_scalar_vs_simd() {
     for (ci, (p, shape)) in conv_cases().into_iter().enumerate() {
         let input = Tensor3::random(shape, 0x1AB + ci as u64);
-        let (s, v) = with_both_backends(|| {
+        let (s, legs) = with_every_backend(|| {
             reference::unroll_windows(&input, p.kernel, p.stride, p.pad).expect("valid case")
         });
-        assert_eq!((s.1, s.2), (v.1, v.2));
-        assert_bits_eq(&s.0, &v.0, &format!("unroll case {ci}"));
+        for (leg, v) in &legs {
+            assert_eq!((s.1, s.2), (v.1, v.2));
+            assert_bits_eq(&s.0, &v.0, &format!("unroll case {ci} [{leg}]"));
+        }
     }
 }
 
@@ -605,10 +641,12 @@ fn fc_bitwise_scalar_vs_simd_at_odd_widths() {
         let input = random_f32(in_features, 0x4CC + in_features as u64);
         let weights = random_f32(in_features * 5, 0x5DD + in_features as u64);
         let bias = random_f32(5, 0x6EE);
-        let (s, v) = with_both_backends(|| {
+        let (s, legs) = with_every_backend(|| {
             reference::fc_forward(&input, &weights, Some(&bias), &p).expect("valid case")
         });
-        assert_bits_eq(&s, &v, &format!("fc in={in_features}"));
+        for (leg, v) in &legs {
+            assert_bits_eq(&s, v, &format!("fc in={in_features} [{leg}]"));
+        }
     }
 }
 
@@ -617,12 +655,14 @@ fn eltwise_and_relu_bitwise_scalar_vs_simd() {
     let shape = TensorShape::new(3, 5, 11);
     let a = Tensor3::random(shape, 0x7FF);
     let b = Tensor3::random(shape, 0x800);
-    let (s, v) = with_both_backends(|| {
+    let (s, legs) = with_every_backend(|| {
         let mut out = reference::eltwise_forward(&a, &b, EltwiseOp::Add).expect("shapes match");
         out.relu_in_place();
         out
     });
-    assert_bits_eq(s.as_slice(), v.as_slice(), "eltwise+relu");
+    for (leg, v) in &legs {
+        assert_bits_eq(s.as_slice(), v.as_slice(), &format!("eltwise+relu [{leg}]"));
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -641,18 +681,20 @@ fn pe_issue_bitwise_scalar_vs_simd() {
             .map(|_| (0..16).map(|_| rng.range_f32(-1.5, 1.5) as f64).collect())
             .collect();
         let refs: Vec<&[f64]> = lanes.iter().map(Vec::as_slice).collect();
-        let (s, v) = with_both_backends(|| {
+        let (s, legs) = with_every_backend(|| {
             array
                 .issue(&data, &refs, segment_len)
                 .expect("consistent shapes")
         });
-        for (lane, (ls, lv)) in s.iter().zip(&v).enumerate() {
-            for (seg, (a, b)) in ls.iter().zip(lv).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "issue seg_len={segment_len} lane={lane} seg={seg}"
-                );
+        for (leg, v) in &legs {
+            for (lane, (ls, lv)) in s.iter().zip(v).enumerate() {
+                for (seg, (a, b)) in ls.iter().zip(lv).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "issue seg_len={segment_len} lane={lane} seg={seg} [{leg}]"
+                    );
+                }
             }
         }
     }
@@ -687,8 +729,10 @@ fn machine_stats_identical_scalar_vs_simd_and_traced_vs_untraced() {
         .collect();
     let prog = Program::new(tiles);
     let machine = Machine::new(AcceleratorConfig::paper_16_16());
-    let (s, v) = with_both_backends(|| machine.run(&prog));
-    assert_eq!(s, v, "stats diverge between scalar and SIMD accounting");
+    let (s, legs) = with_every_backend(|| machine.run(&prog));
+    for (leg, v) in &legs {
+        assert_eq!(&s, v, "stats diverge between scalar and {leg} accounting");
+    }
     let (traced, _) = machine.run_traced(&prog, 4096);
     assert_eq!(s, traced, "bulk accounting diverges from the traced path");
 }
@@ -701,5 +745,14 @@ fn machine_stats_identical_scalar_vs_simd_and_traced_vs_untraced() {
 fn active_backend_reports_a_name() {
     // Sanity: whatever hardware CI runs on, dispatch resolves somewhere.
     let name = simd::Backend::active().name();
-    assert!(["scalar", "sse2", "avx2", "neon"].contains(&name), "{name}");
+    assert!(
+        ["scalar", "sse2", "avx2", "avx512", "neon"].contains(&name),
+        "{name}"
+    );
+    // The line `scripts/ci.sh` prints, so a log shows what was checked.
+    let available: Vec<&str> = simd::Backend::available()
+        .iter()
+        .map(|b| b.name())
+        .collect();
+    println!("simd backends: {}", available.join(" "));
 }
