@@ -19,6 +19,7 @@
 //! cargo run --release -p cbrain-bench --bin bench_kernels -- --samples 9
 //! ```
 
+use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -245,12 +246,13 @@ fn main() {
         .collect();
     let rows = rows(samples);
 
+    let mut out = String::new();
     if json {
         let quoted: Vec<String> = backends.iter().map(|b| format!("\"{b}\"")).collect();
-        println!("{{");
-        println!("  \"backends\": [{}],", quoted.join(", "));
-        println!("  \"samples\": {samples},");
-        println!("  \"kernels\": {{");
+        writeln!(out, "{{").unwrap();
+        writeln!(out, "  \"backends\": [{}],", quoted.join(", ")).unwrap();
+        writeln!(out, "  \"samples\": {samples},").unwrap();
+        writeln!(out, "  \"kernels\": {{").unwrap();
         for (i, r) in rows.iter().enumerate() {
             let comma = if i + 1 == rows.len() { "" } else { "," };
             let medians: Vec<String> = backends
@@ -258,7 +260,8 @@ fn main() {
                 .zip(&r.medians)
                 .map(|(b, s)| format!("\"{b}\": {s:.6}"))
                 .collect();
-            println!(
+            writeln!(
+                out,
                 "    \"{}\": {{\"median_s\": {{{}}}, \"speedup\": {:.3}, \"step\": {:.3}, \"byte_identical\": {}, \"digest\": \"{:016x}\"}}{comma}",
                 r.name,
                 medians.join(", "),
@@ -266,34 +269,45 @@ fn main() {
                 r.step(),
                 r.identical,
                 r.digest
-            );
+            )
+            .unwrap();
         }
-        println!("  }}");
-        println!("}}");
+        writeln!(out, "  }}").unwrap();
+        writeln!(out, "}}").unwrap();
     } else {
-        println!(
+        writeln!(
+            out,
             "SIMD kernel microbench — one leg per available backend, each pinned in turn: {}",
             backends.join(", ")
-        );
-        print!("{:<26}", "kernel");
+        )
+        .unwrap();
+        write!(out, "{:<26}", "kernel").unwrap();
         for b in &backends {
-            print!(" {b:>10}");
+            write!(out, " {b:>10}").unwrap();
         }
-        println!(" {:>8} {:>6}   byte-identical   digest", "speedup", "step");
+        writeln!(
+            out,
+            " {:>8} {:>6}   byte-identical   digest",
+            "speedup", "step"
+        )
+        .unwrap();
         for r in &rows {
-            print!("{:<26}", r.name);
+            write!(out, "{:<26}", r.name).unwrap();
             for s in &r.medians {
-                print!(" {:>8.3}ms", s * 1e3);
+                write!(out, " {:>8.3}ms", s * 1e3).unwrap();
             }
-            println!(
+            writeln!(
+                out,
                 " {:>7.2}x {:>5.2}x   {:<14}   {:016x}",
                 r.speedup(),
                 r.step(),
                 if r.identical { "yes" } else { "NO" },
                 r.digest
-            );
+            )
+            .unwrap();
         }
     }
+    cbrain::config::print_stdout(&out);
 
     if rows.iter().any(|r| !r.identical) {
         eprintln!("error: a kernel produced different bytes under two backends");

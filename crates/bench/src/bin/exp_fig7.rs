@@ -4,5 +4,5 @@
 fn main() {
     let jobs = cbrain_bench::args::jobs_from_args(env!("CARGO_BIN_NAME"));
     let _cache = cbrain_bench::cache::init_for_binary();
-    print!("{}", cbrain_bench::drivers::fig7_report(jobs));
+    cbrain::config::print_stdout(&cbrain_bench::drivers::fig7_report(jobs));
 }

@@ -2,5 +2,5 @@
 
 fn main() {
     cbrain_bench::args::no_args(env!("CARGO_BIN_NAME"));
-    print!("{}", cbrain_bench::drivers::table3_report());
+    cbrain::config::print_stdout(&cbrain_bench::drivers::table3_report());
 }

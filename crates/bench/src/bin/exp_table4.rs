@@ -15,5 +15,5 @@ fn main() {
             Ok((flags.jobs()?, cbrain::EnvConfig::load().mac_rate()?))
         });
     let _cache = cbrain_bench::cache::init_for_binary();
-    print!("{}", cbrain_bench::drivers::table4_report(jobs, mac_rate));
+    cbrain::config::print_stdout(&cbrain_bench::drivers::table4_report(jobs, mac_rate));
 }

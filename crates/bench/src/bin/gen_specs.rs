@@ -7,6 +7,6 @@ fn main() {
         let path = format!("specs/{}.spec", net.name());
         std::fs::write(&path, cbrain_model::spec::to_text(&net))
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        println!("wrote {path}");
+        cbrain::config::print_stdout(&format!("wrote {path}\n"));
     }
 }

@@ -14,51 +14,26 @@
 //! stays byte-identical either way.
 
 use cbrain::persist;
-use cbrain::{CompileBackend, CompiledLayerCache, RunOptions, Runner};
-use cbrain_fleet::FleetRouter;
+use cbrain::{CompiledLayerCache, RunOptions, Runner};
 use cbrain_sim::AcceleratorConfig;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 static SHARED: OnceLock<Arc<CompiledLayerCache>> = OnceLock::new();
-static FLEET: OnceLock<Arc<FleetRouter>> = OnceLock::new();
 
 /// The process-wide compiled-layer cache.
 pub fn shared_cache() -> Arc<CompiledLayerCache> {
     Arc::clone(SHARED.get_or_init(CompiledLayerCache::shared))
 }
 
-/// Installs a fleet router: every subsequent [`runner`]/[`runner_with`]
-/// scatters its compile misses over the shards instead of the local
-/// pool. Results stay byte-identical — entries are pure functions of
-/// their keys, and the runner's accounting is backend-independent.
-/// First call wins; call before any experiment runs.
-pub fn install_fleet(router: Arc<FleetRouter>) {
-    let _ = FLEET.set(router);
-}
-
-/// The installed fleet router, if any.
-pub fn fleet() -> Option<Arc<FleetRouter>> {
-    FLEET.get().map(Arc::clone)
-}
-
-fn with_fleet(runner: Runner) -> Runner {
-    match FLEET.get() {
-        Some(router) => runner.with_compile_backend(Arc::clone(router) as Arc<dyn CompileBackend>),
-        None => runner,
-    }
-}
-
-/// A [`Runner`] with default options on the shared cache (and the fleet
-/// backend, when one is installed).
+/// A [`Runner`] with default options on the shared cache.
 pub fn runner(cfg: AcceleratorConfig) -> Runner {
-    with_fleet(Runner::new(cfg).with_cache(shared_cache()))
+    Runner::new(cfg).with_cache(shared_cache())
 }
 
-/// A [`Runner`] with explicit options on the shared cache (and the
-/// fleet backend, when one is installed).
+/// A [`Runner`] with explicit options on the shared cache.
 pub fn runner_with(cfg: AcceleratorConfig, opts: RunOptions) -> Runner {
-    with_fleet(Runner::with_options(cfg, opts).with_cache(shared_cache()))
+    Runner::with_options(cfg, opts).with_cache(shared_cache())
 }
 
 /// Loads the persisted cache into [`shared_cache`] and returns a guard

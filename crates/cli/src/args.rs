@@ -3,7 +3,7 @@
 //! [`cbrain::config::Flags`]; this module names each subcommand's flags
 //! and reads them into typed arguments.
 
-use cbrain::config::{shard_list, FlagSpec, Flags};
+use cbrain::config::{FlagSpec, Flags};
 use cbrain::{Policy, Workload};
 use cbrain_sim::{AcceleratorConfig, PeConfig};
 
@@ -25,38 +25,8 @@ pub enum Command {
     Zoo,
     /// `cbrain cbrand-client ...` — submit a run to a `cbrand` daemon.
     Client(ClientArgs),
-    /// `cbrain fleet-client ...` — run locally with compile misses
-    /// scattered over a fleet of `cbrand` shards.
-    FleetClient(FleetArgs),
     /// `cbrain help` or `--help`.
     Help,
-}
-
-/// Arguments of `cbrain fleet-client`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetArgs {
-    /// Shard addresses (`host:port`), in ring order. Empty when the
-    /// flag was omitted — execution then falls back to the
-    /// `CBRAIN_SHARDS` environment variable (flag beats environment).
-    pub shards: Vec<String>,
-    /// Ring seed for the rendezvous weights.
-    pub seed: u64,
-    /// Network to run.
-    pub network: NetworkRef,
-    /// Parallelization policy.
-    pub policy: Policy,
-    /// PE array shape.
-    pub pe: PeConfig,
-    /// Clock in MHz.
-    pub mhz: u64,
-    /// Layer subset.
-    pub workload: Workload,
-    /// Images per run.
-    pub batch: usize,
-    /// Worker threads for locally recomputed keys (0 = auto-detect).
-    pub jobs: usize,
-    /// Print the per-layer breakdown table.
-    pub breakdown: bool,
 }
 
 /// Arguments of `cbrain cbrand-client`.
@@ -201,8 +171,8 @@ pub fn parse_workload(s: &str) -> Result<Workload, ArgError> {
     })
 }
 
-/// The flags that say what to simulate and on what, shared by `run`,
-/// `cbrand-client` and `fleet-client`; `schedule` takes the first four.
+/// The flags that say what to simulate and on what, shared by `run` and
+/// `cbrand-client`; `schedule` takes the first four.
 const SHAPE: [FlagSpec; 7] = [
     ("--network", Some("NAME")),
     ("--spec", Some("FILE")),
@@ -276,12 +246,6 @@ fn table(sub: &str) -> Option<Vec<FlagSpec>> {
             ("--metrics", None),
             ("--evict", Some("N")),
             ("--shutdown", None),
-        ],
-        "fleet-client" => &[
-            ("--shards", Some("LIST")),
-            ("--seed", Some("N")),
-            ("--jobs", Some("N")),
-            ("--breakdown", None),
         ],
         "spec-check" | "zoo" | "help" | "--help" | "-h" => return Some(Vec::new()),
         _ => return None,
@@ -383,21 +347,6 @@ pub fn parse(tokens: &[String]) -> Result<Command, ArgError> {
             }
             Command::Client(args)
         }
-        // An empty shard list is legal here: execution falls back to the
-        // CBRAIN_SHARDS environment variable (and errors there if it is
-        // empty too), so the flag can beat the environment.
-        "fleet-client" => Command::FleetClient(FleetArgs {
-            shards: flags.value("--shards").map(shard_list).unwrap_or_default(),
-            seed: flags.parsed("--seed")?.unwrap_or(0),
-            network: needs_network("fleet-client")?,
-            policy: shape.policy,
-            pe: shape.pe,
-            mhz: shape.mhz,
-            workload: shape.workload,
-            batch: shape.batch,
-            jobs,
-            breakdown,
-        }),
         "spec-check" => Command::SpecCheck { path },
         "zoo" => Command::Zoo,
         _ => Command::Help,
@@ -421,10 +370,6 @@ USAGE:
                   [--policy ...] [--pe TinxTout] [--mhz N] [--workload ...]
                   [--batch N] [--breakdown] [--stats] [--progress] [--metrics]
                   [--evict N] [--shutdown]
-  cbrain fleet-client [--shards HOST:PORT[,HOST:PORT...]] [--seed N]
-                  --network <name> | --spec <file>
-                  [--policy ...] [--pe TinxTout] [--mhz N] [--workload ...]
-                  [--batch N] [--jobs N] [--breakdown]
   cbrain help
 
 `run --cache` persists compiled layers across invocations (auto = the
@@ -435,12 +380,6 @@ the printed report is byte-identical to the equivalent `cbrain run`.
 cached layers until at most N remain; `--progress` prints the daemon's
 live run-progress counters; `--metrics` prints the daemon's full
 metrics registry as one sorted JSON object (protocol v2.2).
-`fleet-client` simulates locally
-but scatters compile misses over a fleet of cbrand shards (rendezvous
-hashing on the layer key); dead shards reroute or fall back to local
-compilation, and the report stays byte-identical to `cbrain run`.
-`fleet-client` without `--shards` reads the shard list from the
-CBRAIN_SHARDS environment variable (comma-separated; the flag wins).
 ";
 
 #[cfg(test)]
@@ -643,42 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_client_command() {
-        let Command::FleetClient(args) = parse(&toks(
-            "fleet-client --shards 127.0.0.1:9000,127.0.0.1:9001 --network vgg --seed 7 --jobs 2",
-        ))
-        .unwrap() else {
-            panic!("fleet-client expected")
-        };
-        assert_eq!(args.shards, vec!["127.0.0.1:9000", "127.0.0.1:9001"]);
-        assert_eq!(args.seed, 7);
-        assert_eq!(args.network, NetworkRef::Zoo("vgg".into()));
-        assert_eq!(args.jobs, 2);
-        // Defaults must match `cbrain run` for byte-identity.
-        assert_eq!(
-            args.policy,
-            Policy::Adaptive {
-                improved_inter: true
-            }
-        );
-        assert_eq!(args.pe, PeConfig::new(16, 16));
-        assert_eq!(args.batch, 1);
-        // A network is mandatory; the shard list is not (an empty one
-        // defers to CBRAIN_SHARDS at execution time).
-        assert!(parse(&toks("fleet-client --shards 127.0.0.1:9000")).is_err());
-        let Command::FleetClient(args) = parse(&toks("fleet-client --network vgg")).unwrap() else {
-            panic!("fleet-client expected")
-        };
-        assert!(args.shards.is_empty());
-        let Command::FleetClient(args) =
-            parse(&toks("fleet-client --shards , --network vgg")).unwrap()
-        else {
-            panic!("fleet-client expected")
-        };
-        assert!(args.shards.is_empty());
-    }
-
-    #[test]
     fn schedule_rejects_the_run_flags_it_does_not_use() {
         let Command::Schedule(args) =
             parse(&toks("schedule --spec n.spec --policy oracle --pe 32x32")).unwrap()
@@ -736,7 +639,6 @@ mod tests {
                 "spec-check",
                 "zoo",
                 "cbrand-client",
-                "fleet-client",
                 "help"
             ]
         );
@@ -750,15 +652,7 @@ mod tests {
 
     #[test]
     fn every_subcommand_rejects_a_misspelt_flag() {
-        for sub in [
-            "run",
-            "schedule",
-            "scheme",
-            "zoo",
-            "cbrand-client",
-            "fleet-client",
-            "help",
-        ] {
+        for sub in ["run", "schedule", "scheme", "zoo", "cbrand-client", "help"] {
             for tail in ["--jbos 2", "--jbos"] {
                 let err = parse(&toks(&format!("{sub} --network vgg {tail}")))
                     .or_else(|_| parse(&toks(&format!("{sub} {tail}"))))

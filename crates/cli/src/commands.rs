@@ -1,19 +1,17 @@
 //! Command implementations. Each returns its output as a `String` so the
 //! logic is unit-testable; `main` only prints.
 
-use crate::args::{ClientArgs, FleetArgs, NetworkRef, RunArgs, ScheduleArgs, SchemeArgs};
+use crate::args::{ClientArgs, NetworkRef, RunArgs, ScheduleArgs, SchemeArgs};
 use cbrain::partition_math::{partition, unroll_duplication};
 use cbrain::persist;
 use cbrain::report::{render_run_report, render_table};
 use cbrain::schedule::plan_network;
 use cbrain::{select_scheme, RunOptions, Runner, Scheme};
-use cbrain_fleet::{FleetRouter, RetryPolicy};
 use cbrain_model::{spec, ConvParams, Network};
 use cbrain_serve::wire::{Event, NetworkSource, Request, RunRequest};
-use cbrain_serve::{Client, ClientError};
+use cbrain_serve::Client;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Error from executing a command.
 #[derive(Debug)]
@@ -235,85 +233,6 @@ pub fn client(args: &ClientArgs) -> Result<String, CommandError> {
         out.push_str("daemon shut down\n");
     }
     Ok(out)
-}
-
-/// `cbrain fleet-client`: simulate locally, scattering compile misses
-/// over a fleet of `cbrand` shards. The local [`Runner`] keeps the
-/// deterministic accounting and merge passes, so the printed report is
-/// byte-identical to the equivalent `cbrain run` — shards only change
-/// *where* cache misses compile. Probe results and degradation notices
-/// go to stderr; stdout carries only the report.
-///
-/// # Errors
-///
-/// Returns [`CommandError::Serve`] when no shard list is available
-/// (neither `--shards` nor `CBRAIN_SHARDS`) or when every shard fails
-/// its probe (likely a typo'd address list — local fallback would
-/// silently do all the work), plus the usual network-resolution and
-/// simulation errors.
-pub fn fleet_client(args: &FleetArgs) -> Result<String, CommandError> {
-    let net = resolve_network(&args.network)?;
-    // Flag beats environment; environment beats nothing.
-    let shards = if args.shards.is_empty() {
-        cbrain::config::EnvConfig::load().shards().ok_or_else(|| {
-            CommandError::Serve(
-                "no shards: pass --shards HOST:PORT[,HOST:PORT...] or set CBRAIN_SHARDS".into(),
-            )
-        })?
-    } else {
-        args.shards.clone()
-    };
-    let jobs = if args.jobs == 0 {
-        cbrain::available_jobs()
-    } else {
-        args.jobs
-    };
-    let router = Arc::new(FleetRouter::with_policy(
-        shards.clone(),
-        args.seed,
-        RetryPolicy::default(),
-        jobs,
-    ));
-    let mut live = 0usize;
-    for (addr, outcome) in router.probe_shards() {
-        match outcome {
-            Ok(entries) => {
-                live += 1;
-                eprintln!("fleet: {addr} up ({entries} cached layers)");
-            }
-            // A shedding shard is alive: it answered, it just declined
-            // the probe's stats question. Count it as live.
-            Err(ClientError::Busy { retry_after_ms, .. }) => {
-                live += 1;
-                eprintln!("fleet: {addr} busy (retry in {retry_after_ms} ms) — counted live");
-            }
-            Err(e) => eprintln!("fleet: {addr} down: {e}"),
-        }
-    }
-    if live == 0 {
-        return Err(CommandError::Serve(format!(
-            "no live shard among {}",
-            shards.join(", ")
-        )));
-    }
-    let config = cbrain_sim::AcceleratorConfig::with_pe(args.pe).at_mhz(args.mhz);
-    let report = cbrain_fleet::run_network_on_fleet(
-        &router,
-        &net,
-        args.policy,
-        config,
-        RunOptions {
-            workload: args.workload,
-            batch: args.batch,
-            ..RunOptions::default()
-        },
-    )?;
-    for shard in router.shard_states() {
-        if shard.is_down() {
-            eprintln!("fleet: {} went down mid-run; its keys rerouted", shard.addr);
-        }
-    }
-    Ok(render_run_report(&report, args.breakdown))
 }
 
 /// `cbrain schedule`.

@@ -14,21 +14,17 @@ fn main() -> ExitCode {
         }
     };
     let result = match command {
-        Command::Help => {
-            println!("{}", args::HELP);
-            return ExitCode::SUCCESS;
-        }
+        Command::Help => Ok(format!("{}\n", args::HELP)),
         Command::Run(a) => commands::run(&a),
         Command::Schedule(a) => commands::schedule(&a),
         Command::Scheme(a) => Ok(commands::scheme(&a)),
         Command::SpecCheck { path } => commands::spec_check(&path),
         Command::Zoo => Ok(commands::zoo_list()),
         Command::Client(a) => commands::client(&a),
-        Command::FleetClient(a) => commands::fleet_client(&a),
     };
     match result {
         Ok(out) => {
-            print!("{out}");
+            cbrain::config::print_stdout(&out);
             ExitCode::SUCCESS
         }
         Err(e) => {

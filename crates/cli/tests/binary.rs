@@ -1,6 +1,6 @@
 //! End-to-end tests of the compiled `cbrain` binary.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn cbrain(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_cbrain"))
@@ -99,4 +99,21 @@ fn a_non_utf8_argument_is_a_usage_error_not_a_panic() {
     assert!(out.stdout.is_empty());
     assert!(stderr.contains("is not UTF-8"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_without_a_panic() {
+    // The reader of the pipe has exited, as under `cbrain zoo | head -1`.
+    for args in [&["zoo"][..], &["run", "--network", "alexnet"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_cbrain"))
+            .args(args)
+            .stdout(Stdio::from(writer))
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }

@@ -401,13 +401,6 @@ impl CompiledLayerCache {
         Arc::clone(&slot.value)
     }
 
-    /// Looks up a key without touching the counters (the entry's LRU
-    /// recency is still refreshed).
-    pub fn peek(&self, key: &LayerKey) -> Option<Arc<CachedLayer>> {
-        let map = self.entries.read().expect("cache lock");
-        map.get(&HashedKey::new(*key)).map(|slot| self.touch(slot))
-    }
-
     /// Adds externally-accounted lookups to the global counters (the
     /// runner computes a run's hits/misses deterministically and reports
     /// them here in one shot).
@@ -689,8 +682,8 @@ mod tests {
             .collect();
         assert_eq!(cache.len(), 3);
         // Refresh conv1 and conv3; conv2 becomes the LRU entry.
-        assert!(cache.peek(&keys[0]).is_some());
-        assert!(cache.peek(&keys[2]).is_some());
+        assert!(cache.get(&keys[0]).is_some());
+        assert!(cache.get(&keys[2]).is_some());
 
         assert_eq!(cache.evict_lru(3), 0, "already within bound");
         assert_eq!(cache.evict_lru(2), 1);

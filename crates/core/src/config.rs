@@ -1,7 +1,9 @@
-//! The one place `CBRAIN_*` environment variables are read, and the one
-//! parser every binary's command line goes through.
+//! The one place `CBRAIN_*` environment variables are read, the one
+//! parser every binary's command line goes through, and the stdout
+//! writer ([`print_stdout`]) the `cbrain` and harness binaries print
+//! their reports through.
 //!
-//! Seven knobs configure the workspace from the environment. Each has a
+//! Six knobs configure the workspace from the environment. Each has a
 //! single documented precedence: **CLI flag > environment > default**.
 //! Call sites never touch [`std::env::var`] for these directly — they go
 //! through [`EnvConfig`], which captures the raw environment once and
@@ -13,7 +15,6 @@
 //! | `CBRAIN_CACHE_DIR`    | [`cache_file`]                            | overrides the cache *directory*                |
 //! | `CBRAIN_CACHE_MAX`    | [`cache_max`]                             | bounds persisted cache entries (LRU-evicted)   |
 //! | `CBRAIN_MAC_RATE`     | [`mac_rate`]                              | pins the CPU MAC-rate calibration (Table 4)    |
-//! | `CBRAIN_SHARDS`       | [`shards`]                                | default fleet shard list, `HOST:PORT,...`      |
 //! | `CBRAIN_METRICS_ADDR` | [`metrics_addr`]                          | default `cbrand --metrics-addr` listen address |
 //! | `CBRAIN_MAX_CONNS`    | [`max_conns`]                             | default `cbrand --max-connections` accept cap  |
 //!
@@ -21,7 +22,6 @@
 //! [`cache_file`]: EnvConfig::cache_file
 //! [`cache_max`]: EnvConfig::cache_max
 //! [`mac_rate`]: EnvConfig::mac_rate
-//! [`shards`]: EnvConfig::shards
 //! [`metrics_addr`]: EnvConfig::metrics_addr
 //! [`max_conns`]: EnvConfig::max_conns
 //!
@@ -69,17 +69,13 @@ pub const ENV_CACHE_DIR: &str = "CBRAIN_CACHE_DIR";
 
 /// Bounds the number of persisted cache entries. When set to a positive
 /// integer, save paths evict least-recently-used entries down to the
-/// bound before writing, so long-lived caches (the `cbrand` daemon, a
-/// fleet shard) stop growing without bound.
+/// bound before writing, so a long-lived cache (the `cbrand` daemon's)
+/// stops growing without bound.
 pub const ENV_CACHE_MAX: &str = "CBRAIN_CACHE_MAX";
 
 /// Pins the host-CPU MAC-rate calibration (MACs/second) used by the
 /// Table 4 experiment, making its output byte-reproducible.
 pub const ENV_MAC_RATE: &str = "CBRAIN_MAC_RATE";
-
-/// Default fleet shard list (`HOST:PORT,HOST:PORT,...`) for
-/// `exp_all --shards` and `cbrain fleet-client` when no flag is given.
-pub const ENV_SHARDS: &str = "CBRAIN_SHARDS";
 
 /// Default listen address for `cbrand --metrics-addr` (Prometheus
 /// text-format exposition over `GET /metrics`). The flag always beats
@@ -104,7 +100,6 @@ pub struct EnvConfig {
     cache_dir: Option<String>,
     cache_max: Option<String>,
     mac_rate: Option<String>,
-    shards: Option<String>,
     metrics_addr: Option<String>,
     max_conns: Option<String>,
     xdg_cache_home: Option<String>,
@@ -127,7 +122,6 @@ impl EnvConfig {
             cache_dir: lookup(ENV_CACHE_DIR),
             cache_max: lookup(ENV_CACHE_MAX),
             mac_rate: lookup(ENV_MAC_RATE),
-            shards: lookup(ENV_SHARDS),
             metrics_addr: lookup(ENV_METRICS_ADDR),
             max_conns: lookup(ENV_MAX_CONNS),
             xdg_cache_home: lookup("XDG_CACHE_HOME"),
@@ -199,14 +193,6 @@ impl EnvConfig {
             })
     }
 
-    /// The default shard list, split on commas with empty segments
-    /// dropped. `None` when the variable is unset or contains no
-    /// non-empty segment.
-    #[must_use]
-    pub fn shards(&self) -> Option<Vec<String>> {
-        Some(shard_list(self.shards.as_deref()?)).filter(|list| !list.is_empty())
-    }
-
     /// The default metrics listen address (`HOST:PORT`), or `None` when
     /// the variable is unset or blank. A flag (`--metrics-addr`) always
     /// beats this.
@@ -229,18 +215,6 @@ impl EnvConfig {
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n > 0)
     }
-}
-
-/// Splits a `HOST:PORT,HOST:PORT,...` shard list on commas, dropping
-/// blank segments. `CBRAIN_SHARDS` and every `--shards` flag read
-/// through this.
-#[must_use]
-pub fn shard_list(raw: &str) -> Vec<String> {
-    raw.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_owned)
-        .collect()
 }
 
 /// One flag a binary accepts: its name and, for a flag that takes a
@@ -418,6 +392,22 @@ pub fn args_or_exit<T>(
             eprintln!("{usage}");
             std::process::exit(1)
         }
+    }
+}
+
+/// Writes `text` to stdout and flushes it; returns whether stdout still
+/// takes output. Once its reader has gone (a closed pipe, as under
+/// `| head`) this returns `false` where `print!` would panic, so a binary
+/// can stop producing output and return from `main` normally: it exits 0
+/// and its drop guards (the cache save) still run. Any other write error
+/// panics, as `print!` does.
+pub fn print_stdout(text: &str) -> bool {
+    use std::io::Write as _;
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => true,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => false,
+        Err(e) => panic!("failed printing to stdout: {e}"),
     }
 }
 
@@ -676,15 +666,5 @@ mod tests {
     #[test]
     fn max_conns_name_matches_the_daemon_flag() {
         assert_eq!(ENV_MAX_CONNS, "CBRAIN_MAX_CONNS");
-    }
-
-    #[test]
-    fn shards_split_and_trim() {
-        assert_eq!(
-            config(&[(ENV_SHARDS, "a:1, b:2 ,,c:3")]).shards(),
-            Some(vec!["a:1".to_owned(), "b:2".to_owned(), "c:3".to_owned()])
-        );
-        assert_eq!(config(&[(ENV_SHARDS, " , ")]).shards(), None);
-        assert_eq!(config(&[]).shards(), None);
     }
 }

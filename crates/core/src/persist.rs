@@ -109,8 +109,8 @@ fn corrupt<T>(why: impl Into<String>) -> Decoded<T> {
 }
 
 /// FNV-1a 64-bit over arbitrary bytes: the file checksum, and the
-/// stable hash the fleet ring and the report digests use. Stable across
-/// platforms and versions of this crate.
+/// stable hash the report digests use. Stable across platforms and
+/// versions of this crate.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -551,25 +551,15 @@ fn get_entry(c: &mut Cursor) -> Decoded<(LayerKey, CachedLayer)> {
 // ---------------------------------------------------------------------
 // Public entry/key codecs.
 //
-// The fleet layer reuses the file format's codecs for two jobs: hashing
-// a key onto the consistent-hash ring (the packed bytes are the
-// canonical, platform-independent identity of a key) and shipping
-// compiled entries over the wire (a shard streams `entry_bytes`, the
-// client decodes them back — the exact bytes a local compile would have
-// produced, because the entry is a pure function of the key).
+// One key or one entry in the file format's own encoding, so tests can
+// round-trip and mutate a single record without writing a whole file.
 // ---------------------------------------------------------------------
 
 /// The canonical binary encoding of a [`LayerKey`]: its 160 packed
-/// bytes, as the cache file and the wire carry it. Comparing encodings
-/// orders keys as the file lists them.
+/// bytes, as the cache file carries it. Comparing encodings orders keys
+/// as the file lists them.
 pub fn key_bytes(key: &LayerKey) -> Vec<u8> {
     key.packed().to_vec()
-}
-
-/// A key's stable 64-bit identity: [`fnv1a64`] over [`key_bytes`]. The
-/// fleet ring hashes this onto shards.
-pub fn key_hash(key: &LayerKey) -> u64 {
-    fnv1a64(&key.packed())
 }
 
 /// Decodes a [`LayerKey`] written by [`key_bytes`].
@@ -583,8 +573,7 @@ pub fn decode_key_bytes(bytes: &[u8]) -> Result<LayerKey, PersistError> {
 }
 
 /// The canonical binary encoding of one `(key, entry)` pair — exactly
-/// one entry of the cache file's payload, reusable as a wire transport
-/// for compiled layers.
+/// one entry of the cache file's payload.
 pub fn entry_bytes(key: &LayerKey, value: &CachedLayer) -> Vec<u8> {
     let mut out = Vec::new();
     put_entry(&mut out, key, value);
@@ -963,7 +952,6 @@ mod tests {
         for (key, entry) in cache.snapshot() {
             let kb = key_bytes(&key);
             assert_eq!(decode_key_bytes(&kb).unwrap(), key);
-            assert_eq!(key_hash(&key), fnv1a64(&kb));
             let eb = entry_bytes(&key, &entry);
             let (k2, e2) = decode_entry_bytes(&eb).unwrap();
             assert_eq!(k2, key);

@@ -1,12 +1,11 @@
 //! Client side of the `cbrand` protocol.
 //!
 //! Connections are built through [`ClientBuilder`] ([`Client::builder`]),
-//! which owns the connect/IO deadlines, the `hello` handshake (with
-//! optional required capabilities), and the reaction to an
-//! admission-control [`Event::Busy`] answer: sleep out the daemon's hint
-//! and reconnect, up to a configurable deadline — busy is backoff, not
-//! failure. Transport failures are not retried here; the fleet's
-//! `RetryPolicy` is the one caller that retries them.
+//! which owns the connect/IO deadlines, the `hello` handshake, and the
+//! reaction to an admission-control [`Event::Busy`] answer: sleep out
+//! the daemon's hint and reconnect, up to a configurable deadline — busy
+//! is backoff, not failure. That busy wait is the only retry loop:
+//! transport failures surface to the caller at once.
 //!
 //! The client reconstructs a full [`NetworkReport`] from the streamed
 //! layer events, so rendering it through
@@ -100,7 +99,7 @@ impl Client {
     /// Starts building a connection to the daemon at `addr`
     /// (`host:port`). The builder's defaults — no deadlines, one
     /// connect attempt, a 30 s busy-wait, `hello` on connect — suit an
-    /// interactive client; the fleet tightens them per shard.
+    /// interactive client; tests and perfbench tighten them.
     pub fn builder(addr: &str) -> ClientBuilder {
         ClientBuilder::new(addr)
     }
@@ -283,9 +282,8 @@ impl Client {
     }
 }
 
-/// Builder for a [`Client`] connection: deadlines, busy back-off, and
-/// the capabilities the `hello` handshake must confirm. Obtained from
-/// [`Client::builder`].
+/// Builder for a [`Client`] connection: deadlines, busy back-off and
+/// the `hello` handshake. Obtained from [`Client::builder`].
 ///
 /// [`connect`](ClientBuilder::connect) makes one transport attempt: a
 /// transport error ([`ClientError::Io`]) surfaces at once. An admission
@@ -299,7 +297,6 @@ pub struct ClientBuilder {
     connect_timeout: Option<Duration>,
     io_timeout: Option<Duration>,
     busy_wait: Duration,
-    expect_caps: Vec<String>,
     handshake: bool,
 }
 
@@ -314,7 +311,6 @@ impl ClientBuilder {
             connect_timeout: None,
             io_timeout: None,
             busy_wait: Duration::from_secs(30),
-            expect_caps: Vec::new(),
             handshake: true,
         }
     }
@@ -327,8 +323,7 @@ impl ClientBuilder {
         self
     }
 
-    /// Bounds every read/write on the established connection (the fleet
-    /// client's per-request deadline).
+    /// Bounds every read/write on the established connection.
     #[must_use]
     pub fn io_timeout(mut self, timeout: Duration) -> Self {
         self.io_timeout = Some(timeout);
@@ -338,23 +333,10 @@ impl ClientBuilder {
     /// Total budget for waiting out `busy` answers before giving up and
     /// surfacing [`ClientError::Busy`]. `Duration::ZERO` surfaces the
     /// first busy immediately — callers that want to orchestrate their
-    /// own back-off (tests, the fleet router) use that.
+    /// own back-off (tests, perfbench) use that.
     #[must_use]
     pub fn busy_wait(mut self, budget: Duration) -> Self {
         self.busy_wait = budget;
-        self
-    }
-
-    /// Capabilities the daemon's `hello` answer must advertise;
-    /// connecting to a daemon lacking one fails with
-    /// [`ClientError::Protocol`]. Implies the handshake.
-    #[must_use]
-    pub fn expect_caps<I, S>(mut self, caps: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.expect_caps = caps.into_iter().map(Into::into).collect();
         self
     }
 
@@ -367,11 +349,9 @@ impl ClientBuilder {
     }
 
     /// Connects, waiting out `busy` refusals per [`busy_wait`], then (by
-    /// default) performs the `hello` handshake and checks
-    /// [`expect_caps`].
+    /// default) performs the `hello` handshake.
     ///
     /// [`busy_wait`]: ClientBuilder::busy_wait
-    /// [`expect_caps`]: ClientBuilder::expect_caps
     ///
     /// # Errors
     ///
@@ -427,14 +407,7 @@ impl ClientBuilder {
         stream.set_nodelay(true)?;
         let mut client = Client::from_stream(stream);
         if self.handshake {
-            let caps = client.hello()?;
-            for want in &self.expect_caps {
-                if !caps.iter().any(|c| c == want) {
-                    return Err(ClientError::Protocol(format!(
-                        "daemon lacks required capability `{want}` (has {caps:?})"
-                    )));
-                }
-            }
+            client.hello()?;
         }
         Ok(client)
     }

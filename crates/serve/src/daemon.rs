@@ -7,12 +7,12 @@
 //! keep-alive clients coexist with a worker pool sized to the CPU.
 //!
 //! Compute stays scarce on purpose: a parsed `compile`/`simulate`/
-//! `forward`/`compile_keys` request becomes a **ticket** on a bounded
-//! queue that a fixed pool of workers drains, each wiring a [`Runner`]
-//! to the shared [`CompiledLayerCache`] and the [`CompileBatcher`] that
-//! merges concurrent compile work-lists into deterministic pool
-//! batches. Per-layer report lines stream back through the reactor as
-//! the serial merge pass finishes them. Cheap control requests
+//! `forward` request becomes a **ticket** on a bounded queue that a
+//! fixed pool of workers drains, each wiring a [`Runner`] to the shared
+//! [`CompiledLayerCache`] and the [`CompileBatcher`] that merges
+//! concurrent compile work-lists into deterministic pool batches.
+//! Per-layer report lines stream back through the reactor as the
+//! serial merge pass finishes them. Cheap control requests
 //! (`hello`, `stats`, `progress`, `metrics`, `evict`, `shutdown`) are
 //! answered inline on the reactor thread, so observability stays
 //! responsive even when every worker is busy.
@@ -39,8 +39,7 @@
 use crate::batch::CompileBatcher;
 use crate::json::{self, Value};
 use crate::wire::{
-    CompileItem, Event, NetworkSource, Request, RunRequest, MAX_LINE, PROTOCOL_MINOR,
-    PROTOCOL_VERSION,
+    Event, NetworkSource, Request, RunRequest, MAX_LINE, PROTOCOL_MINOR, PROTOCOL_VERSION,
 };
 use cbrain::forward::{forward, NetworkWeights};
 use cbrain::persist;
@@ -48,8 +47,8 @@ use cbrain::telemetry::{
     self, http::MetricsServer, Counter, Gauge, Histogram, MetricKind, Registry, Sample,
     SampleValue, Span, DURATION_BUCKETS,
 };
-use cbrain::{compile_cache_entry, CompileBackend as _, CompiledLayerCache, RunOptions, Runner};
-use cbrain_model::{spec, zoo, Layer, Network, Tensor3};
+use cbrain::{CompiledLayerCache, RunOptions, Runner};
+use cbrain_model::{spec, zoo, Network, Tensor3};
 use cbrain_reactor::{Connection, Interest, Phase, Poller, WakeHandle, Waker};
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -333,17 +332,8 @@ impl Drop for RunProgress<'_> {
 
 /// Request-type labels the per-request latency histograms are keyed by;
 /// sorted so registration order matches exposition order.
-const REQUEST_KINDS: [&str; 10] = [
-    "compile",
-    "compile_keys",
-    "evict",
-    "forward",
-    "hello",
-    "metrics",
-    "progress",
-    "shutdown",
-    "simulate",
-    "stats",
+const REQUEST_KINDS: [&str; 9] = [
+    "compile", "evict", "forward", "hello", "metrics", "progress", "shutdown", "simulate", "stats",
 ];
 
 /// The wire label of a request, for metrics.
@@ -351,7 +341,6 @@ fn request_kind(request: &Request) -> &'static str {
     match request {
         Request::Hello { .. } => "hello",
         Request::Compile(_) => "compile",
-        Request::CompileKeys { .. } => "compile_keys",
         Request::Simulate(_) => "simulate",
         Request::Forward { .. } => "forward",
         Request::Stats => "stats",
@@ -367,10 +356,7 @@ fn request_kind(request: &Request) -> &'static str {
 fn is_compute(request: &Request) -> bool {
     matches!(
         request,
-        Request::Compile(_)
-            | Request::Simulate(_)
-            | Request::Forward { .. }
-            | Request::CompileKeys { .. }
+        Request::Compile(_) | Request::Simulate(_) | Request::Forward { .. }
     )
 }
 
@@ -383,7 +369,7 @@ struct ServerState {
     /// This daemon's own registry: per-daemon so multiple in-process
     /// daemons (tests, tools) keep exact, independent counts. The
     /// exposition merges it with [`Registry::global`], which collects
-    /// the core-layer metrics (persist, the fleet router).
+    /// the core-layer metrics (persist).
     registry: Arc<Registry>,
     request_seconds: HashMap<&'static str, Arc<Histogram>>,
     conns_open: Arc<Gauge>,
@@ -400,7 +386,7 @@ impl ServerState {
 /// One full metrics snapshot: computed gauges (queue depth, cache
 /// occupancy — state that lives outside the registry), this daemon's
 /// registry, and the process-global registry (core-layer persistence
-/// and fleet counters). Earlier sets win on name collisions and the
+/// counters). Earlier sets win on name collisions and the
 /// merge sorts by name, so two scrapes of an idle daemon are
 /// byte-identical.
 fn metrics_samples(state: &ServerState) -> Vec<Sample> {
@@ -814,7 +800,6 @@ fn dispatch_compute(
         Request::Compile(run) => handle_run(state, run, false, sink, id),
         Request::Simulate(run) => handle_run(state, run, true, sink, id),
         Request::Forward { run, seed } => handle_forward(run, *seed, sink, id),
-        Request::CompileKeys { items } => handle_compile_keys(state, items, sink, id),
         // Non-compute requests are answered inline and never ticketed.
         _ => Ok(()),
     }
@@ -947,82 +932,6 @@ fn handle_forward(
             id,
         ),
     }
-}
-
-/// Compiles a batch of wire-shipped binary layer keys through the shared
-/// batcher and streams each entry back in request order.
-fn handle_compile_keys(
-    state: &ServerState,
-    items: &[CompileItem],
-    sink: &mut dyn EventSink,
-    id: Option<u64>,
-) -> io::Result<()> {
-    // Decode every key before compiling anything: a malformed item fails
-    // the whole batch without wasted work. A key is self-contained:
-    // rebuild the layer the compiler needs from it (the name is only for
-    // diagnostics, `skip` does not affect compilation).
-    let mut keyed = Vec::with_capacity(items.len());
-    for item in items {
-        match persist::decode_key_bytes(&item.key) {
-            Ok(key) => keyed.push((
-                key,
-                Layer {
-                    name: item.name.clone(),
-                    input: key.input,
-                    kind: key.kind,
-                    skip: None,
-                },
-            )),
-            Err(e) => {
-                return sink.event(
-                    &Event::Error {
-                        message: format!("bad key for `{}`: {e}", item.name),
-                    },
-                    id,
-                );
-            }
-        }
-    }
-    // Already-cached keys stay off the work-list.
-    let worklist = keyed
-        .iter()
-        .filter(|(key, _)| !state.cache.contains(key))
-        .cloned()
-        .collect();
-    if let Err(e) = state.batcher.compile_batch(&state.cache, worklist) {
-        return sink.event(
-            &Event::Error {
-                message: e.to_string(),
-            },
-            id,
-        );
-    }
-    // An `evict` answered meanwhile may have dropped any key again, one
-    // left off the work-list or one the batch compiled: compile it here,
-    // as the runner does. An entry is a pure function of its key.
-    for (key, layer) in &keyed {
-        let entry = match state.cache.peek(key) {
-            Some(entry) => entry,
-            None => match compile_cache_entry(layer, key) {
-                Ok(entry) => state.cache.insert(*key, entry),
-                Err(e) => {
-                    return sink.event(
-                        &Event::Error {
-                            message: e.to_string(),
-                        },
-                        id,
-                    )
-                }
-            },
-        };
-        sink.event(
-            &Event::Entry {
-                data: persist::entry_bytes(key, &entry),
-            },
-            id,
-        )?;
-    }
-    sink.event(&Event::Ok, id)
 }
 
 /// Encodes `event` and queues it on the connection (reactor-side
@@ -1527,7 +1436,6 @@ impl Reactor<'_> {
                             version: PROTOCOL_VERSION,
                             minor: PROTOCOL_MINOR,
                             caps: vec![
-                                "compile_keys".to_owned(),
                                 "evict".to_owned(),
                                 "busy".to_owned(),
                                 "progress".to_owned(),

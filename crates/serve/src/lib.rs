@@ -7,10 +7,9 @@
 //! request it ever serves — and across restarts, via the persisted cache
 //! file ([`cbrain::persist`]). The daemon speaks a newline-delimited
 //! JSON protocol (in-tree [`json`] codec; the workspace takes no
-//! external dependencies) with eight requests: `hello`, `compile`,
-//! `compile_keys`, `simulate`, `forward`, `stats`, `evict`, `shutdown`.
-//! The `hello`/`compile_keys`/`evict` trio plus request-id framing is
-//! what the `cbrain-fleet` shard router builds on.
+//! external dependencies) with nine requests: `hello`, `compile`,
+//! `simulate`, `forward`, `stats`, `progress`, `metrics`, `evict`,
+//! `shutdown`.
 //!
 //! * [`daemon`] — a single-threaded [`cbrain_reactor`] event loop that
 //!   owns every socket (idle connections cost a descriptor, not a
@@ -58,6 +57,5 @@ pub use batch::CompileBatcher;
 pub use client::{Client, ClientBuilder, ClientError};
 pub use daemon::{Daemon, DaemonOptions};
 pub use wire::{
-    CompileItem, Event, NetworkSource, Request, RunRequest, WireError, PROTOCOL_MINOR,
-    PROTOCOL_VERSION,
+    Event, NetworkSource, Request, RunRequest, WireError, PROTOCOL_MINOR, PROTOCOL_VERSION,
 };

@@ -2,11 +2,11 @@
 //! streamed events.
 //!
 //! One request per line; the daemon answers with zero or more
-//! non-terminal event lines (`layer`, `compiled`, `entry`) followed by
-//! exactly one terminal line (`done`, `stats`, `progress`, `forward`,
-//! `hello`, `evicted`, `busy`, `ok`, or `error`). Requests may carry an `id`
+//! non-terminal event lines (`layer`, `compiled`) followed by exactly
+//! one terminal line (`done`, `stats`, `progress`, `forward`, `hello`,
+//! `evicted`, `busy`, `ok`, or `error`). Requests may carry an `id`
 //! member; the daemon echoes it on every event of that request's stream,
-//! so a fleet client multiplexing requests can match responses (see
+//! so a client can match each response to its request (see
 //! [`Request::encode_framed`]). An overloaded daemon may answer a fresh
 //! connection with a single unsolicited `busy` line and close it —
 //! admission control, see [`Event::Busy`]. See `docs/SERVING.md` for the
@@ -19,27 +19,26 @@ use cbrain_sim::{AcceleratorConfig, BufferTraffic, PeConfig, Stats};
 use std::fmt;
 
 /// Version of the wire protocol this build speaks. Peers exchange it in
-/// `hello` and refuse to talk across a mismatch — compiled-entry bytes
-/// ride the wire verbatim, so a version skew could silently corrupt a
-/// cache. v4 carries keys and entries in the v3 cache-file encoding
-/// (160-byte packed keys, run-length programs without a label); a v3
-/// peer could not decode them.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// `hello` and refuse to talk across a mismatch. v5 drops v4's request
+/// that compiled raw layer keys for a remote caller, and the event that
+/// streamed each compiled entry back; a minor revision could not (a
+/// minor only adds). Every other request and event is v4's.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Minor revision of the wire protocol, advertised in the `hello`
 /// answer. Minor revisions are backwards compatible: a later minor only
 /// adds requests, events, members or capability labels that an older
-/// peer never sends and never sees. v4.0 keeps the whole v3.0 grammar,
-/// which is v2.2's (the `busy` admission-control event and counters of
-/// v2.1, the `progress` and `metrics` pairs). Peers never refuse a
-/// connection over a minor skew.
+/// peer never sends and never sees. v5.0 is v4.0 without that
+/// request/event pair; the rest is v2.2's grammar (the `busy`
+/// admission-control event and counters of v2.1, the `progress` and
+/// `metrics` pairs). Peers never refuse a connection over a minor skew.
 pub const PROTOCOL_MINOR: u32 = 0;
 
 /// Hard cap on one NDJSON line in either direction: the daemon frames
 /// requests and the client frames events through a
 /// [`cbrain_reactor::FrameDecoder`] with this cap. Far above any real
-/// line (even a thousand-layer `compile_keys` batch, whose entries
-/// stream one per line), far below a memory-exhaustion write.
+/// line (even a thousand-layer inline spec), far below a
+/// memory-exhaustion write.
 pub const MAX_LINE: usize = 16 << 20;
 
 /// Error from decoding a request or event line.
@@ -115,35 +114,16 @@ impl RunRequest {
     }
 }
 
-/// One unit of `compile_keys` work: a layer cache key in the
-/// `cbrain::persist` binary encoding, plus a display name for logs. The
-/// key is self-contained (geometry, scheme, hardware, machine knobs,
-/// batch), so the daemon needs nothing else to compile it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompileItem {
-    /// Binary-encoded [`cbrain::cache::LayerKey`] (hex on the wire).
-    pub key: Vec<u8>,
-    /// Layer name, for daemon-side diagnostics only.
-    pub name: String,
-}
-
 /// A client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Version/capability exchange; must precede fleet traffic.
+    /// Version/capability exchange.
     Hello {
         /// The client's [`PROTOCOL_VERSION`].
         version: u32,
     },
     /// Warm the cache for a network; streams one light line per layer.
     Compile(RunRequest),
-    /// Compile a batch of binary layer keys and stream each resulting
-    /// cache entry back (`entry` events, then `ok`). The fleet router's
-    /// scatter unit.
-    CompileKeys {
-        /// The keys to compile, answered in request order.
-        items: Vec<CompileItem>,
-    },
     /// Full run; streams per-layer statistics then a `done` summary.
     Simulate(RunRequest),
     /// Functional forward pass on seeded random data.
@@ -178,23 +158,6 @@ impl Request {
                 ("version", u(u64::from(*version))),
             ]),
             Request::Compile(run) => run_obj("compile", run, None),
-            Request::CompileKeys { items } => obj(vec![
-                ("req", s("compile_keys")),
-                (
-                    "items",
-                    Value::Arr(
-                        items
-                            .iter()
-                            .map(|item| {
-                                obj(vec![
-                                    ("key", s(to_hex(&item.key))),
-                                    ("name", s(item.name.clone())),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
             Request::Simulate(run) => run_obj("simulate", run, None),
             Request::Forward { run, seed } => run_obj("forward", run, Some(*seed)),
             Request::Stats => obj(vec![("req", s("stats"))]),
@@ -216,21 +179,6 @@ impl Request {
                     .map_err(|_| WireError("`version` out of range".into()))?,
             }),
             "compile" => Ok(Request::Compile(run_from(v)?)),
-            "compile_keys" => {
-                let items = v
-                    .get("items")
-                    .and_then(Value::as_arr)
-                    .ok_or_else(|| WireError("missing `items`".into()))?
-                    .iter()
-                    .map(|item| {
-                        Ok(CompileItem {
-                            key: from_hex(&str_field(item, "key")?)?,
-                            name: str_field(item, "name")?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, WireError>>()?;
-                Ok(Request::CompileKeys { items })
-            }
             "simulate" => Ok(Request::Simulate(run_from(v)?)),
             "forward" => Ok(Request::Forward {
                 run: run_from(v)?,
@@ -291,39 +239,6 @@ fn frame(value: Value, id: Option<u64>) -> Value {
         }
         (value, _) => value,
     }
-}
-
-/// Lowercase hex encoding for binary payloads carried inside JSON.
-pub fn to_hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        let _ = fmt::Write::write_fmt(&mut out, format_args!("{b:02x}"));
-    }
-    out
-}
-
-/// Decodes [`to_hex`] output.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] on odd length or a non-hex digit.
-pub fn from_hex(text: &str) -> Result<Vec<u8>, WireError> {
-    let bytes = text.as_bytes();
-    if !bytes.len().is_multiple_of(2) {
-        return Err(WireError("hex payload has odd length".into()));
-    }
-    let digit = |b: u8| -> Result<u8, WireError> {
-        match b {
-            b'0'..=b'9' => Ok(b - b'0'),
-            b'a'..=b'f' => Ok(b - b'a' + 10),
-            b'A'..=b'F' => Ok(b - b'A' + 10),
-            _ => Err(WireError(format!("bad hex digit `{}`", b as char))),
-        }
-    };
-    bytes
-        .chunks_exact(2)
-        .map(|pair| Ok(digit(pair[0])? << 4 | digit(pair[1])?))
-        .collect()
 }
 
 fn run_obj(req: &str, run: &RunRequest, seed: Option<u64>) -> Value {
@@ -513,7 +428,7 @@ pub enum Event {
         /// The daemon's [`PROTOCOL_MINOR`] revision (`0` when a v2.0
         /// peer omits the member).
         minor: u32,
-        /// Capability labels (e.g. `compile_keys`, `evict`, `busy`).
+        /// Capability labels (e.g. `evict`, `busy`).
         caps: Vec<String>,
     },
     /// Admission-control refusal: the daemon is saturated and sheds this
@@ -527,12 +442,6 @@ pub enum Event {
         /// Admission-queue depth observed when the connection was shed.
         queue_depth: u64,
     },
-    /// One compiled cache entry of a `compile_keys` batch, in the
-    /// `cbrain::persist` binary encoding (key + value).
-    Entry {
-        /// Binary entry bytes (hex on the wire).
-        data: Vec<u8>,
-    },
     /// Terminal answer to an `evict` request.
     Evicted {
         /// Entries dropped.
@@ -540,7 +449,7 @@ pub enum Event {
         /// Entries remaining after eviction.
         entries: u64,
     },
-    /// Terminal acknowledgement (shutdown, `compile_keys`).
+    /// Terminal acknowledgement of a `shutdown`.
     Ok,
     /// Terminal failure for one request; the connection stays usable.
     Error {
@@ -552,10 +461,7 @@ pub enum Event {
 impl Event {
     /// Whether this event terminates a request's response stream.
     pub fn is_terminal(&self) -> bool {
-        !matches!(
-            self,
-            Event::Layer { .. } | Event::Compiled { .. } | Event::Entry { .. }
-        )
+        !matches!(self, Event::Layer { .. } | Event::Compiled { .. })
     }
 
     fn to_value(&self) -> Value {
@@ -671,7 +577,6 @@ impl Event {
                 ("retry_after_ms", u(*retry_after_ms)),
                 ("queue_depth", u(*queue_depth)),
             ]),
-            Event::Entry { data } => obj(vec![("ev", s("entry")), ("data", s(to_hex(data)))]),
             Event::Evicted { evicted, entries } => obj(vec![
                 ("ev", s("evicted")),
                 ("evicted", u(*evicted)),
@@ -801,9 +706,6 @@ impl Event {
                             .collect()
                     })
                     .unwrap_or_default(),
-            }),
-            "entry" => Ok(Event::Entry {
-                data: from_hex(&str_field(v, "data")?)?,
             }),
             "evicted" => Ok(Event::Evicted {
                 evicted: u64_field(v, "evicted")?,
@@ -940,18 +842,6 @@ mod tests {
             Request::Hello {
                 version: PROTOCOL_VERSION,
             },
-            Request::CompileKeys {
-                items: vec![
-                    CompileItem {
-                        key: vec![0, 1, 0xfe, 0xff],
-                        name: "conv1".into(),
-                    },
-                    CompileItem {
-                        key: vec![],
-                        name: "pool1".into(),
-                    },
-                ],
-            },
             Request::Evict { max: 128 },
             Request::Progress,
             Request::Metrics,
@@ -1087,7 +977,6 @@ mod tests {
                 version: PROTOCOL_VERSION,
                 minor: PROTOCOL_MINOR,
                 caps: vec![
-                    "compile_keys".into(),
                     "evict".into(),
                     "busy".into(),
                     "progress".into(),
@@ -1097,9 +986,6 @@ mod tests {
             Event::Busy {
                 retry_after_ms: 50,
                 queue_depth: 9,
-            },
-            Event::Entry {
-                data: vec![0xde, 0xad, 0xbe, 0xef],
             },
             Event::Evicted {
                 evicted: 7,
@@ -1116,10 +1002,7 @@ mod tests {
             assert_eq!(Event::decode(&line).unwrap(), event, "{line}");
             assert_eq!(
                 event.is_terminal(),
-                !matches!(
-                    event,
-                    Event::Layer { .. } | Event::Compiled { .. } | Event::Entry { .. }
-                )
+                !matches!(event, Event::Layer { .. } | Event::Compiled { .. })
             );
         }
     }
@@ -1181,16 +1064,6 @@ mod tests {
         assert_eq!(decoded, ev);
         assert_eq!(id, Some(9));
         assert_eq!(Event::decode_framed(&ev.encode()).unwrap().1, None);
-    }
-
-    #[test]
-    fn hex_codec_round_trips_and_rejects_garbage() {
-        for bytes in [vec![], vec![0u8], vec![0x00, 0x7f, 0x80, 0xff]] {
-            assert_eq!(from_hex(&to_hex(&bytes)).unwrap(), bytes);
-        }
-        assert_eq!(to_hex(&[0xab, 0x01]), "ab01");
-        assert!(from_hex("abc").is_err(), "odd length");
-        assert!(from_hex("zz").is_err(), "non-hex digit");
     }
 
     #[test]

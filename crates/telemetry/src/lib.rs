@@ -6,7 +6,7 @@
 //! records elapsed wall-clock into histograms on drop, and a deterministic
 //! Prometheus text-format renderer ([`render_prometheus`]) plus a minimal
 //! HTTP/1.0 exposition listener ([`http::MetricsServer`], `GET /metrics`
-//! only) so any standard scraper can watch a daemon or a fleet.
+//! only) so any standard scraper can watch a daemon.
 //!
 //! ## Determinism contract
 //!
@@ -464,7 +464,7 @@ impl Registry {
     }
 
     /// The process-wide registry used by call sites below the daemon
-    /// (persist, the fleet router) that have no registry handy.
+    /// (persist) that have no registry handy.
     pub fn global() -> &'static Registry {
         static GLOBAL: OnceLock<Registry> = OnceLock::new();
         GLOBAL.get_or_init(Registry::new)

@@ -2,16 +2,13 @@
 //! streamed client reports must be byte-identical to a single-process
 //! [`Runner`], and the persisted cache must make a daemon restart warm.
 
-use cbrain::cache::LayerKey;
-use cbrain::persist;
 use cbrain::report::render_run_report;
-use cbrain::{RunOptions, Runner, Scheme};
+use cbrain::{RunOptions, Runner};
 use cbrain_serve::daemon::{Daemon, DaemonOptions};
 use cbrain_serve::json::Value;
-use cbrain_serve::wire::{CompileItem, Event, NetworkSource, Request, RunRequest};
+use cbrain_serve::wire::{Event, NetworkSource, Request, RunRequest};
 use cbrain_serve::{Client, ClientError};
-use cbrain_sim::AcceleratorConfig;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread;
@@ -825,7 +822,7 @@ fn join_within(server: thread::JoinHandle<std::io::Result<String>>, limit: Durat
 }
 
 #[test]
-fn compile_keys_answers_every_batch_while_evict_empties_the_cache() {
+fn simulate_answers_every_run_while_evict_empties_the_cache() {
     let _threads = shared_thread_counts();
     let io = Duration::from_secs(10);
     let daemon = Daemon::bind(
@@ -839,68 +836,49 @@ fn compile_keys_answers_every_batch_while_evict_empties_the_cache() {
     let addr = daemon.local_addr().to_string();
     let server = thread::spawn(move || daemon.run());
 
-    // Every distinct alexnet key under every scheme, as a fleet router
-    // would scatter them.
-    let net = cbrain::model::zoo::alexnet();
-    let cfg = AcceleratorConfig::paper_16_16();
-    let opts = RunOptions::default();
-    let mut keys: Vec<(LayerKey, String)> = Vec::new();
-    for layer in net.layers() {
-        for scheme in Scheme::ALL {
-            let key = LayerKey::new(layer, scheme, &cfg, &opts);
-            if keys.iter().all(|(k, _)| *k != key) {
-                keys.push((key, layer.name.clone()));
-            }
-        }
-    }
-    let items: Vec<CompileItem> = keys
-        .iter()
-        .map(|(key, name)| CompileItem {
-            key: persist::key_bytes(key),
-            name: name.clone(),
+    // AlexNet under adpa-2, four times, each on its own PE shape: no run
+    // shares a layer key with another, so whatever the evictor dropped,
+    // every run probes a cold cache and its report, hit/miss token
+    // included, must equal a fresh single-process run's.
+    let runs: Vec<RunRequest> = [(16, 16), (32, 32), (16, 32), (32, 16)]
+        .into_iter()
+        .map(|pe| RunRequest {
+            network: NetworkSource::Zoo("alexnet".into()),
+            pe,
+            ..RunRequest::default()
         })
         .collect();
 
-    // One client sends the batches while another loops `evict 0`, which
-    // the reactor answers inline while a batch compiles or streams.
+    // One client runs them while another loops `evict 0`, which the
+    // reactor answers inline while a run's ticket compiles or streams.
     thread::scope(|scope| {
-        let batches = scope.spawn(|| {
+        let simulations = scope.spawn(|| {
             let mut client = Client::builder(&addr)
                 .io_timeout(io)
                 .connect()
                 .expect("connect");
-            for _ in 0..4 {
-                let mut entries = Vec::new();
-                let request = Request::CompileKeys {
-                    items: items.clone(),
-                };
-                let terminal = client
-                    .submit(&request, |event| {
-                        if let Event::Entry { data } = event {
-                            entries.push(data.clone());
-                        }
-                    })
-                    .expect("the batch is answered");
-                assert_eq!(terminal, Event::Ok);
-                assert_eq!(entries.len(), keys.len());
-                for (data, (key, name)) in entries.iter().zip(&keys) {
-                    let (decoded, _) = persist::decode_entry_bytes(data).expect("entry decodes");
-                    assert_eq!(decoded, *key, "entry for {name}");
-                }
+            for run in &runs {
+                let report = client.simulate(run, |_| {}).expect("the run is answered");
+                assert_eq!(
+                    render_run_report(&report, true),
+                    direct_report(run, true),
+                    "pe {:?}",
+                    run.pe
+                );
             }
         });
         let mut evictor = Client::builder(&addr)
             .io_timeout(io)
             .connect()
             .expect("connect");
-        while !batches.is_finished() {
+        while !simulations.is_finished() {
             evictor
                 .submit(&Request::Evict { max: 0 }, |_| {})
                 .expect("evict");
         }
-        batches
+        simulations
             .join()
-            .expect("every batch answers ok with its keys");
+            .expect("every run answers with a byte-identical report");
     });
 
     let mut client = Client::builder(&addr)
@@ -909,6 +887,92 @@ fn compile_keys_answers_every_batch_while_evict_empties_the_cache() {
         .expect("connect");
     client.submit(&Request::Shutdown, |_| {}).expect("shutdown");
     join_within(server, Duration::from_secs(20));
+}
+
+/// Boots one in-process daemon on an ephemeral loopback port.
+fn daemon() -> (String, thread::JoinHandle<std::io::Result<String>>) {
+    let daemon = Daemon::bind(
+        "127.0.0.1:0",
+        DaemonOptions {
+            jobs: 2,
+            ..DaemonOptions::default()
+        },
+    )
+    .expect("bind loopback");
+    let addr = daemon.local_addr().to_string();
+    (addr, thread::spawn(move || daemon.run()))
+}
+
+fn shutdown(addr: &str) {
+    let mut client = Client::builder(addr)
+        .connect()
+        .expect("connect for shutdown");
+    client.submit(&Request::Shutdown, |_| {}).expect("shutdown");
+}
+
+#[test]
+fn hello_version_mismatch_is_rejected_and_the_connection_closed() {
+    let _threads = shared_thread_counts();
+    let (addr, handle) = daemon();
+
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream
+        .write_all(b"{\"req\":\"hello\",\"version\":999}\n")
+        .expect("send rogue hello");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read answer");
+    assert!(line.contains("error"), "{line}");
+    assert!(line.contains("mismatch"), "{line}");
+    line.clear();
+    let n = reader.read_line(&mut line).expect("read eof");
+    assert_eq!(n, 0, "daemon must close the connection, got {line:?}");
+
+    // A well-versioned hello on a fresh connection still works.
+    let mut client = Client::builder(&addr)
+        .no_handshake()
+        .connect()
+        .expect("connect");
+    let caps = client.hello().expect("hello");
+    assert!(caps.iter().any(|c| c == "evict"), "{caps:?}");
+
+    shutdown(&addr);
+    handle.join().expect("server thread").expect("clean exit");
+}
+
+#[test]
+fn evict_request_bounds_the_daemon_cache() {
+    let _threads = shared_thread_counts();
+    let (addr, handle) = daemon();
+    let mut client = Client::builder(&addr).connect().expect("connect");
+    let run = RunRequest {
+        network: NetworkSource::Zoo("alexnet".into()),
+        ..RunRequest::default()
+    };
+    client.simulate(&run, |_| {}).expect("simulate");
+
+    let before = match client.submit(&Request::Stats, |_| {}).expect("stats") {
+        Event::Stats { entries, .. } => entries,
+        other => panic!("expected stats, got {other:?}"),
+    };
+    assert!(before > 2, "alexnet must cache more than 2 layers");
+
+    let terminal = client
+        .submit(&Request::Evict { max: 2 }, |_| {})
+        .expect("evict");
+    let Event::Evicted { evicted, entries } = terminal else {
+        panic!("expected evicted, got {terminal:?}");
+    };
+    assert_eq!(evicted, before - 2);
+    assert_eq!(entries, 2);
+
+    match client.submit(&Request::Stats, |_| {}).expect("stats") {
+        Event::Stats { entries, .. } => assert_eq!(entries, 2),
+        other => panic!("expected stats, got {other:?}"),
+    }
+
+    shutdown(&addr);
+    handle.join().expect("server thread").expect("clean exit");
 }
 
 #[test]
